@@ -222,7 +222,7 @@ let measure_exact (g, k) qtext =
     tuples = outcome.Engine.stats.Core.Exec_stats.pushes;
     mem_bytes_peak = outcome.Engine.stats.Core.Exec_stats.mem_bytes_peak;
     histogram = histogram_of outcome.Engine.answers;
-    aborted = outcome.Engine.aborted;
+    aborted = aborted_of outcome.Engine.termination;
     termination = outcome.Engine.termination;
     gc = gc_of outcome.Engine.stats;
   }
@@ -699,7 +699,7 @@ let par () =
       tuples = outcome.Engine.stats.Core.Exec_stats.pushes;
       mem_bytes_peak = outcome.Engine.stats.Core.Exec_stats.mem_bytes_peak;
       histogram = histogram_of outcome.Engine.answers;
-      aborted = outcome.Engine.aborted;
+      aborted = aborted_of outcome.Engine.termination;
       termination = outcome.Engine.termination;
       gc = gc_of outcome.Engine.stats;
     }
@@ -802,7 +802,7 @@ let flight () =
       tuples = outcome.Engine.stats.Core.Exec_stats.pushes;
       mem_bytes_peak = outcome.Engine.stats.Core.Exec_stats.mem_bytes_peak;
       histogram = histogram_of outcome.Engine.answers;
-      aborted = outcome.Engine.aborted;
+      aborted = aborted_of outcome.Engine.termination;
       termination = outcome.Engine.termination;
       gc = gc_of outcome.Engine.stats;
     }
@@ -846,11 +846,10 @@ let flight () =
 (* ------------------------------------------------------------------ *)
 
 (* Neighbour-scan throughput: sweep every (node, label, direction) lookup of
-   the graph through [iter_neighbors], on the hashtable adjacency and on the
-   frozen CSR index.  This is the [Succ] hot path in isolation; the CSR win
-   here is what the figure-level benchmarks inherit. *)
+   the graph through [iter_neighbors] on the CSR index.  This is the [Succ]
+   hot path in isolation. *)
 let scan_throughput () =
-  header "[MICRO] neighbour-scan throughput: CSR vs hashtable adjacency";
+  header "[MICRO] neighbour-scan throughput on the CSR index";
   let g, _ = l4_graph (List.hd !scales) in
   let labels = Graph.labels g in
   let sweep () =
@@ -873,15 +872,9 @@ let scan_throughput () =
     (!edges, float_of_int (reps * !edges) /. dt /. 1e6)
   in
   let reps = max 3 !runs in
-  Graph.unfreeze g;
   let _ = sweep () (* warm-up *) in
-  let edges, hash_rate = time_sweeps reps in
-  Graph.freeze g;
-  let _ = sweep () in
-  let _, csr_rate = time_sweeps reps in
-  Printf.printf
-    "%d edge slots swept x%d; hashtable %.2f M edges/s | CSR %.2f M edges/s | speedup %.1fx\n"
-    edges reps hash_rate csr_rate (csr_rate /. hash_rate);
+  let edges, csr_rate = time_sweeps reps in
+  Printf.printf "%d edge slots swept x%d; CSR %.2f M edges/s\n" edges reps csr_rate;
   Printf.printf "CSR index size: %d bytes (%.1f bytes/edge)\n" (Graph.csr_bytes g)
     (float_of_int (Graph.csr_bytes g) /. float_of_int (Graph.n_edges g));
   (* one instrumented query so the Exec_stats counters are visible (the

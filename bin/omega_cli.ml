@@ -18,7 +18,7 @@ let load_dataset ?(lenient = false) path =
         (fun (msg, line) -> Printf.eprintf "  %s:%d: %s\n" path line msg)
         report.Ntriples.Nt.errors
     end;
-    (* loading is over: freeze the store so queries run on the CSR index *)
+    (* loading is over: build the CSR index before any query is timed *)
     Graphstore.Graph.freeze graph;
     (graph, ontology)
   | exception Ntriples.Nt.Parse_error (msg, line) ->

@@ -15,7 +15,6 @@ let load_dataset ?(lenient = false) path =
     if report.Ntriples.Nt.malformed > 0 then
       Printf.eprintf "%s: skipped %d malformed line(s) (kept %d triples)\n" path
         report.Ntriples.Nt.malformed report.Ntriples.Nt.triples;
-    Graphstore.Graph.freeze graph;
     (graph, ontology)
   | exception Ntriples.Nt.Parse_error (msg, line) ->
     Printf.eprintf "%s:%d: %s (rerun with --lenient to skip malformed lines)\n" path line msg;

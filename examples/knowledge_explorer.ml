@@ -18,7 +18,10 @@ let () =
     match Core.Engine.run_string ~graph ~ontology ~options ~limit query with
     | Ok outcome ->
       List.iter (fun a -> Format.printf "   %a@." Core.Engine.pp_answer a) outcome.Core.Engine.answers;
-      if outcome.Core.Engine.aborted then Format.printf "   -- aborted on tuple budget@.";
+      (match outcome.Core.Engine.termination with
+      | Core.Engine.Exhausted { reason = Core.Governor.Tuple_budget; _ } ->
+        Format.printf "   -- aborted on tuple budget@."
+      | _ -> ());
       if outcome.Core.Engine.answers = [] then Format.printf "   (no answers)@."
     | Error msg -> Format.printf "   error: %s@." msg
   in

@@ -191,14 +191,14 @@ let describe ~graph ~ontology ~options (conjunct : Query.conjunct) =
 (* [NeighboursByEdge] (§3.4): nodes adjacent to [n] under a transition
    label, observing directionality.  The wildcard [*] retrieves every edge
    of [n] in both directions (the paper issues Neighbors over the generic
-   'edge' type plus 'type', both ways).  On a frozen graph every arm is a
-   range scan over the CSR index; nothing is allocated. *)
+   'edge' type plus 'type', both ways).  Every arm is a range scan over the
+   CSR index; nothing is allocated. *)
 let iter_neighbours_by_edge t n (lbl : Nfa.tlabel) f =
   let dir_of : Nfa.dir -> Graph.dir = function Fwd -> Graph.Out | Bwd -> Graph.In in
   match lbl with
   | Nfa.Eps -> assert false (* the compiled automaton is ε-free *)
   | Nfa.Sym (d, a) -> Graph.iter_neighbors t.graph n a (dir_of d) f
-  | Nfa.Any -> Graph.iter_neighbors_any t.graph n f
+  | Nfa.Any -> Graph.iter_neighbors_all_labels t.graph n Graph.Both f
   | Nfa.Any_dir d -> Graph.iter_neighbors_all_labels t.graph n (dir_of d) f
   | Nfa.Sub_closure (d, ls) -> Graph.iter_neighbors_labels t.graph n ls (dir_of d) f
   | Nfa.Type_to c -> if Graph.mem_edge t.graph n (Graph.type_label t.graph) c then f c

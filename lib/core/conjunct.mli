@@ -90,7 +90,6 @@ val get_next : t -> answer option
     conjunct is exhausted {e or its governor has tripped} (budget, deadline
     or cancellation) — read [Governor.termination] to tell the cases apart;
     the answers already returned are a valid ranked prefix either way.
-    Never raises [Options.Out_of_budget].
     @raise Failpoints.Injected when an armed failpoint fires mid-pull
     (converted to a [Fault] termination by [Engine.next]). *)
 

@@ -25,7 +25,6 @@ let pp_termination ppf = function
 type outcome = {
   answers : answer list;
   termination : termination;
-  aborted : bool;
   stats : Exec_stats.t;
   metrics : Obs.Metrics.t;
 }
@@ -90,6 +89,8 @@ let open_query ~graph ~ontology ?(options = Options.default) ?governor ?tenant (
   (match Query.validate q with
   | Ok () -> ()
   | Error msg -> invalid_arg ("Engine.open_query: " ^ msg));
+  (* build the index here, so no worker domain of a parallel run does *)
+  Graph.freeze graph;
   (match options.Options.failpoints with
   | None -> ()
   | Some spec -> (
@@ -417,11 +418,7 @@ let drain ?limit st =
      close here so abandoned pools are joined and the audit record is
      emitted exactly once per drained stream *)
   close st;
-  let termination = status st in
-  let aborted =
-    match termination with Exhausted { reason = Governor.Tuple_budget; _ } -> true | _ -> false
-  in
-  { answers; termination; aborted; stats = Exec_stats.copy (stream_stats st); metrics = metrics st }
+  { answers; termination = status st; stats = Exec_stats.copy (stream_stats st); metrics = metrics st }
 
 let run ~graph ~ontology ?options ?limit q =
   let options = match options with Some o -> o | None -> Options.default in

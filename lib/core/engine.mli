@@ -44,10 +44,6 @@ val pp_termination : Format.formatter -> termination -> unit
 type outcome = {
   answers : answer list;  (** in non-decreasing distance *)
   termination : termination;
-  aborted : bool;
-      (** compatibility view of [termination]: true iff the tuple budget
-          ([options.max_tuples], the paper's memory stand-in) tripped;
-          prefer matching on [termination] *)
   stats : Exec_stats.t;  (** aggregated over all conjuncts (a stable snapshot) *)
   metrics : Obs.Metrics.t;
       (** the stream's metrics registry: the {!histogram_names} distributions
@@ -83,8 +79,7 @@ val open_query :
 
 val next : stream -> answer option
 (** The next answer, or [None] when the stream is exhausted {e or} its
-    governor tripped — call {!status} to tell the cases apart.  Never
-    raises [Options.Out_of_budget] (the pre-governor surface); injected
+    governor tripped — call {!status} to tell the cases apart.  Injected
     faults are converted to a [Fault] termination, not re-raised. *)
 
 val close : stream -> unit
@@ -192,9 +187,8 @@ val run :
 (** Evaluate, returning at most [limit] answers (default: all — beware of
     APPROX queries, whose answer sets can be the full node-pair space).
     [limit] is enforced through the governor's answer cap, so reaching it
-    reports [Exhausted {reason = Answer_limit; _}] while [aborted] stays
-    false.  Budget exhaustion is reported through [termination]/[aborted],
-    never raised. *)
+    reports [Exhausted {reason = Answer_limit; _}].  Budget exhaustion is
+    reported through [termination], never raised. *)
 
 val run_string :
   graph:Graphstore.Graph.t ->

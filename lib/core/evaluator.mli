@@ -50,9 +50,8 @@ val create :
 
 val next : t -> Conjunct.answer option
 (** Next answer, or [None] when exhausted or when the governor tripped
-    (read [Governor.termination] to tell which).  Never raises
-    [Options.Out_of_budget]; the answers already returned are a valid
-    ranked prefix either way.
+    (read [Governor.termination] to tell which); the answers already
+    returned are a valid ranked prefix either way.
     @raise Failpoints.Injected when an armed failpoint fires mid-pull. *)
 
 val take : t -> int -> Conjunct.answer list

@@ -19,8 +19,6 @@ type t = {
   par_queue_cap : int;
 }
 
-exception Out_of_budget
-
 let default_costs = { ins = 1; del = 1; sub = 1; beta = 1; gamma = 1 }
 
 let default =

@@ -98,17 +98,6 @@ type t = {
           deterministically exercisable in tests. *)
 }
 
-exception
-  Out_of_budget
-  [@deprecated "no longer raised: budget exhaustion is reported through Governor.termination"]
-(** @deprecated The pre-governor surface: conjunct evaluation used to raise
-    this when [max_tuples] was exceeded, which leaked through [Engine.next]
-    while [Engine.run] folded it into a flag.  Nothing raises it any more —
-    every budget now trips the {!Governor} and the streams return [None];
-    read [Engine.status] / [outcome.termination] instead.  The declaration
-    is kept so that downstream [try ... with Options.Out_of_budget] compat
-    shims still compile. *)
-
 val governor : ?limit:int -> t -> Governor.t
 (** A fresh governor implementing these options' budgets ([max_tuples],
     [timeout_ns], [max_answers]); [limit] caps answers further (the

@@ -29,7 +29,7 @@ let all_nodes graph : int Seq.t = Seq.init (Graph.n_nodes graph) (fun oid -> oid
 (* Nodes carrying an edge compatible with [lbl], as a sequence (the Sparksee
    Heads/Tails calls of §3.3).  Instead of materialising per-label oid sets,
    each label contributes a lazy ascending scan filtered by
-   {!Graph.has_adjacent} — an O(1) offset-range check on a frozen graph — so
+   {!Graph.has_adjacent} — an O(1) offset-range check on the index — so
    unneeded batches cost nothing downstream. *)
 let nodes_with_edge graph (lbl : Nfa.tlabel) : int Seq.t =
   let with_label dir a = Seq.filter (fun n -> Graph.has_adjacent graph n a dir) (all_nodes graph) in

@@ -1,23 +1,22 @@
 type dir = Out | In | Both
 
-(* One direction of the frozen index: for every used label, a CSR row
-   group.  [off] has [node_count + 1] entries; the neighbours of node [n]
-   under this label are [tgt.(off.(n)) .. tgt.(off.(n+1) - 1)], sorted
-   ascending so lookups are mergeable and [mem_edge] can bisect. *)
+(* One direction of the index for one label: a CSR row group.  [off] has
+   [node_count + 1] entries; the neighbours of node [n] under this label are
+   [tgt.(off.(n)) .. tgt.(off.(n+1) - 1)], sorted ascending so lookups are
+   mergeable and [mem_edge] can bisect. *)
 type csr_rows = { off : int array; tgt : int array }
 
 type csr = {
   slot_of_label : int array; (* label id -> dense slot, or -1 *)
-  label_of_slot : int array; (* dense slot -> label id *)
   fwd : csr_rows array; (* slot -> out-adjacency *)
   bwd : csr_rows array; (* slot -> in-adjacency *)
 }
 
-(* Per-label adjacency: label id -> (node oid -> neighbour oids).  The two
-   arrays are indexed by interned label id and grown on demand; an absent
-   hashtable means no edge with that label exists yet.  The hashtables are
-   the mutable source of truth; [freeze] distils them into the read-only
-   [csr] index, which every mutation invalidates. *)
+(* [adj_out] (label id -> source oid -> targets, newest first) is
+   construction-only storage: every read goes through the [csr] index, which
+   {!index} builds from it on first use and every mutation drops.  Its
+   [Hashtbl.iter] order is the order [iter_edges] (and so [Nt.save]) emits
+   edges in, which fixes oid numbering on reload. *)
 type t = {
   interner : Interner.t;
   type_label : int;
@@ -25,7 +24,6 @@ type t = {
   mutable node_count : int;
   node_index : (string, int) Hashtbl.t;
   mutable adj_out : (int, int list ref) Hashtbl.t option array;
-  mutable adj_in : (int, int list ref) Hashtbl.t option array;
   mutable edge_count : int;
   mutable label_counts : int array; (* label id -> number of edges *)
   mutable csr : csr option;
@@ -41,7 +39,6 @@ let create ?(initial_nodes = 1024) () =
     node_count = 0;
     node_index = Hashtbl.create initial_nodes;
     adj_out = Array.make 16 None;
-    adj_in = Array.make 16 None;
     edge_count = 0;
     label_counts = Array.make 16 0;
     csr = None;
@@ -71,12 +68,10 @@ let grow_adj t label =
   let cap = Array.length t.adj_out in
   if label >= cap then begin
     let n = max (2 * cap) (label + 1) in
-    let out = Array.make n None and inn = Array.make n None and counts = Array.make n 0 in
+    let out = Array.make n None and counts = Array.make n 0 in
     Array.blit t.adj_out 0 out 0 cap;
-    Array.blit t.adj_in 0 inn 0 cap;
     Array.blit t.label_counts 0 counts 0 cap;
     t.adj_out <- out;
-    t.adj_in <- inn;
     t.label_counts <- counts
   end
 
@@ -103,7 +98,6 @@ let add_edge t src label dst =
   t.csr <- None;
   grow_adj t label;
   push (table_of t.adj_out label) src dst;
-  push (table_of t.adj_in label) dst src;
   t.edge_count <- t.edge_count + 1;
   t.label_counts.(label) <- t.label_counts.(label) + 1
 
@@ -125,170 +119,131 @@ let labels t =
   done;
   !acc
 
-(* --- the frozen CSR index ------------------------------------------- *)
+(* --- the CSR index --------------------------------------------------- *)
 
-(* Pack one direction's hashtable adjacency for [label] into CSR rows.
-   Two passes over the per-node lists: count, then fill backwards so each
-   row comes out in insertion order; a final per-row sort makes rows
-   ascending. *)
-let csr_rows_of t tbl =
-  let n = t.node_count in
+(* Pack the [(row, value)] pairs [pairs] yields into [n] CSR rows: a
+   counting pass, then a fill pass that keeps [pairs]' order within a row. *)
+let pack n pairs =
   let off = Array.make (n + 1) 0 in
-  Hashtbl.iter (fun src cell -> off.(src + 1) <- off.(src + 1) + List.length !cell) tbl;
+  pairs (fun row _ -> off.(row + 1) <- off.(row + 1) + 1);
   for i = 1 to n do
     off.(i) <- off.(i) + off.(i - 1)
   done;
   let tgt = Array.make off.(n) 0 in
-  let cursor = Array.copy off in
-  Hashtbl.iter
-    (fun src cell ->
-      List.iter
-        (fun dst ->
-          tgt.(cursor.(src)) <- dst;
-          cursor.(src) <- cursor.(src) + 1)
-        !cell)
-    tbl;
-  for node = 0 to n - 1 do
-    let lo = off.(node) and hi = off.(node + 1) in
-    if hi - lo > 1 then begin
-      let row = Array.sub tgt lo (hi - lo) in
-      Array.sort compare row;
-      Array.blit row 0 tgt lo (hi - lo)
-    end
-  done;
+  let cursor = Array.sub off 0 n in
+  pairs (fun row v ->
+      tgt.(cursor.(row)) <- v;
+      cursor.(row) <- cursor.(row) + 1);
   { off; tgt }
 
-let empty_rows = { off = [||]; tgt = [||] }
+(* Out-rows from the construction hashtable, each row then sorted. *)
+let fwd_rows n tbl =
+  let rows = pack n (fun emit -> Hashtbl.iter (fun src cell -> List.iter (emit src) !cell) tbl) in
+  for node = 0 to n - 1 do
+    let lo = rows.off.(node) and hi = rows.off.(node + 1) in
+    if hi - lo > 1 then begin
+      let row = Array.sub rows.tgt lo (hi - lo) in
+      Array.sort Int.compare row;
+      Array.blit row 0 rows.tgt lo (hi - lo)
+    end
+  done;
+  rows
 
-let freeze t =
-  if t.csr = None then begin
-    let n_labels = Array.length t.label_counts in
-    let slot_of_label = Array.make n_labels (-1) in
-    let used = ref [] in
-    for label = n_labels - 1 downto 0 do
-      if t.label_counts.(label) > 0 then used := label :: !used
-    done;
-    let label_of_slot = Array.of_list !used in
-    Array.iteri (fun slot label -> slot_of_label.(label) <- slot) label_of_slot;
-    let side arr =
-      Array.map
-        (fun label ->
-          match arr.(label) with Some tbl -> csr_rows_of t tbl | None -> empty_rows)
-        label_of_slot
-    in
-    t.csr <- Some { slot_of_label; label_of_slot; fwd = side t.adj_out; bwd = side t.adj_in }
-  end
+(* In-rows by transposing out-rows: filling in ascending source order leaves
+   every row sorted. *)
+let transpose n fwd =
+  pack n (fun emit ->
+      for src = 0 to n - 1 do
+        for i = fwd.off.(src) to fwd.off.(src + 1) - 1 do
+          emit fwd.tgt.(i) src
+        done
+      done)
 
-let unfreeze t = t.csr <- None
-let frozen t = t.csr <> None
+let build t =
+  let n = t.node_count and used = labels t in
+  let slot_of_label = Array.make (Array.length t.label_counts) (-1) in
+  List.iteri (fun slot label -> slot_of_label.(label) <- slot) used;
+  let fwd =
+    Array.of_list (List.map (fun label -> fwd_rows n (Option.get t.adj_out.(label))) used)
+  in
+  { slot_of_label; fwd; bwd = Array.map (transpose n) fwd }
+
+(* The one read path: the index, built on first use.  It and the row
+   helpers below are inlined because every neighbour scan of [Succ] (and
+   every seeding probe) goes through them. *)
+let[@inline] index t =
+  match t.csr with
+  | Some c -> c
+  | None ->
+    let c = build t in
+    t.csr <- Some c;
+    c
+
+let freeze t = ignore (index t)
 
 let csr_bytes t =
   match t.csr with
   | None -> 0
   | Some c ->
     let side rows =
-      Array.fold_left
-        (fun acc r -> acc + (Sys.word_size / 8 * (Array.length r.off + Array.length r.tgt)))
-        0 rows
+      Array.fold_left (fun acc r -> acc + Array.length r.off + Array.length r.tgt) 0 rows
     in
-    side c.fwd + side c.bwd
-    + (Sys.word_size / 8 * (Array.length c.slot_of_label + Array.length c.label_of_slot))
+    Sys.word_size / 8 * (side c.fwd + side c.bwd + Array.length c.slot_of_label)
 
-let slot_rows c label dir =
-  if label < 0 || label >= Array.length c.slot_of_label then None
-  else
-    let slot = c.slot_of_label.(label) in
-    if slot < 0 then None
-    else Some (match dir with Out -> c.fwd.(slot) | In -> c.bwd.(slot) | Both -> assert false)
+let empty_rows = { off = [||]; tgt = [||] }
 
-let iter_row rows n f =
+(* The row group of [label] in one direction ([c.fwd] or [c.bwd]);
+   [empty_rows] for a label the index never saw. *)
+let[@inline] rows c side label =
+  let slot =
+    if label >= 0 && label < Array.length c.slot_of_label then c.slot_of_label.(label) else -1
+  in
+  if slot < 0 then empty_rows else side.(slot)
+
+let[@inline] iter_row rows n f =
   if n + 1 < Array.length rows.off then
     for i = rows.off.(n) to rows.off.(n + 1) - 1 do
       f rows.tgt.(i)
     done
 
-let row_length rows n =
+let[@inline] row_length rows n =
   if n + 1 < Array.length rows.off then rows.off.(n + 1) - rows.off.(n) else 0
 
-(* --- lookups (CSR when frozen, hashtables otherwise) ------------------ *)
-
-let adjacent arr label oid =
-  if label < 0 || label >= Array.length arr then []
-  else
-    match arr.(label) with
-    | None -> []
-    | Some tbl -> ( match Hashtbl.find_opt tbl oid with Some cell -> !cell | None -> [])
-
-let csr_iter_neighbors c n label dir f =
-  let one dir =
-    match slot_rows c label dir with None -> () | Some rows -> iter_row rows n f
-  in
-  match dir with
-  | Both ->
-    one Out;
-    one In
-  | d -> one d
+(* --- reads ----------------------------------------------------------- *)
 
 let iter_neighbors t n label dir f =
-  match t.csr with
-  | Some c -> csr_iter_neighbors c n label dir f
-  | None -> (
-    match dir with
-    | Out -> List.iter f (adjacent t.adj_out label n)
-    | In -> List.iter f (adjacent t.adj_in label n)
-    | Both ->
-      List.iter f (adjacent t.adj_out label n);
-      List.iter f (adjacent t.adj_in label n))
+  let c = index t in
+  match dir with
+  | Out -> iter_row (rows c c.fwd label) n f
+  | In -> iter_row (rows c c.bwd label) n f
+  | Both ->
+    iter_row (rows c c.fwd label) n f;
+    iter_row (rows c c.bwd label) n f
 
 let neighbors t n label dir =
-  match t.csr with
-  | None -> (
-    match dir with
-    | Out -> adjacent t.adj_out label n
-    | In -> adjacent t.adj_in label n
-    | Both -> adjacent t.adj_out label n @ adjacent t.adj_in label n)
-  | Some c ->
-    let acc = ref [] in
-    csr_iter_neighbors c n label dir (fun m -> acc := m :: !acc);
-    List.rev !acc
+  let acc = ref [] in
+  iter_neighbors t n label dir (fun m -> acc := m :: !acc);
+  List.rev !acc
 
-(* One direction, every label: on the frozen index this is a slot-major
-   sweep of per-label ranges (the merged range scan of Any_dir). *)
+(* Every label: a slot-major sweep of the per-label rows (the merged range
+   scan of Any_dir), outgoing before incoming for [Both]. *)
 let iter_neighbors_all_labels t n dir f =
-  let dirs = match dir with Out -> [ Out ] | In -> [ In ] | Both -> [ Out; In ] in
-  match t.csr with
-  | Some c ->
-    List.iter
-      (fun d ->
-        let side = match d with Out -> c.fwd | In -> c.bwd | Both -> assert false in
-        Array.iter (fun rows -> iter_row rows n f) side)
-      dirs
-  | None ->
-    List.iter
-      (fun d ->
-        let arr = match d with Out -> t.adj_out | In -> t.adj_in | Both -> assert false in
-        Array.iter
-          (fun tbl ->
-            match tbl with
-            | None -> ()
-            | Some tbl -> (
-              match Hashtbl.find_opt tbl n with
-              | Some cell -> List.iter f !cell
-              | None -> ()))
-          arr)
-      dirs
+  let c = index t in
+  let sweep side = Array.iter (fun rows -> iter_row rows n f) side in
+  match dir with
+  | Out -> sweep c.fwd
+  | In -> sweep c.bwd
+  | Both ->
+    sweep c.fwd;
+    sweep c.bwd
 
-(* A restricted label set (the RELAX sub-property closure): merged scan of
-   the labels' ranges, in the order given. *)
+(* A restricted label set (the RELAX sub-property closure), in the order
+   given. *)
 let iter_neighbors_labels t n labels dir f =
   Array.iter (fun label -> iter_neighbors t n label dir f) labels
 
-let iter_neighbors_any t n f =
-  iter_neighbors_all_labels t n Out f;
-  iter_neighbors_all_labels t n In f
-
+(* bisect the sorted row *)
 let row_mem rows n dst =
-  (* bisect the sorted row *)
   let lo = ref rows.off.(n) and hi = ref rows.off.(n + 1) in
   let found = ref false in
   while (not !found) && !lo < !hi do
@@ -299,61 +254,23 @@ let row_mem rows n dst =
   !found
 
 let mem_edge t src label dst =
-  match t.csr with
-  | Some c -> (
-    match slot_rows c label Out with
-    | Some rows when src + 1 < Array.length rows.off -> row_mem rows src dst
-    | _ -> false)
-  | None -> List.exists (fun v -> v = dst) (adjacent t.adj_out label src)
-
-let has_adjacent t n label dir =
-  match t.csr with
-  | Some c -> (
-    match dir with
-    | Both ->
-      (match slot_rows c label Out with Some r -> row_length r n > 0 | None -> false)
-      || (match slot_rows c label In with Some r -> row_length r n > 0 | None -> false)
-    | d -> ( match slot_rows c label d with Some r -> row_length r n > 0 | None -> false))
-  | None -> (
-    match dir with
-    | Out -> adjacent t.adj_out label n <> []
-    | In -> adjacent t.adj_in label n <> []
-    | Both -> adjacent t.adj_out label n <> [] || adjacent t.adj_in label n <> [])
-
-let keys_of t arr rows_of label =
-  Oid_set.of_iter (fun add ->
-      match t.csr with
-      | Some c -> (
-        match rows_of c label with
-        | None -> ()
-        | Some rows ->
-          for n = 0 to t.node_count - 1 do
-            if row_length rows n > 0 then add n
-          done)
-      | None ->
-        if label >= 0 && label < Array.length arr then begin
-          match arr.(label) with
-          | None -> ()
-          | Some tbl -> Hashtbl.iter (fun oid cell -> if !cell <> [] then add oid) tbl
-        end)
-
-let tails_by_label t label = keys_of t t.adj_out (fun c l -> slot_rows c l Out) label
-let heads_by_label t label = keys_of t t.adj_in (fun c l -> slot_rows c l In) label
-
-let tails_and_heads t label =
-  let set = tails_by_label t label in
-  Oid_set.union_into set (heads_by_label t label);
-  set
+  let c = index t in
+  let r = rows c c.fwd label in
+  src + 1 < Array.length r.off && row_mem r src dst
 
 let out_degree t n label =
-  match t.csr with
-  | Some c -> ( match slot_rows c label Out with Some r -> row_length r n | None -> 0)
-  | None -> List.length (adjacent t.adj_out label n)
+  let c = index t in
+  row_length (rows c c.fwd label) n
 
 let in_degree t n label =
-  match t.csr with
-  | Some c -> ( match slot_rows c label In with Some r -> row_length r n | None -> 0)
-  | None -> List.length (adjacent t.adj_in label n)
+  let c = index t in
+  row_length (rows c c.bwd label) n
+
+let has_adjacent t n label dir =
+  match dir with
+  | Out -> out_degree t n label > 0
+  | In -> in_degree t n label > 0
+  | Both -> out_degree t n label > 0 || in_degree t n label > 0
 
 let iter_nodes t f =
   for oid = 0 to t.node_count - 1 do
@@ -377,22 +294,23 @@ type stats = {
 }
 
 let stats t =
-  let max_deg arr =
-    let best = ref 0 in
-    Array.iter
-      (fun tbl ->
-        match tbl with
-        | None -> ()
-        | Some tbl -> Hashtbl.iter (fun _ cell -> best := max !best (List.length !cell)) tbl)
-      arr;
-    !best
+  let c = index t in
+  let max_deg side =
+    Array.fold_left
+      (fun best rows ->
+        let best = ref best in
+        for n = 0 to t.node_count - 1 do
+          best := max !best (row_length rows n)
+        done;
+        !best)
+      0 side
   in
   {
     nodes = t.node_count;
     edges = t.edge_count;
     distinct_labels = List.length (labels t);
-    max_out_degree = max_deg t.adj_out;
-    max_in_degree = max_deg t.adj_in;
+    max_out_degree = max_deg c.fwd;
+    max_in_degree = max_deg c.bwd;
   }
 
 let pp_stats ppf s =

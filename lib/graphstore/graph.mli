@@ -9,21 +9,17 @@
     - every edge has a label drawn from [Sigma ∪ {type}], interned to an
       [int]; per-label adjacency is indexed in both directions, which mirrors
       Sparksee's "indexed neighbours" configuration the paper enables;
-    - the functions {!neighbors}, {!heads_by_label}, {!tails_by_label} and
-      {!tails_and_heads} correspond to the Sparksee API calls [Neighbors],
-      [Heads], [Tails] and [TailsAndHeads] that Omega uses (§3.1).
+    - {!neighbors} and {!has_adjacent} correspond to the Sparksee API calls
+      [Neighbors] and [Heads]/[Tails] that Omega uses (§3.1).
 
     Oids are dense integers allocated from 0, so client code can use arrays
     and {!Oid_set} bitmaps keyed by oid.
 
-    The store has two phases.  During the {e build} phase, adjacency lives in
-    per-label hashtables and every construction function is available.
-    {!freeze} then distils the adjacency into a compressed sparse row (CSR)
-    index — per used label and direction, an offsets/targets int-array pair
-    with each node's row sorted ascending — and every traversal function
-    becomes a zero-allocation range scan over it.  Mutating a frozen graph is
-    allowed: it simply drops the index (queries fall back to the hashtables)
-    until {!freeze} is called again. *)
+    Every read is served by one compressed sparse row (CSR) index: per used
+    label and direction, an offsets/targets int-array pair with each node's
+    row sorted ascending, so traversal is a zero-allocation range scan.  The
+    index is built on the first read after a mutation ({!freeze} builds it
+    eagerly); {!add_node} and {!add_edge} drop it. *)
 
 type t
 
@@ -54,22 +50,15 @@ val add_edge_s : t -> int -> string -> int -> unit
 
 (** {1 Freezing}
 
-    Call {!freeze} once the graph is loaded, before running queries: the
-    engine's hot path ([Succ]'s neighbour scans) is allocation-free only on
-    the frozen index. *)
+    Call {!freeze} once the graph is loaded, so that the index is built
+    before queries run (and never by one of their worker domains). *)
 
 val freeze : t -> unit
-(** Build the CSR index from the current adjacency.  Idempotent; invalidated
-    automatically by {!add_node}/{!add_edge}. *)
-
-val unfreeze : t -> unit
-(** Drop the CSR index, reverting traversals to the hashtable path (used by
-    benchmarks and tests to compare both). *)
-
-val frozen : t -> bool
+(** Build the CSR index now rather than on the first read.  Idempotent; the
+    index is dropped by {!add_node}/{!add_edge}. *)
 
 val csr_bytes : t -> int
-(** Heap footprint of the CSR index in bytes, 0 when not frozen. *)
+(** Heap footprint of the CSR index in bytes, 0 while it is not built. *)
 
 (** {1 Lookup} *)
 
@@ -87,32 +76,28 @@ val labels : t -> int list
     exist), in interned-id order. *)
 
 val mem_edge : t -> int -> int -> int -> bool
-(** [mem_edge g src label dst] — linear in the out-degree of [src] under
-    [label]. *)
+(** [mem_edge g src label dst] — a bisection of [src]'s sorted [label]
+    row, logarithmic in its out-degree. *)
 
 (** {1 Traversal (the Sparksee API surface)} *)
 
 val neighbors : t -> int -> int -> dir -> int list
 (** [neighbors g n label dir]: nodes connected to [n] by a [label] edge in
-    the given direction.  [Both] concatenates outgoing then incoming.  On a
-    frozen graph each direction comes out in ascending oid order; prefer
-    {!iter_neighbors}, which allocates nothing. *)
+    the given direction.  [Both] concatenates outgoing then incoming.  Each
+    direction comes out in ascending oid order; prefer {!iter_neighbors},
+    which allocates nothing. *)
 
 val iter_neighbors : t -> int -> int -> dir -> (int -> unit) -> unit
-(** Allocation-free variant of {!neighbors}: a single offset-range scan on a
-    frozen graph. *)
+(** Allocation-free variant of {!neighbors}: one offset-range scan per
+    direction. *)
 
-val iter_neighbors_any : t -> int -> (int -> unit) -> unit
-(** All neighbours of [n] over every label, both directions — the retrieval
-    pattern Omega uses for the APPROX wildcard [*] (the paper issues
+val iter_neighbors_all_labels : t -> int -> dir -> (int -> unit) -> unit
+(** Neighbours of [n] under {e every} label, label by label, outgoing
+    before incoming for [Both].  One direction is the APPROX [Any_dir]
+    transition; [Both] is the APPROX wildcard [*] (the paper issues
     [Neighbors] over the generic ['edge'] type plus [type], in both
     directions).  Nodes reachable via several labels are visited once per
     connecting edge. *)
-
-val iter_neighbors_all_labels : t -> int -> dir -> (int -> unit) -> unit
-(** Neighbours of [n] under {e every} label in one direction (the APPROX
-    [Any_dir] transition): on a frozen graph, a merged scan of the per-label
-    ranges. *)
 
 val iter_neighbors_labels : t -> int -> int array -> dir -> (int -> unit) -> unit
 (** Neighbours of [n] under a restricted label set (the RELAX sub-property
@@ -120,17 +105,9 @@ val iter_neighbors_labels : t -> int -> int array -> dir -> (int -> unit) -> uni
 
 val has_adjacent : t -> int -> int -> dir -> bool
 (** [has_adjacent g n label dir]: whether [n] carries at least one [label]
-    edge in the given direction — O(1) on a frozen graph.  Seeding uses this
-    to enumerate start nodes without materialising oid sets. *)
-
-val tails_by_label : t -> int -> Oid_set.t
-(** Sources of all edges carrying [label] (Sparksee [Tails]). *)
-
-val heads_by_label : t -> int -> Oid_set.t
-(** Targets of all edges carrying [label] (Sparksee [Heads]). *)
-
-val tails_and_heads : t -> int -> Oid_set.t
-(** Union of {!tails_by_label} and {!heads_by_label}. *)
+    edge in the given direction — O(1).  Seeding uses this to enumerate
+    start nodes (Sparksee [Tails]/[Heads]) without materialising oid
+    sets. *)
 
 val out_degree : t -> int -> int -> int
 (** [out_degree g n label]. *)
@@ -143,7 +120,9 @@ val iter_nodes : t -> (int -> unit) -> unit
 (** Visit every oid in increasing order. *)
 
 val iter_edges : t -> (int -> int -> int -> unit) -> unit
-(** [iter_edges g f] applies [f src label dst] to every stored edge. *)
+(** [iter_edges g f] applies [f src label dst] to every stored edge, in an
+    order fixed by the graph's construction history.  Serialisation follows
+    this order, so it decides the oid numbering of a reloaded graph. *)
 
 (** {1 Statistics} *)
 

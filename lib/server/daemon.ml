@@ -51,6 +51,7 @@ let create ~graph ~ontology config =
      EPIPE (one aborted connection), never as a process-killing SIGPIPE *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
   let wake_r, wake_w = Unix.pipe ~cloexec:true () in
+  Graphstore.Graph.freeze graph;
   {
     graph;
     ontology;

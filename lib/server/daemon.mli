@@ -63,8 +63,8 @@ val default_config : config
 type t
 
 val create : graph:Graphstore.Graph.t -> ontology:Ontology.t -> config -> t
-(** The graph must already be frozen (queries run on the CSR index).
-    Ignores [SIGPIPE] process-wide: a response written to a vanished
+(** Builds the graph's index up front ({!Graphstore.Graph.freeze}), so no
+    request thread does.  Ignores [SIGPIPE] process-wide: a response written to a vanished
     client must surface as [EPIPE] (one aborted connection), never as a
     process-killing signal. *)
 

@@ -93,7 +93,6 @@ let build inst =
   Ontology.add_subproperty k "p" "super";
   Ontology.add_domain k "p" "C0";
   Ontology.add_range k "p" "C1";
-  (* the engine side always runs on the frozen CSR index *)
   Graph.freeze g;
   (g, k)
 

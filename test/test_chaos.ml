@@ -102,11 +102,9 @@ let outcome_consistent ~(clean : Engine.outcome) (chaos : Engine.outcome) =
   && stats_bounded ~chaos:chaos.Engine.stats ~clean:clean.Engine.stats
   &&
   match chaos.Engine.termination with
-  | Engine.Completed -> not chaos.Engine.aborted
+  | Engine.Completed -> true
   | Engine.Exhausted e ->
-    e.answers = List.length chaos.Engine.answers
-    && e.tuples >= 0 && e.elapsed_ns >= 0
-    && chaos.Engine.aborted = (e.reason = Governor.Tuple_budget)
+    e.answers = List.length chaos.Engine.answers && e.tuples >= 0 && e.elapsed_ns >= 0
   | Engine.Rejected _ ->
     (* no admission limits are configured in these groups *)
     false
@@ -235,7 +233,7 @@ let budget_prop =
         | Engine.Completed, _ -> true
         | Engine.Exhausted { reason = Governor.Answer_limit; _ }, true ->
           List.length chaos.Engine.answers = min cap 50
-        | Engine.Exhausted { reason = Governor.Tuple_budget; _ }, false -> chaos.Engine.aborted
+        | Engine.Exhausted { reason = Governor.Tuple_budget; _ }, false -> true
         | (Engine.Exhausted _ | Engine.Rejected _), _ -> false
       in
       clean_ok && reason_ok && outcome_consistent ~clean chaos)
@@ -490,7 +488,7 @@ let par_budget_prop =
         | Engine.Completed, _ -> true
         | Engine.Exhausted { reason = Governor.Answer_limit; _ }, true ->
           List.length chaos.Engine.answers = min cap 50
-        | Engine.Exhausted { reason = Governor.Tuple_budget; _ }, false -> chaos.Engine.aborted
+        | Engine.Exhausted { reason = Governor.Tuple_budget; _ }, false -> true
         | (Engine.Exhausted _ | Engine.Rejected _), _ -> false
       in
       clean_ok && reason_ok && outcome_consistent ~clean chaos))

@@ -225,7 +225,12 @@ let test_yago_budget_aborts_q4_q5 () =
         Core.Engine.run_string ~graph:g ~ontology:k ~options ~limit:100
           (Yago.query_text id Core.Query.Approx)
       with
-      | Ok o -> check Alcotest.bool (Printf.sprintf "Q%d aborted" id) true o.Core.Engine.aborted
+      | Ok o -> (
+        match o.Core.Engine.termination with
+        | Core.Engine.Exhausted { reason = Core.Governor.Tuple_budget; _ } -> ()
+        | t ->
+          Alcotest.failf "Q%d: expected a tuple-budget trip, got %a" id Core.Engine.pp_termination
+            t)
       | Error m -> Alcotest.fail m)
     [ 4; 5 ]
 

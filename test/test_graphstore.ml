@@ -1,5 +1,6 @@
 (* Unit and property tests for the graph store substrate: interner, oid
-   bitsets and the Sparksee-like adjacency API. *)
+   bitsets and the Sparksee-like adjacency API, checked against a model
+   built from the raw edge list. *)
 
 module Interner = Graphstore.Interner
 module Oid_set = Graphstore.Oid_set
@@ -127,19 +128,19 @@ let test_graph_neighbors () =
 let test_graph_neighbors_any () =
   let g, a, _, _ = small_graph () in
   let acc = ref [] in
-  Graph.iter_neighbors_any g a (fun m -> acc := m :: !acc);
+  Graph.iter_neighbors_all_labels g a Graph.Both (fun m -> acc := m :: !acc);
   (* a: out p->b, out q->c, in type<-c *)
   check Alcotest.int "three incident edges" 3 (List.length !acc)
 
+(* Sparksee's Tails/Heads, as seeding enumerates them: the nodes that
+   [has_adjacent] accepts. *)
 let test_graph_heads_tails () =
   let g, a, b, c = small_graph () in
   let p = Interner.intern (Graph.interner g) "p" in
-  check Alcotest.(list int) "tails p" [ a; b ] (Oid_set.to_list (Graph.tails_by_label g p));
-  check Alcotest.(list int) "heads p" [ b; c ] (Oid_set.to_list (Graph.heads_by_label g p));
-  check
-    Alcotest.(list int)
-    "tails-and-heads p" [ a; b; c ]
-    (Oid_set.to_list (Graph.tails_and_heads g p))
+  let carrying dir = List.filter (fun n -> Graph.has_adjacent g n p dir) [ a; b; c ] in
+  check Alcotest.(list int) "tails p" [ a; b ] (carrying Graph.Out);
+  check Alcotest.(list int) "heads p" [ b; c ] (carrying Graph.In);
+  check Alcotest.(list int) "tails-and-heads p" [ a; b; c ] (carrying Graph.Both)
 
 let test_graph_mem_edge_degrees () =
   let g, a, b, c = small_graph () in
@@ -183,24 +184,22 @@ let test_graph_bad_oid () =
 
 let test_freeze_lifecycle () =
   let g, a, b, _ = small_graph () in
-  check Alcotest.bool "starts unfrozen" false (Graph.frozen g);
-  check Alcotest.int "no index, no bytes" 0 (Graph.csr_bytes g);
+  check Alcotest.int "no index before the first read" 0 (Graph.csr_bytes g);
   Graph.freeze g;
-  check Alcotest.bool "frozen" true (Graph.frozen g);
-  check Alcotest.bool "index has bytes" true (Graph.csr_bytes g > 0);
+  let bytes = Graph.csr_bytes g in
+  check Alcotest.bool "freeze builds the index" true (bytes > 0);
   Graph.freeze g;
-  check Alcotest.bool "freeze is idempotent" true (Graph.frozen g);
+  check Alcotest.int "freeze is idempotent" bytes (Graph.csr_bytes g);
   ignore (Graph.add_node g "d");
-  check Alcotest.bool "add_node invalidates" false (Graph.frozen g);
-  Graph.freeze g;
+  check Alcotest.int "add_node drops the index" 0 (Graph.csr_bytes g);
+  ignore (Graph.out_degree g a (Graph.type_label g));
+  check Alcotest.bool "a read rebuilds it" true (Graph.csr_bytes g > bytes);
   Graph.add_edge_s g b "q" a;
-  check Alcotest.bool "add_edge invalidates" false (Graph.frozen g);
+  check Alcotest.int "add_edge drops the index" 0 (Graph.csr_bytes g);
   Graph.freeze g;
-  Graph.unfreeze g;
-  check Alcotest.bool "unfreeze" false (Graph.frozen g)
+  check Alcotest.bool "refrozen" true (Graph.csr_bytes g > 0)
 
-(* The frozen twins of the hashtable-path adjacency tests: same answers,
-   served from packed sorted ranges. *)
+(* The adjacency reads after an explicit [freeze]. *)
 let test_frozen_adjacency () =
   let g, a, b, c = small_graph () in
   Graph.freeze g;
@@ -215,13 +214,7 @@ let test_frozen_adjacency () =
   check Alcotest.int "in degree" 1 (Graph.in_degree g c p);
   check Alcotest.bool "has_adjacent out" true (Graph.has_adjacent g a p Graph.Out);
   check Alcotest.bool "has_adjacent none" false (Graph.has_adjacent g c p Graph.Out);
-  check Alcotest.bool "has_adjacent in" true (Graph.has_adjacent g c p Graph.In);
-  check Alcotest.(list int) "tails p" [ a; b ] (Oid_set.to_list (Graph.tails_by_label g p));
-  check Alcotest.(list int) "heads p" [ b; c ] (Oid_set.to_list (Graph.heads_by_label g p));
-  check
-    Alcotest.(list int)
-    "tails-and-heads p" [ a; b; c ]
-    (Oid_set.to_list (Graph.tails_and_heads g p))
+  check Alcotest.bool "has_adjacent in" true (Graph.has_adjacent g c p Graph.In)
 
 let test_frozen_label_sweeps () =
   let g, a, _, c = small_graph () in
@@ -234,7 +227,7 @@ let test_frozen_label_sweeps () =
   in
   (* a: out p->b, out q->c, in type<-c *)
   check Alcotest.int "any: all incident edges" 3
-    (List.length (collect (Graph.iter_neighbors_any g a)));
+    (List.length (collect (Graph.iter_neighbors_all_labels g a Graph.Both)));
   check Alcotest.int "all labels, out only" 2
     (List.length (collect (Graph.iter_neighbors_all_labels g a Graph.Out)));
   check Alcotest.(list int) "label subset" [ c ]
@@ -243,48 +236,91 @@ let test_frozen_label_sweeps () =
   check Alcotest.(list int) "unused label" []
     (collect (fun f -> Graph.iter_neighbors g a (intern "ghost") Graph.Out f))
 
-(* Property: freezing never changes any adjacency answer.  Every query the
-   store offers is taken both before and after [freeze] on random graphs
-   (list answers sorted: rows are packed in ascending order, hashtable
-   cells in insertion order). *)
-let frozen_matches_unfrozen =
-  QCheck2.Test.make ~name:"frozen CSR = hashtable adjacency" ~count:100
-    QCheck2.Gen.(list_size (int_range 0 80) (triple (int_bound 14) (int_bound 3) (int_bound 14)))
-    (fun edges ->
+let fst3 (x, _, _) = x
+let snd3 (_, y, _) = y
+let thd3 (_, _, z) = z
+
+(* Property: every read agrees with a model built from the generated edge
+   list, in order as well as content: rows ascending, [Both] outgoing then
+   incoming, label sweeps label by label.  The graph is read after
+   [freeze], after adding a node, and after adding more edges (against the
+   model over all edges), so an index a mutation failed to drop would
+   show. *)
+let reads_match_model =
+  let edge n = QCheck2.Gen.(triple (int_bound (n - 1)) (int_bound 3) (int_bound (n - 1))) in
+  QCheck2.Test.make ~name:"reads = edge-list model" ~count:100
+    QCheck2.Gen.(
+      pair (list_size (int_range 0 80) (edge 15)) (list_size (int_range 0 20) (edge 16)))
+    (fun (edges, more) ->
       let g = Graph.create () in
       for i = 0 to 14 do
         ignore (Graph.add_node g (Printf.sprintf "v%d" i))
       done;
-      List.iter (fun (s, l, d) -> Graph.add_edge_s g s (Printf.sprintf "l%d" l) d) edges;
-      let labels =
-        List.init 4 (fun l -> Interner.intern (Graph.interner g) (Printf.sprintf "l%d" l))
-      in
+      let label l = Interner.intern (Graph.interner g) (Printf.sprintf "l%d" l) in
+      let add = List.iter (fun (s, l, d) -> Graph.add_edge g s (label l) d) in
+      let labels = List.init 4 label in
       let collect f =
         let acc = ref [] in
         f (fun m -> acc := m :: !acc);
-        List.sort compare !acc
+        List.rev !acc
       in
-      let snapshot () =
-        List.map
-          (fun n ->
-            ( List.map
-                (fun l ->
-                  ( List.map (fun dir -> List.sort compare (Graph.neighbors g n l dir))
-                      [ Graph.Out; Graph.In; Graph.Both ],
-                    Graph.mem_edge g n l ((n + 1) mod 15),
-                    (Graph.out_degree g n l, Graph.in_degree g n l),
-                    (Graph.has_adjacent g n l Graph.Out, Graph.has_adjacent g n l Graph.In),
-                    (Oid_set.to_list (Graph.tails_by_label g l),
-                     Oid_set.to_list (Graph.heads_by_label g l)) ))
-                labels,
-              collect (Graph.iter_neighbors_any g n),
-              collect (Graph.iter_neighbors_all_labels g n Graph.Out),
-              collect (Graph.iter_neighbors_all_labels g n Graph.In) ))
-          (List.init 15 Fun.id)
+      let agrees edges =
+        let edges = List.map (fun (s, l, d) -> (s, label l, d)) edges in
+        let nodes = List.init (Graph.n_nodes g) Fun.id in
+        let row key value n l =
+          List.filter_map (fun e -> if key e = n && snd3 e = l then Some (value e) else None) edges
+          |> List.sort compare
+        in
+        let out = row fst3 thd3 and inn = row thd3 fst3 in
+        let model n l = function
+          | Graph.Out -> out n l
+          | Graph.In -> inn n l
+          | Graph.Both -> out n l @ inn n l
+        in
+        let sweep n ls dir =
+          match dir with
+          | Graph.Both -> List.concat_map (out n) ls @ List.concat_map (inn n) ls
+          | d -> List.concat_map (fun l -> model n l d) ls
+        in
+        let subset = [ List.nth labels 2; List.nth labels 0 ] in
+        let max_deg side =
+          List.fold_left
+            (fun m n -> List.fold_left (fun m l -> max m (List.length (side n l))) m labels)
+            0 nodes
+        in
+        let s = Graph.stats g in
+        s.Graph.max_out_degree = max_deg out
+        && s.Graph.max_in_degree = max_deg inn
+        && List.for_all
+             (fun n ->
+               List.for_all
+                 (fun dir ->
+                   collect (Graph.iter_neighbors_all_labels g n dir) = sweep n labels dir
+                   && collect (Graph.iter_neighbors_labels g n (Array.of_list subset) dir)
+                      = List.concat_map (fun l -> model n l dir) subset
+                   && List.for_all
+                        (fun l ->
+                          Graph.neighbors g n l dir = model n l dir
+                          && Graph.has_adjacent g n l dir = (model n l dir <> []))
+                        labels)
+                 [ Graph.Out; Graph.In; Graph.Both ]
+               && List.for_all
+                    (fun l ->
+                      Graph.out_degree g n l = List.length (out n l)
+                      && Graph.in_degree g n l = List.length (inn n l)
+                      && List.for_all
+                           (fun m -> Graph.mem_edge g n l m = List.mem m (out n l))
+                           nodes)
+                    labels)
+             nodes
       in
-      let before = snapshot () in
+      add edges;
       Graph.freeze g;
-      before = snapshot ())
+      let frozen = agrees edges in
+      ignore (Graph.add_node g "v15");
+      let grown = agrees edges in
+      add more;
+      frozen && grown && agrees (edges @ more))
 
 (* Property: adjacency is symmetric — m is an Out-neighbour of n under l
    iff n is an In-neighbour of m under l, for random graphs. *)
@@ -337,6 +373,6 @@ let () =
           Alcotest.test_case "freeze lifecycle" `Quick test_freeze_lifecycle;
           Alcotest.test_case "frozen adjacency" `Quick test_frozen_adjacency;
           Alcotest.test_case "frozen label sweeps" `Quick test_frozen_label_sweeps;
-          QCheck_alcotest.to_alcotest frozen_matches_unfrozen;
+          QCheck_alcotest.to_alcotest reads_match_model;
         ] );
     ]

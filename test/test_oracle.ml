@@ -1,4 +1,4 @@
-(* Differential tests: the engine (on a frozen, CSR-indexed graph) against
+(* Differential tests: the engine (on the CSR-indexed graph) against
    the brute-force product-Dijkstra oracle of [Oracle], on random ~30-node
    graphs with a small class/property hierarchy.  The instances cover every
    conjunct shape the engine distinguishes — variable and constant subjects
