@@ -886,8 +886,32 @@ let scan_throughput () =
   | Ok o -> Format.printf "L4All Q10 APPROX top-100 stats: %a@." Core.Exec_stats.pp o.Engine.stats
   | Error m -> failwith m
 
+(* N-Triples load rate: the first L4All scale saved once, then [Nt.load]
+   timed on the file — median of 5 loads. *)
+let load_throughput () =
+  header "[MICRO] N-Triples load rate";
+  let graph, ontology = l4_graph (List.hd !scales) in
+  let path = Filename.temp_file "omega-micro" ".nt" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Ntriples.Nt.save path ~graph ~ontology;
+      let mb = float_of_int (Unix.stat path).Unix.st_size /. 1e6 in
+      let triples = ref 0 in
+      let load () =
+        let t0 = Unix.gettimeofday () in
+        let _, report = Ntriples.Nt.load_report path in
+        triples := report.Ntriples.Nt.triples;
+        Unix.gettimeofday () -. t0
+      in
+      let dt = median (List.init 5 (fun _ -> load ())) in
+      Printf.printf "%.1f MB, %d triples; load %.1f MB/s, %.2f M triples/s (median of 5)\n" mb
+        !triples (mb /. dt)
+        (float_of_int !triples /. dt /. 1e6))
+
 let micro () =
   scan_throughput ();
+  load_throughput ();
   header "[MICRO] Bechamel micro-benchmarks (one per table/figure)";
   let open Bechamel in
   let l4_small = l4_graph (List.hd !scales) in

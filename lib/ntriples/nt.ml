@@ -11,27 +11,31 @@ let p_dom = "dom"
 let p_range = "range"
 let p_node = "node"
 
-let escape buf s =
-  String.iter
-    (fun c ->
-      match c with
-      | '>' | '\\' ->
-        Buffer.add_char buf '\\';
-        Buffer.add_char buf c
-      | c -> Buffer.add_char buf c)
-    s
+(* Writes [s] with [>] and [\\] backslash-escaped, straight to [oc]: the
+   unescaped runs between escapes go out as substrings. *)
+let output_escaped oc s =
+  let n = String.length s in
+  let rec go from i =
+    if i = n then output_substring oc s from (i - from)
+    else
+      match s.[i] with
+      | ('>' | '\\') as c ->
+        output_substring oc s from (i - from);
+        output_char oc '\\';
+        output_char oc c;
+        go (i + 1) (i + 1)
+      | _ -> go from (i + 1)
+  in
+  go 0 0
 
 let write_triple oc s p o =
-  let buf = Buffer.create 64 in
-  Buffer.add_char buf '<';
-  escape buf s;
-  Buffer.add_string buf "> <";
-  escape buf p;
-  Buffer.add_string buf "> <";
-  escape buf o;
-  Buffer.add_string buf "> .";
-  output_string oc (Buffer.contents buf);
-  output_char oc '\n'
+  output_char oc '<';
+  output_escaped oc s;
+  output_string oc "> <";
+  output_escaped oc p;
+  output_string oc "> <";
+  output_escaped oc o;
+  output_string oc "> .\n"
 
 let write_graph oc g =
   let interner = Graph.interner g in
@@ -66,52 +70,166 @@ let save path ~graph ~ontology =
       write_graph oc graph;
       write_ontology oc ontology)
 
+(* --- the line scanner ------------------------------------------------ *)
+
+(* One bounded line scanner serves every line-oriented reader: N-Triples
+   files (filled in [block_bytes] blocks), in-memory documents (the whole
+   string is the one block) and the query server's request frames.  Lines
+   are found with [Bytes.index_from] and handed out as a span of the
+   buffer, so the loader parses them in place.  A line longer than [cap]
+   is never materialised: once the pending bytes pass the cap with no
+   newline in sight they are dropped and the scanner skips to the next
+   newline, so it never holds more than [cap] plus one block. *)
+
+let block_bytes = 65536
+
+type scanner = {
+  mutable buf : Bytes.t;
+  mutable pos : int;  (** first unconsumed byte *)
+  mutable len : int;  (** end of the buffered bytes *)
+  mutable seen : int;  (** [buf.[pos .. seen)] holds no newline *)
+  mutable skipping : bool;  (** inside an oversized line whose head was dropped *)
+  mutable eof : bool;
+  cap : int;
+  fill : Bytes.t -> int -> int -> int;  (** [input]-like; 0 at end of input *)
+  mutable line_start : int;  (** the line last returned as [`Span] *)
+  mutable line_stop : int;
+}
+
+let make ~cap ~buf ~len ~eof fill =
+  { buf; pos = 0; len; seen = 0; skipping = false; eof; cap = max 0 cap; fill; line_start = 0;
+    line_stop = 0 }
+
+let scanner ~max_line_bytes ic =
+  make ~cap:max_line_bytes ~buf:(Bytes.create block_bytes) ~len:0 ~eof:false (input ic)
+
+let string_scanner ~max_line_bytes s =
+  make ~cap:max_line_bytes ~buf:(Bytes.of_string s) ~len:(String.length s) ~eof:true (fun _ _ _ -> 0)
+
+(* Make room and read one more block: keep the pending line (at most [cap]
+   bytes) at the front of the buffer, or drop it once it is over the cap. *)
+let refill sc =
+  let pending = sc.len - sc.pos in
+  if sc.skipping || pending > sc.cap then begin
+    sc.skipping <- true;
+    sc.len <- 0
+  end
+  else begin
+    Bytes.blit sc.buf sc.pos sc.buf 0 pending;
+    sc.len <- pending;
+    if sc.len = Bytes.length sc.buf then begin
+      let grown = Bytes.create (min (2 * sc.len) (sc.cap + block_bytes)) in
+      Bytes.blit sc.buf 0 grown 0 sc.len;
+      sc.buf <- grown
+    end
+  end;
+  sc.pos <- 0;
+  sc.seen <- sc.len;
+  let n = sc.fill sc.buf sc.len (min block_bytes (Bytes.length sc.buf - sc.len)) in
+  if n = 0 then sc.eof <- true else sc.len <- sc.len + n
+
+(* The next line as [`Span] (its bytes are [buf.[line_start .. line_stop)],
+   valid until the next call), [`Oversized] for a line over the cap, or
+   [`Eof].  A final line without a newline is still a line. *)
+let rec next_span sc =
+  let nl =
+    match Bytes.index_from sc.buf sc.seen '\n' with
+    | i when i < sc.len -> i
+    | _ | (exception Not_found) -> -1
+  in
+  if nl < 0 && not sc.eof then begin
+    refill sc;
+    next_span sc
+  end
+  else begin
+    let start = sc.pos and stop = if nl < 0 then sc.len else nl in
+    sc.pos <- (if nl < 0 then sc.len else nl + 1);
+    sc.seen <- sc.pos;
+    if sc.skipping then begin
+      sc.skipping <- false;
+      `Oversized
+    end
+    else if nl < 0 && start = stop then `Eof
+    else if stop - start > sc.cap then `Oversized
+    else begin
+      sc.line_start <- start;
+      sc.line_stop <- stop;
+      `Span
+    end
+  end
+
+let next_line sc =
+  match next_span sc with
+  | `Span -> `Line (Bytes.sub_string sc.buf sc.line_start (sc.line_stop - sc.line_start))
+  | (`Oversized | `Eof) as r -> r
+
 (* --- parsing ------------------------------------------------------- *)
 
-type cursor = { line : string; mutable pos : int; lineno : int }
+(* A line being parsed in place: [b.[pos .. stop)] is what is left of it. *)
+type cursor = { b : Bytes.t; mutable pos : int; stop : int; lineno : int }
 
 let fail c msg = raise (Parse_error (msg, c.lineno))
 
 let skip_ws c =
-  let n = String.length c.line in
-  while c.pos < n && (c.line.[c.pos] = ' ' || c.line.[c.pos] = '\t') do
+  while c.pos < c.stop && (Bytes.get c.b c.pos = ' ' || Bytes.get c.b c.pos = '\t') do
     c.pos <- c.pos + 1
   done
 
-let term c =
-  skip_ws c;
-  let n = String.length c.line in
-  if c.pos >= n || c.line.[c.pos] <> '<' then fail c "expected '<'";
-  c.pos <- c.pos + 1;
-  let buf = Buffer.create 32 in
-  let rec scan () =
-    if c.pos >= n then fail c "unterminated term"
-    else
-      match c.line.[c.pos] with
-      | '>' -> c.pos <- c.pos + 1
-      | '\\' ->
-        if c.pos + 1 >= n then fail c "dangling escape";
-        Buffer.add_char buf c.line.[c.pos + 1];
-        c.pos <- c.pos + 2;
-        scan ()
-      | ch ->
-        Buffer.add_char buf ch;
-        c.pos <- c.pos + 1;
-        scan ()
-  in
-  scan ();
+let unescape b first last =
+  let buf = Buffer.create (last - first) in
+  let i = ref first in
+  while !i < last do
+    let ch = Bytes.get b !i in
+    if ch = '\\' then begin
+      Buffer.add_char buf (Bytes.get b (!i + 1));
+      i := !i + 2
+    end
+    else begin
+      Buffer.add_char buf ch;
+      incr i
+    end
+  done;
   Buffer.contents buf
 
-let parse_line lineno line =
-  let trimmed = String.trim line in
-  if trimmed = "" || trimmed.[0] = '#' then None
+(* One [<...>] term: a single [Bytes.sub_string], or a decode through a
+   [Buffer] when the term holds an escape. *)
+let term c =
+  skip_ws c;
+  if c.pos >= c.stop || Bytes.get c.b c.pos <> '<' then fail c "expected '<'";
+  let first = c.pos + 1 in
+  let rec scan i escaped =
+    if i >= c.stop then fail c "unterminated term"
+    else
+      match Bytes.get c.b i with
+      | '>' ->
+        c.pos <- i + 1;
+        if escaped then unescape c.b first i else Bytes.sub_string c.b first (i - first)
+      | '\\' ->
+        if i + 1 >= c.stop then fail c "dangling escape";
+        scan (i + 2) true
+      | _ -> scan (i + 1) escaped
+  in
+  scan first false
+
+(* [String.trim]'s whitespace set *)
+let is_space = function ' ' | '\012' | '\n' | '\r' | '\t' -> true | _ -> false
+
+let parse_span lineno b start stop =
+  let start = ref start and stop = ref stop in
+  while !start < !stop && is_space (Bytes.get b !start) do
+    incr start
+  done;
+  while !stop > !start && is_space (Bytes.get b (!stop - 1)) do
+    decr stop
+  done;
+  if !start = !stop || Bytes.get b !start = '#' then None
   else begin
-    let c = { line = trimmed; pos = 0; lineno } in
+    let c = { b; pos = !start; stop = !stop; lineno } in
     let s = term c in
     let p = term c in
     let o = term c in
     skip_ws c;
-    if c.pos >= String.length c.line || c.line.[c.pos] <> '.' then fail c "expected terminating '.'";
+    if c.pos >= c.stop || Bytes.get c.b c.pos <> '.' then fail c "expected terminating '.'";
     Some (s, p, o)
   end
 
@@ -137,28 +255,8 @@ let ingest g k (s, p, o) =
 
 let default_max_line_bytes = 1 lsl 20 (* 1 MiB — generous for a triple line *)
 
-(* Bounded replacement for [input_line]: on a multi-gigabyte line,
-   [input_line] materialises the whole line before the parser can reject
-   it, so a hostile input exhausts memory inside the loader.  Past [cap]
-   the rest of the line is consumed but not retained (a lenient load can
-   resume at the next line) and [`Oversized] is returned. *)
-let input_line_bounded ic cap =
-  let buf = Buffer.create 128 in
-  let rec go count oversized =
-    match input_char ic with
-    | exception End_of_file ->
-      if count = 0 then `Eof else if oversized then `Oversized else `Line (Buffer.contents buf)
-    | '\n' -> if oversized then `Oversized else `Line (Buffer.contents buf)
-    | c ->
-      if count < cap then Buffer.add_char buf c;
-      go (count + 1) (oversized || count >= cap)
-  in
-  go 0 false
-
-(* The shared ingestion loop behind the channel and string readers.
-   [next_line] yields [`Line s] (at most [max_line_bytes] bytes),
-   [`Oversized] for a capped line, or [`Eof]. *)
-let read_report_gen ~lenient ~max_line_bytes next_line =
+(* The ingestion loop behind the channel and string readers. *)
+let read_scanner ~lenient ~max_line_bytes sc =
   let g = Graph.create () in
   let k = Ontology.create (Graph.interner g) in
   let lineno = ref 0 in
@@ -168,48 +266,36 @@ let read_report_gen ~lenient ~max_line_bytes next_line =
     if !malformed <= max_recorded_errors then errors := (msg, l) :: !errors
   in
   let rec loop () =
-    match next_line () with
+    match next_span sc with
     | `Eof -> ()
     | `Oversized ->
       incr lineno;
       let msg = Printf.sprintf "line longer than %d bytes" max_line_bytes in
       if lenient then record msg !lineno else raise (Parse_error (msg, !lineno));
       loop ()
-    | `Line line -> (
+    | `Span ->
       incr lineno;
-      (match parse_line !lineno line with
+      (match parse_span !lineno sc.buf sc.line_start sc.line_stop with
       | None -> ()
       | Some spo ->
         ingest g k spo;
         incr triples
       | exception Parse_error (msg, l) when lenient -> record msg l);
-      loop ())
+      loop ()
   in
   loop ();
   ((g, k), { triples = !triples; malformed = !malformed; errors = List.rev !errors })
 
 let read_report ?(lenient = false) ?(max_line_bytes = default_max_line_bytes) ic =
-  read_report_gen ~lenient ~max_line_bytes (fun () -> input_line_bounded ic max_line_bytes)
+  read_scanner ~lenient ~max_line_bytes (scanner ~max_line_bytes ic)
 
 let read_string_report ?(lenient = false) ?(max_line_bytes = default_max_line_bytes) s =
-  let pos = ref 0 in
-  let n = String.length s in
-  let next_line () =
-    if !pos >= n then `Eof
-    else begin
-      let stop = match String.index_from_opt s !pos '\n' with Some i -> i | None -> n in
-      let len = stop - !pos in
-      let r = if len > max_line_bytes then `Oversized else `Line (String.sub s !pos len) in
-      pos := stop + 1;
-      r
-    end
-  in
-  read_report_gen ~lenient ~max_line_bytes next_line
+  read_scanner ~lenient ~max_line_bytes (string_scanner ~max_line_bytes s)
 
 let read ic = fst (read_report ~lenient:false ic)
 
 let load_report ?lenient ?max_line_bytes path =
-  let ic = open_in path in
+  let ic = open_in_bin path in
   Fun.protect ~finally:(fun () -> close_in ic) (fun () -> read_report ?lenient ?max_line_bytes ic)
 
 let load path = fst (load_report ~lenient:false path)

@@ -246,8 +246,9 @@ let handle_oversized t =
 
 (* --- transports -------------------------------------------------------- *)
 
-(* One in_channel per connection; responses are written straight to the
-   descriptor (full-write loop) so there is exactly one owner to close.
+(* One in_channel per connection, owned by its line scanner; responses are
+   written straight to the descriptor (full-write loop) so there is exactly
+   one owner to close.
    Read/write failures — injected faults, torn frames, EPIPE from a client
    that left — abort this connection only. *)
 
@@ -260,9 +261,10 @@ let write_all fd s =
   done
 
 let serve_channel t ic ~send =
+  let frames = Ntriples.Nt.scanner ~max_line_bytes:t.config.max_line_bytes ic in
   let continue = ref true in
   while !continue do
-    match Ntriples.Nt.input_line_bounded ic t.config.max_line_bytes with
+    match Ntriples.Nt.next_line frames with
     | exception (End_of_file | Sys_error _ | Unix.Unix_error _) -> continue := false
     | `Eof -> continue := false
     | `Oversized -> if not (send (handle_oversized t)) then continue := false

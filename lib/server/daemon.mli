@@ -37,7 +37,7 @@ type config = {
   max_line_bytes : int;
       (** transport frame cap: a longer request line is rejected with
           [Request_too_large] {e without materialising it}
-          ({!Ntriples.Nt.input_line_bounded}); default 1 MiB *)
+          (the connection's {!Ntriples.Nt.scanner}); default 1 MiB *)
   max_inflight : int;  (** global concurrent-evaluation cap (default 8) *)
   tenant_inflight : int;  (** per-tenant share of the above (default 2) *)
   retry_after_ms : int;  (** backpressure hint on shed (default 50) *)

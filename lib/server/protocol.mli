@@ -49,7 +49,7 @@ type request = {
 type error =
   | Request_too_large of int
       (** the frame overran the transport's line cap (the bound is enforced
-          by the reader — {!Ntriples.Nt.input_line_bounded} — before the
+          by the reader — {!Ntriples.Nt.scanner} — before the
           bytes are ever materialised) *)
   | Bad_json of string  (** the line is not a JSON object *)
   | Bad_request of string  (** well-formed JSON, ill-formed request *)

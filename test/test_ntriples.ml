@@ -162,20 +162,252 @@ let test_oversized_line () =
       let _, r = Nt.load_report ~lenient:true ~max_line_bytes:cap path in
       check Alcotest.int "file reader agrees" 1 r.Nt.malformed)
 
-(* The in-memory reader (the fuzzer's entry point) must agree with the
-   channel reader on an ordinary mixed document. *)
-let test_string_reader () =
-  let doc = "# header\n<a> <p> <b> .\n\nbroken line\n<b> <sc> <c> .\n" in
-  let (g1, _), r1 = Nt.read_string_report ~lenient:true doc in
+(* The scanner drops an oversized line's bytes as soon as they pass the cap,
+   so loading a 4 MiB line allocates about the cap plus one 64 KiB block,
+   however long the line; here the cap is itself over a block. *)
+let test_oversized_line_memory () =
+  let cap = 100_000 in
   with_temp_file (fun path ->
-      let oc = open_out path in
-      output_string oc doc;
+      let oc = open_out_bin path in
+      output_string oc "<a> <p> <b> .\n<";
+      output_string oc (String.make (4 lsl 20) 'x');
+      output_string oc "> <p> <c> .\n<c> <p> <d> .\n";
       close_out oc;
-      let (g2, _), r2 = Nt.load_report ~lenient:true path in
-      check Alcotest.int "same triples" r2.Nt.triples r1.Nt.triples;
-      check Alcotest.int "same malformed" r2.Nt.malformed r1.Nt.malformed;
-      check Alcotest.int "same nodes" (Graph.n_nodes g2) (Graph.n_nodes g1);
-      check Alcotest.int "same edges" (Graph.n_edges g2) (Graph.n_edges g1))
+      let before = Gc.allocated_bytes () in
+      let _, r = Nt.load_report ~lenient:true ~max_line_bytes:cap path in
+      let allocated = Gc.allocated_bytes () -. before in
+      check Alcotest.int "the long line is one malformed line" 1 r.Nt.malformed;
+      check Alcotest.int "both short lines kept" 2 r.Nt.triples;
+      check Alcotest.bool
+        (Printf.sprintf "allocated %.0f bytes, under 4 x (cap + block)" allocated)
+        true
+        (allocated < float_of_int (4 * (cap + 65_536))))
+
+(* --- differential: the loader against the reference reader ---------- *)
+
+(* The reference model is the straightforward reader the scanner replaced:
+   [input_char] one byte at a time into a [Buffer], [String.trim], and a
+   [Buffer] per term.  The scanner must reproduce it exactly — triples,
+   malformed count, recorded errors, the strict [Parse_error], and so the
+   graph [Nt.save] writes. *)
+module Model = struct
+  type cursor = { line : string; mutable pos : int; lineno : int }
+
+  let fail c msg = raise (Nt.Parse_error (msg, c.lineno))
+
+  let skip_ws c =
+    let n = String.length c.line in
+    while c.pos < n && (c.line.[c.pos] = ' ' || c.line.[c.pos] = '\t') do
+      c.pos <- c.pos + 1
+    done
+
+  let term c =
+    skip_ws c;
+    let n = String.length c.line in
+    if c.pos >= n || c.line.[c.pos] <> '<' then fail c "expected '<'";
+    c.pos <- c.pos + 1;
+    let buf = Buffer.create 32 in
+    let rec scan () =
+      if c.pos >= n then fail c "unterminated term"
+      else
+        match c.line.[c.pos] with
+        | '>' -> c.pos <- c.pos + 1
+        | '\\' ->
+          if c.pos + 1 >= n then fail c "dangling escape";
+          Buffer.add_char buf c.line.[c.pos + 1];
+          c.pos <- c.pos + 2;
+          scan ()
+        | ch ->
+          Buffer.add_char buf ch;
+          c.pos <- c.pos + 1;
+          scan ()
+    in
+    scan ();
+    Buffer.contents buf
+
+  let parse_line lineno line =
+    let trimmed = String.trim line in
+    if trimmed = "" || trimmed.[0] = '#' then None
+    else begin
+      let c = { line = trimmed; pos = 0; lineno } in
+      let s = term c in
+      let p = term c in
+      let o = term c in
+      skip_ws c;
+      if c.pos >= String.length c.line || c.line.[c.pos] <> '.' then
+        fail c "expected terminating '.'";
+      Some (s, p, o)
+    end
+
+  let input_line_bounded ic cap =
+    let buf = Buffer.create 128 in
+    let rec go count oversized =
+      match input_char ic with
+      | exception End_of_file ->
+        if count = 0 then `Eof else if oversized then `Oversized else `Line (Buffer.contents buf)
+      | '\n' -> if oversized then `Oversized else `Line (Buffer.contents buf)
+      | c ->
+        if count < cap then Buffer.add_char buf c;
+        go (count + 1) (oversized || count >= cap)
+    in
+    go 0 false
+
+  let ingest g k (s, p, o) =
+    match p with
+    | "sc" ->
+      Ontology.add_subclass k s o;
+      ignore (Graph.add_node g s);
+      ignore (Graph.add_node g o)
+    | "sp" -> Ontology.add_subproperty k s o
+    | "dom" -> Ontology.add_domain k s o
+    | "range" -> Ontology.add_range k s o
+    | "node" -> ignore (Graph.add_node g s)
+    | _ ->
+      let src = Graph.add_node g s in
+      let dst = Graph.add_node g o in
+      Graph.add_edge_s g src p dst
+
+  let read_report ~lenient ~max_line_bytes ic =
+    let g = Graph.create () in
+    let k = Ontology.create (Graph.interner g) in
+    let lineno = ref 0 in
+    let triples = ref 0 and malformed = ref 0 and errors = ref [] in
+    let record msg l =
+      incr malformed;
+      if !malformed <= 5 then errors := (msg, l) :: !errors
+    in
+    let rec loop () =
+      match input_line_bounded ic max_line_bytes with
+      | `Eof -> ()
+      | `Oversized ->
+        incr lineno;
+        let msg = Printf.sprintf "line longer than %d bytes" max_line_bytes in
+        if lenient then record msg !lineno else raise (Nt.Parse_error (msg, !lineno));
+        loop ()
+      | `Line line ->
+        incr lineno;
+        (match parse_line !lineno line with
+        | None -> ()
+        | Some spo ->
+          ingest g k spo;
+          incr triples
+        | exception Nt.Parse_error (msg, l) when lenient -> record msg l);
+        loop ()
+    in
+    loop ();
+    ((g, k), { Nt.triples = !triples; malformed = !malformed; errors = List.rev !errors })
+end
+
+let write_file path s =
+  let oc = open_out_bin path in
+  output_string oc s;
+  close_out oc
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+(* Everything observable about one load: the strict error, or the report
+   and the bytes [Nt.save] writes for the loaded graph. *)
+let outcome load =
+  match load () with
+  | exception Nt.Parse_error (msg, line) -> Error (msg, line)
+  | (graph, ontology), report ->
+    with_temp_file (fun path ->
+        Nt.save path ~graph ~ontology;
+        Ok (report.Nt.triples, report.Nt.malformed, report.Nt.errors, read_file path))
+
+let show_outcome = function
+  | Error (msg, line) -> Printf.sprintf "Parse_error (%S, %d)" msg line
+  | Ok (triples, malformed, errors, saved) ->
+    Printf.sprintf "triples %d, malformed %d, errors [%s], %d saved bytes (md5 %s)" triples
+      malformed
+      (String.concat "; " (List.map (fun (m, l) -> Printf.sprintf "%S@%d" m l) errors))
+      (String.length saved)
+      (Digest.to_hex (Digest.string saved))
+
+(* Documents of generated lines: escaped and plain triples (data and
+   ontology predicates), CRLF endings, tabs and form feeds, comments, blank
+   and malformed lines, raw bytes, and triples of exactly [cap - 1], [cap]
+   and [cap + 1] bytes; about one in four is padded past 200 KiB so lines
+   straddle block refills.  Caps range from tiny to more than a block. *)
+let gen_doc =
+  let open QCheck2.Gen in
+  let label =
+    let plain = map (Printf.sprintf "n%d") (int_bound 40) in
+    let escaped =
+      map (String.concat "")
+        (list_size (int_range 1 4) (oneofl [ "a"; "\\>"; "\\\\"; " "; "\t"; "x y"; "<" ]))
+    in
+    frequency [ (4, plain); (1, escaped) ]
+  in
+  let pred = frequency [ (6, oneofl [ "p"; "q"; "type"; "knows" ]); (1, oneofl [ "sc"; "sp"; "dom"; "range"; "node" ]) ] in
+  let ws = oneofl [ ""; " "; "  "; "\t"; " \t" ] in
+  let edge = oneofl [ ""; ""; " "; "\t"; "\012"; "\r"; " \r"; "\012 " ] in
+  let triple =
+    map
+      (fun ((s, p, o), (w1, w2, w3), (lead, trail)) ->
+        Printf.sprintf "%s<%s>%s<%s>%s<%s>%s.%s" lead s w1 p w2 o w3 trail)
+      (triple (triple label pred label) (triple ws ws ws) (pair edge edge))
+  in
+  let other =
+    oneof
+      [
+        return "";
+        return "   \t";
+        return "\r";
+        map (fun s -> "# " ^ s) label;
+        return "<a> <p> <b>";
+        return "<a> <p>";
+        return "a <p> <b> .";
+        return "<a <p> <b> .";
+        return "<a> <p> <b\\";
+        return "<a> <p> <b> . trailing";
+        map (fun s -> "<" ^ s ^ "> <p> <" ^ s) label;
+        string_size ~gen:(map Char.chr (int_range 0 255)) (int_bound 30)
+        |> map (String.map (fun c -> if c = '\n' then ' ' else c));
+      ]
+  in
+  let line = frequency [ (5, triple); (3, other) ] in
+  let cap = oneof [ int_range 13 200; int_range 1_000 5_000; int_range 65_530 65_545; int_range 100_000 140_000 ] in
+  (* a valid triple of exactly [len] bytes (len >= 13) *)
+  let sized len = "<" ^ String.make (len - 12) 'x' ^ "> <p> <o> ." in
+  cap >>= fun cap ->
+  let boundary = oneofl [ sized (cap - 1); sized cap; sized (cap + 1); sized (cap + 1) ^ "\r" ] in
+  let body = pair (list_size (int_bound 40) (frequency [ (6, line); (1, boundary) ])) bool in
+  let assemble pad (lines, final_newline) =
+    let all = if pad = [] then lines else pad @ lines @ pad in
+    let doc = String.concat "\n" all in
+    (cap, if final_newline && all <> [] then doc ^ "\n" else doc)
+  in
+  (* padded documents (over 200 KiB) are not shrunk: each step would reload them *)
+  frequency
+    [ (3, map (assemble []) body); (1, no_shrink (map2 assemble (list_repeat 6_000 triple) body)) ]
+
+let loader_matches_model =
+  QCheck2.Test.make ~name:"loader matches the reference reader" ~count:60
+    ~print:(fun (cap, doc) ->
+      Printf.sprintf "cap %d, %d-byte document starting %S" cap (String.length doc)
+        (String.sub doc 0 (min 400 (String.length doc))))
+    gen_doc
+    (fun (cap, doc) ->
+      with_temp_file (fun path ->
+          write_file path doc;
+          List.for_all
+            (fun lenient ->
+              let model =
+                outcome (fun () ->
+                    In_channel.with_open_bin path (Model.read_report ~lenient ~max_line_bytes:cap))
+              in
+              List.for_all
+                (fun (reader, load) ->
+                  let got = outcome load in
+                  got = model
+                  || QCheck2.Test.fail_reportf "%s (lenient %b):@ got %s@ model %s" reader lenient
+                       (show_outcome got) (show_outcome model))
+                [
+                  ("read_string_report", fun () -> Nt.read_string_report ~lenient ~max_line_bytes:cap doc);
+                  ("load_report", fun () -> Nt.load_report ~lenient ~max_line_bytes:cap path);
+                ])
+            [ false; true ]))
 
 let test_generated_dataset_roundtrip () =
   (* an end-to-end sized roundtrip: the L4All 21-timeline graph *)
@@ -229,6 +461,7 @@ let () =
           Alcotest.test_case "line numbers" `Quick test_line_numbers;
           Alcotest.test_case "lenient mode skips bad lines" `Quick test_lenient_mixed;
           Alcotest.test_case "oversized lines bounded" `Quick test_oversized_line;
-          Alcotest.test_case "string reader mirrors channel reader" `Quick test_string_reader;
+          Alcotest.test_case "oversized line memory bounded" `Quick test_oversized_line_memory;
+          QCheck_alcotest.to_alcotest loader_matches_model;
         ] );
     ]

@@ -3,7 +3,8 @@
    Protocol layer: torn, garbage and wrong-typed frames get typed code-2
    responses and the daemon answers the next request normally; an
    oversized frame is bounded at the transport (never materialised) and
-   the connection stays usable; injected accept/read/write faults abort
+   the connection stays usable; requests pipelined in one write are
+   answered in order; injected accept/read/write faults abort
    one connection, never the process; a client disconnecting mid-stream
    is a non-event.
 
@@ -199,6 +200,24 @@ let test_disconnect_mid_stream () =
   (* the daemon is fine: direct requests still serve *)
   check Alcotest.int "daemon survives the disconnect" 0 (code (handle t good_query))
 
+(* two requests pipelined in one write: the scanner hands out both frames
+   from one read, and each gets its response, in order *)
+let test_pipelined_frames () =
+  let t = make_daemon () in
+  let client, th = connected_pair t in
+  let frame id = Printf.sprintf {|{"id":%d,"tenant":"acme","query":"(?X) <- (N0, a, ?X)"}|} id in
+  let both = frame 1 ^ "\n" ^ frame 2 ^ "\n" in
+  check Alcotest.int "one write" (String.length both)
+    (Unix.write_substring client both 0 (String.length both));
+  List.iter
+    (fun id ->
+      let j = Result.get_ok (Json.parse (recv_line client)) in
+      check (Alcotest.option Alcotest.int) "responses in request order" (Some id) (int_field "id" j);
+      check Alcotest.int "served" 0 (code j))
+    [ 1; 2 ];
+  Unix.close client;
+  Thread.join th
+
 let test_failpoint_faults () =
   let t = make_daemon () in
   (* read fault: the connection aborts after serving nothing *)
@@ -377,6 +396,7 @@ let () =
           Alcotest.test_case "oversized frame bounded" `Quick test_oversized_frame;
           Alcotest.test_case "disconnect mid-stream" `Quick test_disconnect_mid_stream;
           Alcotest.test_case "injected read/write faults" `Quick test_failpoint_faults;
+          Alcotest.test_case "pipelined frames answered in order" `Quick test_pipelined_frames;
         ] );
       ( "overload",
         [
