@@ -1,7 +1,7 @@
 (* Validator for the observability artefacts, run by CI:
 
      validate BENCH_smoke.json ...       # schema-check benchmark exports
-     validate --manifest FILE            # engine metric names vs the pinned manifest
+     validate --manifest FILE            # a live stream's metric names vs the pinned manifest
      validate --trace FILE               # Chrome trace structure + span nesting
      validate --audit FILE               # audit-log (JSONL) schema check
      validate --flight FILE              # flight-dump (JSONL) strict schema check
@@ -11,7 +11,7 @@
    Exits non-zero with a message on the first violation, so a schema drift,
    a silently renamed metric, an unbalanced span pair or a benchmark
    section that got more than [threshold]% slower fails the build.  A trace
-   whose ring buffer overflowed (top-level "dropped" > 0) is reported as a
+   whose rings overflowed (top-level "dropped" > 0) is reported as a
    warning: the file is valid but truncated. *)
 
 module Json = Obs.Json
@@ -172,16 +172,38 @@ let check_par path =
 
 (* --- metric-name manifest ------------------------------------------- *)
 
+(* The live metric surface: the registry of a real stream that reaches
+   every layer that registers a metric — two joined conjuncts (the ranked
+   join), APPROX and RELAX (the per-operation histograms), two domains (the
+   parallel merge) and provenance on. *)
+let live_metric_names () =
+  let module Graph = Graphstore.Graph in
+  let g = Graph.create () in
+  let n = Array.init 6 (fun i -> Graph.add_node g (Printf.sprintf "n%d" i)) in
+  List.iter
+    (fun (x, l, y) -> Graph.add_edge_s g n.(x) l n.(y))
+    [ (0, "p", 1); (1, "p", 2); (2, "q", 3); (3, "q", 4); (1, "r", 5); (5, "q", 0) ];
+  let k = Ontology.create (Graph.interner g) in
+  Ontology.add_subproperty k "r" "p";
+  Graph.freeze g;
+  let options = { Core.Options.default with Core.Options.domains = 2; provenance = true } in
+  match
+    Core.Engine.run_string ~graph:g ~ontology:k ~options ~limit:max_int
+      "(?X, ?Y) <- APPROX (?X, p.q, ?Z), RELAX (?Z, r, ?Y)"
+  with
+  | Ok o -> Obs.Metrics.names o.Core.Engine.metrics
+  | Error msg -> failf "--manifest: the probe query failed: %s" msg
+
 let check_manifest path =
-  let expected = Core.Exec_stats.field_names @ Core.Engine.histogram_names in
+  let live = live_metric_names () in
   let pinned =
     read_file path |> String.split_on_char '\n'
     |> List.filter_map (fun l ->
            let l = String.trim l in
            if l = "" || l.[0] = '#' then None else Some l)
   in
-  let missing = List.filter (fun n -> not (List.mem n expected)) pinned in
-  let unpinned = List.filter (fun n -> not (List.mem n pinned)) expected in
+  let missing = List.filter (fun n -> not (List.mem n live)) pinned in
+  let unpinned = List.filter (fun n -> not (List.mem n pinned)) live in
   if missing <> [] then
     failf "%s pins metric(s) the engine no longer exposes: %s — a rename breaks dashboards; \
            deprecate explicitly by editing the manifest" path (String.concat ", " missing);
@@ -192,6 +214,10 @@ let check_manifest path =
 
 (* --- Chrome trace files --------------------------------------------- *)
 
+(* Spans must nest per timeline row (tid).  When the rings dropped events
+   (top-level "dropped" > 0) the export is a truncated suffix: a close whose
+   open was overwritten is expected and only warned about; a complete trace
+   must balance exactly. *)
 let check_trace path =
   let j = parse_file path in
   let events =
@@ -199,20 +225,28 @@ let check_trace path =
     | Some l -> l
     | None -> failf "%s: \"traceEvents\" is not an array" path
   in
-  let depth = ref 0 in
+  let dropped =
+    match Json.member "dropped" j with
+    | None -> 0
+    | Some v -> ( match Json.to_int v with Some d -> d | None -> failf "%s: \"dropped\" is not an integer" path)
+  in
+  let depth = Hashtbl.create 4 in
+  let orphans = ref 0 in
   List.iteri
     (fun i e ->
       let what = Printf.sprintf "traceEvents[%d]" i in
       ignore (want_str path what e "name");
       ignore (want_str path what e "cat");
+      let tid = want_int path what e "tid" in
+      let d = Option.value ~default:0 (Hashtbl.find_opt depth tid) in
       (match Json.to_float (get path what e "ts") with
       | Some _ -> ()
       | None -> failf "%s: %s field \"ts\" is not a number" path what);
       match want_str path what e "ph" with
-      | "B" -> incr depth
-      | "E" ->
-        decr depth;
-        if !depth < 0 then failf "%s: %s closes a span that was never opened" path what
+      | "B" -> Hashtbl.replace depth tid (d + 1)
+      | "E" when d > 0 -> Hashtbl.replace depth tid (d - 1)
+      | "E" when dropped > 0 -> incr orphans
+      | "E" -> failf "%s: %s closes a span that was never opened" path what
       | "i" | "M" -> ()
       | "X" -> (
         match Json.to_float (get path what e "dur") with
@@ -220,90 +254,30 @@ let check_trace path =
         | None -> failf "%s: %s is a Complete event without a numeric \"dur\"" path what)
       | ph -> failf "%s: %s has unknown phase %S" path what ph)
     events;
-  if !depth <> 0 then failf "%s: %d span(s) opened but never closed" path !depth;
-  (* satellite: surfaced ring-buffer truncation — a clipped trace is valid
-     but not complete, and a consumer should know *)
-  (match Json.member "dropped" j with
-  | Some v -> (
-    match Json.to_int v with
-    | Some d when d > 0 ->
-      Printf.eprintf
-        "validate: warning: %s: the trace ring buffer dropped %d event(s) — the export is a \
-         truncated suffix\n"
-        path d
-    | Some _ -> ()
-    | None -> failf "%s: \"dropped\" is not an integer" path)
-  | None -> ());
+  Hashtbl.iter
+    (fun tid d -> if d <> 0 then failf "%s: tid %d: %d span(s) opened but never closed" path tid d)
+    depth;
+  if dropped > 0 then
+    Printf.eprintf
+      "validate: warning: %s: the recorder dropped %d event(s) — the export is a truncated suffix \
+       (%d span close(s) without their open)\n"
+      path dropped !orphans;
   Printf.printf "validate: %s ok (%d event(s), spans balanced)\n" path (List.length events)
 
-(* --- audit logs (JSONL, one query record per line) -------------------- *)
+(* --- audit logs and flight dumps (JSONL) ------------------------------- *)
 
-(* Strict, unlike [Obs.Audit.load]: in CI a malformed line means the writer
-   regressed, not that a crash truncated the log, so every line must parse
-   and validate against the record schema. *)
+(* Strict, unlike the tolerant loaders: in CI a malformed line means the
+   writer regressed, not that a crash truncated the log. *)
 let check_audit path =
-  let lines =
-    read_file path |> String.split_on_char '\n'
-    |> List.filter (fun l -> String.trim l <> "")
-  in
-  if lines = [] then failf "%s: empty audit log" path;
-  List.iteri
-    (fun i line ->
-      match Json.parse line with
-      | Error msg -> failf "%s: line %d: not valid JSON: %s" path (i + 1) msg
-      | Ok j -> (
-        match Obs.Audit.validate j with
-        | Ok () -> ()
-        | Error msg -> failf "%s: line %d: invalid audit record: %s" path (i + 1) msg))
-    lines;
-  Printf.printf "validate: %s ok (%d audit record(s))\n" path (List.length lines)
+  match Obs.Audit.load ~strict:true path with
+  | Error msg -> failf "%s" msg
+  | Ok ([], _) -> failf "%s: empty audit log" path
+  | Ok (records, _) -> Printf.printf "validate: %s ok (%d audit record(s))\n" path (List.length records)
 
-(* --- flight dumps (JSONL scheduling event log) ------------------------ *)
-
-(* Strict, unlike [Obs.Flight.load]: a committed fixture or CI-produced
-   dump must be byte-perfect — a meta header first, every following line a
-   valid event, and sequence numbers strictly increasing (the dump is the
-   merged per-domain rings in merge order).  Tolerant truncated-tail
-   recovery is for postmortems of crashed processes, not for the schema
-   gate. *)
 let check_flight path =
-  let lines =
-    read_file path |> String.split_on_char '\n'
-    |> List.filter (fun l -> String.trim l <> "")
-  in
-  (match lines with
-  | [] -> failf "%s: empty flight dump" path
-  | first :: _ -> (
-    match Json.parse first with
-    | Error msg -> failf "%s: line 1: not valid JSON: %s" path msg
-    | Ok j ->
-      if not (Obs.Flight.is_meta j) then
-        failf "%s: line 1 is not the meta header (crash-truncated dumps are not valid fixtures)"
-          path;
-      let recorded = want_int path "meta" j "recorded" in
-      let dropped = want_int path "meta" j "dropped" in
-      if recorded < 0 || dropped < 0 then
-        failf "%s: meta header has negative recorded/dropped (%d/%d)" path recorded dropped;
-      if recorded <> List.length lines - 1 then
-        failf "%s: meta header claims %d event(s) but the dump carries %d" path recorded
-          (List.length lines - 1)));
-  let last_seq = ref (-1) in
-  List.iteri
-    (fun i line ->
-      if i > 0 then
-        match Json.parse line with
-        | Error msg -> failf "%s: line %d: not valid JSON: %s" path (i + 1) msg
-        | Ok j -> (
-          if Obs.Flight.is_meta j then failf "%s: line %d: duplicate meta header" path (i + 1);
-          match Obs.Flight.of_json j with
-          | Error msg -> failf "%s: line %d: invalid flight event: %s" path (i + 1) msg
-          | Ok ev ->
-            if ev.Obs.Flight.seq <= !last_seq then
-              failf "%s: line %d: seq %d is not strictly increasing (previous %d)" path (i + 1)
-                ev.Obs.Flight.seq !last_seq;
-            last_seq := ev.Obs.Flight.seq))
-    lines;
-  Printf.printf "validate: %s ok (%d flight event(s))\n" path (List.length lines - 1)
+  match Obs.Flight.load ~strict:true path with
+  | Error msg -> failf "%s" msg
+  | Ok (_, evs, _) -> Printf.printf "validate: %s ok (%d flight event(s))\n" path (List.length evs)
 
 (* --- benchmark comparison (perf regression gate) --------------------- *)
 

@@ -275,10 +275,11 @@ let query_cmd =
       value & opt (some string) None
       & info [ "flight" ] ~docv:"FILE"
           ~doc:
-            "Turn on the parallel flight recorder and dump its scheduling event log (shard \
-             deliveries, bucket seals with their bound inputs, merge emits, park/unpark, governor \
-             trips) to FILE as JSONL when the query closes.  Also read from \\$OMEGA_FLIGHT.  \
-             Inspect with $(b,omega_report --flight).")
+            "Turn on the flight recorder at its per-answer detail level and dump its event log \
+             (shard deliveries, bucket seals with their bound inputs, merge emits, park/unpark, \
+             governor trips, and the timeline spans $(b,--trace) exports) to FILE as JSONL when \
+             the query closes.  Also read from \\$OMEGA_FLIGHT.  Inspect with \
+             $(b,omega_report --flight).")
   in
   let explain_flag =
     Arg.(
@@ -302,9 +303,9 @@ let query_cmd =
       value & opt (some string) None
       & info [ "trace" ] ~docv:"FILE"
           ~doc:
-            "Record the evaluation as a Chrome trace_event timeline (automaton build phases, seed \
-             batches, ψ windows, join pulls, governor trips) and write it to FILE — loadable in \
-             chrome://tracing or Perfetto.  When provenance is on ($(b,--why)/$(b,--profile)), the \
+            "Turn on the flight recorder and write its timeline (automaton build phases, seed \
+             batches, ψ windows, join pulls, governor trips) to FILE as a Chrome trace_event \
+             document — loadable in chrome://tracing or Perfetto.  When provenance is on ($(b,--why)/$(b,--profile)), the \
              wasted-work profile is embedded in the export's top-level object.")
   in
   let why =
@@ -348,12 +349,14 @@ let query_cmd =
       show_stats || explain_analyze || timeout_ms <> None || trace <> None || audit <> None
       || stats_json <> None || flight <> None
     then Obs.Clock.install wall_ns;
-    if trace <> None then Obs.Trace.enable ();
-    (match flight with
-    | None -> ()
-    | Some path ->
-      Obs.Flight.set_dump_target (Some path);
-      Obs.Flight.enable ~detail:true ());
+    (* --trace and --flight switch on the one recorder: a timeline keeps a
+       deeper ring, a flight dump adds the per-answer detail level *)
+    if trace <> None || flight <> None then begin
+      Obs.Flight.set_dump_target flight;
+      Obs.Flight.enable
+        ?capacity:(if trace <> None then Some 65536 else None)
+        ~detail:(flight <> None) ()
+    end;
     (match audit with
     | None -> ()
     | Some path -> (
@@ -400,9 +403,8 @@ let query_cmd =
       match trace with
       | None -> ()
       | Some path ->
-        Obs.Trace.export ~extra path;
-        Format.printf "trace written to %s (%d event(s))@." path
-          (List.length (Obs.Trace.events ()))
+        let n = Obs.Trace.export ~extra path in
+        Format.printf "trace written to %s (%d event(s))@." path n
     in
     match Core.Query_parser.parse_result query with
     | Error msg ->

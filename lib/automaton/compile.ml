@@ -12,7 +12,7 @@ let pp_mode ppf = function
 
 let conjunct_automaton ~graph ~ontology ~mode r =
   let intern = Graphstore.Interner.intern (Graph.interner graph) in
-  let span name f = Obs.Trace.with_span ~cat:"build" name f in
+  let span name f = Obs.Flight.with_span ~cat:"build" name f in
   let m = span "build.thompson" (fun () -> Build.of_regex ~intern r) in
   let transformed =
     match mode with

@@ -335,9 +335,9 @@ let refill_if_needed t =
         batch
     end;
     if clocked then Obs.Metrics.observe t.h_seed_batch_ns (!Exec_stats.now_ns () - t0);
-    if Obs.Trace.enabled () then
-      Obs.Trace.complete ~cat:"seed" ~start_ns:t0
-        ~args:[ ("seeds", Obs.Trace.Num (List.length batch)) ]
+    if Obs.Flight.enabled () then
+      Obs.Flight.complete ~cat:"seed" ~start_ns:t0
+        ~args:[ ("seeds", Obs.Flight.Num (List.length batch)) ]
         "seed.batch"
   done
 

@@ -33,26 +33,6 @@ let pp_answer ppf a =
   Format.fprintf ppf "dist=%d %s" a.distance
     (String.concat ", " (List.map (fun (v, x) -> Printf.sprintf "?%s=%s" v x) a.bindings))
 
-(* The distribution metrics the engine layers register, next to the scalar
-   [Exec_stats.field_names] — together the pinned metrics manifest. *)
-let histogram_names =
-  [
-    "answer_distance";
-    "queue_depth";
-    "succ_edges";
-    "seed_batch_ns";
-    "join_combos";
-    "pop_distance";
-    "ops_insert";
-    "ops_delete";
-    "ops_subst";
-    "ops_relax_beta";
-    "ops_relax_gamma";
-    "par_merge_wait_ns";
-    "par_shard_answers";
-    "par_shard_busy_ns";
-  ]
-
 type stream = {
   graph : Graph.t;
   query : Query.t;
@@ -136,23 +116,23 @@ let open_query ~graph ~ontology ?(options = Options.default) ?governor ?tenant (
   in
   if rejection <> None then begin
     (match rejection with
-    | Some r when Obs.Trace.enabled () ->
-      Obs.Trace.instant ~cat:"admission"
+    | Some r when Obs.Flight.enabled () ->
+      Obs.Flight.instant ~cat:"admission"
         ~args:
           [
-            ("kind", Obs.Trace.Str (Admission.kind_string r.Admission.kind));
-            ("limit", Obs.Trace.Num r.Admission.limit);
-            ("actual", Obs.Trace.Num r.Admission.actual);
+            ("kind", Obs.Flight.Str (Admission.kind_string r.Admission.kind));
+            ("limit", Obs.Flight.Num r.Admission.limit);
+            ("actual", Obs.Flight.Num r.Admission.actual);
           ]
         "admission.reject"
     | _ -> ());
     closed
   end
   else begin
-    (* The trace ring is per-process but retained for the query's duration:
-       charge its (fixed) footprint once so a tight memory budget accounts
-       for tracing overhead too. *)
-    if Obs.Trace.enabled () then Governor.charge_mem governor (Obs.Trace.approx_bytes ());
+    (* The recorder's rings are per-process but retained for the query's
+       duration: charge their (fixed) footprint once so a tight memory
+       budget accounts for recording overhead too. *)
+    if Obs.Flight.enabled () then Governor.charge_mem governor (Obs.Flight.approx_bytes ());
     (* Opening can itself hit a failpoint (e.g. the ontology lookups of RELAX
        seeding): the stream is then born already tripped rather than raising
        through the public surface. *)

@@ -46,8 +46,9 @@ type outcome = {
   termination : termination;
   stats : Exec_stats.t;  (** aggregated over all conjuncts (a stable snapshot) *)
   metrics : Obs.Metrics.t;
-      (** the stream's metrics registry: the {!histogram_names} distributions
-          plus the absorbed [stats] counters *)
+      (** the stream's metrics registry: the distributions the engine
+          layers register plus the absorbed [stats] counters — the surface
+          pinned in [bench/metrics_manifest.txt] *)
 }
 
 val pp_answer : Format.formatter -> answer -> unit
@@ -139,18 +140,8 @@ val stream_stats : stream -> Exec_stats.t
 
 val metrics : stream -> Obs.Metrics.t
 (** The stream's metrics registry: the engine's distribution histograms
-    ({!histogram_names}) with the current {!stream_stats} counters absorbed
+    with the current {!stream_stats} counters absorbed
     (re-absorbed at each call, so the scalar values are fresh). *)
-
-val histogram_names : string list
-(** The distribution metrics the engine layers register
-    ([answer_distance], [queue_depth], [succ_edges], [seed_batch_ns],
-    [join_combos], [pop_distance], the per-operation cost histograms
-    [ops_insert], [ops_delete], [ops_subst], [ops_relax_beta],
-    [ops_relax_gamma], and the parallel-merge distributions
-    [par_merge_wait_ns], [par_shard_answers], [par_shard_busy_ns]); together with
-    [Exec_stats.field_names] this is the pinned metrics manifest checked in
-    CI. *)
 
 val drain : ?limit:int -> stream -> outcome
 (** Pull up to [limit] answers (default: all) from an open stream and

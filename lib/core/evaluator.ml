@@ -91,9 +91,9 @@ let finish_part lev eval part =
   (* the discarded part's structures are garbage from here on — release
      their memory-budget charges so the estimate tracks the live footprint *)
   Conjunct.close eval;
-  if Obs.Trace.enabled () then
-    Obs.Trace.complete ~cat:"psi" ~start_ns:lev.part_start_ns
-      ~args:[ ("psi", Obs.Trace.Num lev.psi); ("answers", Obs.Trace.Num lev.current_count) ]
+  if Obs.Flight.enabled () then
+    Obs.Flight.complete ~cat:"psi" ~start_ns:lev.part_start_ns
+      ~args:[ ("psi", Obs.Flight.Num lev.psi); ("answers", Obs.Flight.Num lev.current_count) ]
       "psi.part";
   lev.counts <- (part, lev.current_count) :: lev.counts;
   lev.current <- None;
@@ -151,8 +151,8 @@ let rec next_levelled lev =
           lev.counts <- [];
           lev.level_complete <- true;
           lev.psi <- lev.psi + lev.phi;
-          if Obs.Trace.enabled () then
-            Obs.Trace.instant ~cat:"psi" ~args:[ ("psi", Obs.Trace.Num lev.psi) ] "psi.level";
+          if Obs.Flight.enabled () then
+            Obs.Flight.instant ~cat:"psi" ~args:[ ("psi", Obs.Flight.Num lev.psi) ] "psi.level";
           next_levelled lev
         end)
 

@@ -64,122 +64,62 @@ let create () =
 
 let copy t = { t with pushes = t.pushes }
 
-let reset t =
-  t.pushes <- 0;
-  t.pops <- 0;
-  t.succ_calls <- 0;
-  t.edges_scanned <- 0;
-  t.adjacency_bytes <- 0;
-  t.scan_ns <- 0;
-  t.batches <- 0;
-  t.seeds <- 0;
-  t.answers <- 0;
-  t.peak_queue <- 0;
-  t.restarts <- 0;
-  t.pruned <- 0;
-  t.drop_visited <- 0;
-  t.drop_dup <- 0;
-  t.mem_bytes_peak <- 0;
-  t.admission_est_states <- 0;
-  t.degrade_drop_provenance <- 0;
-  t.degrade_shrink_psi <- 0;
-  t.par_shards <- 0;
-  t.par_busy_total_ns <- 0;
-  t.par_busy_max_ns <- 0;
-  t.gc_minor_words <- 0;
-  t.gc_major_words <- 0;
-  t.gc_minor_collections <- 0;
-  t.gc_major_collections <- 0
+(* The one counter table: name, merge rule and accessors of every field, in
+   declaration order.  High-water marks (queue depth, memory, the admission
+   estimate, the slowest shard) merge by max; everything else sums.  The
+   hot paths keep incrementing the record fields directly. *)
+type merge = Sum | Max
+type field = { name : string; merge : merge; get : t -> int; set : t -> int -> unit }
+
+let fields =
+  let f name merge get set = { name; merge; get; set } in
+  [
+    f "pushes" Sum (fun t -> t.pushes) (fun t v -> t.pushes <- v);
+    f "pops" Sum (fun t -> t.pops) (fun t v -> t.pops <- v);
+    f "succ_calls" Sum (fun t -> t.succ_calls) (fun t v -> t.succ_calls <- v);
+    f "edges_scanned" Sum (fun t -> t.edges_scanned) (fun t v -> t.edges_scanned <- v);
+    f "adjacency_bytes" Sum (fun t -> t.adjacency_bytes) (fun t v -> t.adjacency_bytes <- v);
+    f "scan_ns" Sum (fun t -> t.scan_ns) (fun t v -> t.scan_ns <- v);
+    f "batches" Sum (fun t -> t.batches) (fun t v -> t.batches <- v);
+    f "seeds" Sum (fun t -> t.seeds) (fun t v -> t.seeds <- v);
+    f "answers" Sum (fun t -> t.answers) (fun t v -> t.answers <- v);
+    f "peak_queue" Max (fun t -> t.peak_queue) (fun t v -> t.peak_queue <- v);
+    f "restarts" Sum (fun t -> t.restarts) (fun t v -> t.restarts <- v);
+    f "pruned" Sum (fun t -> t.pruned) (fun t v -> t.pruned <- v);
+    f "drop_visited" Sum (fun t -> t.drop_visited) (fun t v -> t.drop_visited <- v);
+    f "drop_dup" Sum (fun t -> t.drop_dup) (fun t v -> t.drop_dup <- v);
+    f "mem_bytes_peak" Max (fun t -> t.mem_bytes_peak) (fun t v -> t.mem_bytes_peak <- v);
+    f "admission_est_states" Max
+      (fun t -> t.admission_est_states) (fun t v -> t.admission_est_states <- v);
+    f "degrade_drop_provenance" Sum
+      (fun t -> t.degrade_drop_provenance) (fun t v -> t.degrade_drop_provenance <- v);
+    f "degrade_shrink_psi" Sum
+      (fun t -> t.degrade_shrink_psi) (fun t v -> t.degrade_shrink_psi <- v);
+    f "par_shards" Sum (fun t -> t.par_shards) (fun t v -> t.par_shards <- v);
+    f "par_busy_total_ns" Sum (fun t -> t.par_busy_total_ns) (fun t v -> t.par_busy_total_ns <- v);
+    f "par_busy_max_ns" Max (fun t -> t.par_busy_max_ns) (fun t v -> t.par_busy_max_ns <- v);
+    f "gc_minor_words" Sum (fun t -> t.gc_minor_words) (fun t v -> t.gc_minor_words <- v);
+    f "gc_major_words" Sum (fun t -> t.gc_major_words) (fun t v -> t.gc_major_words <- v);
+    f "gc_minor_collections" Sum
+      (fun t -> t.gc_minor_collections) (fun t v -> t.gc_minor_collections <- v);
+    f "gc_major_collections" Sum
+      (fun t -> t.gc_major_collections) (fun t v -> t.gc_major_collections <- v);
+  ]
+
+let reset t = List.iter (fun c -> c.set t 0) fields
 
 let merge_into acc x =
-  acc.pushes <- acc.pushes + x.pushes;
-  acc.pops <- acc.pops + x.pops;
-  acc.succ_calls <- acc.succ_calls + x.succ_calls;
-  acc.edges_scanned <- acc.edges_scanned + x.edges_scanned;
-  acc.adjacency_bytes <- acc.adjacency_bytes + x.adjacency_bytes;
-  acc.scan_ns <- acc.scan_ns + x.scan_ns;
-  acc.batches <- acc.batches + x.batches;
-  acc.seeds <- acc.seeds + x.seeds;
-  acc.answers <- acc.answers + x.answers;
-  acc.peak_queue <- max acc.peak_queue x.peak_queue;
-  acc.restarts <- acc.restarts + x.restarts;
-  acc.pruned <- acc.pruned + x.pruned;
-  acc.drop_visited <- acc.drop_visited + x.drop_visited;
-  acc.drop_dup <- acc.drop_dup + x.drop_dup;
-  (* high-water marks merge by max, like peak_queue *)
-  acc.mem_bytes_peak <- max acc.mem_bytes_peak x.mem_bytes_peak;
-  acc.admission_est_states <- max acc.admission_est_states x.admission_est_states;
-  acc.degrade_drop_provenance <- acc.degrade_drop_provenance + x.degrade_drop_provenance;
-  acc.degrade_shrink_psi <- acc.degrade_shrink_psi + x.degrade_shrink_psi;
-  acc.par_shards <- acc.par_shards + x.par_shards;
-  acc.par_busy_total_ns <- acc.par_busy_total_ns + x.par_busy_total_ns;
-  (* the slowest shard anywhere in the query, not a sum — like peak_queue *)
-  acc.par_busy_max_ns <- max acc.par_busy_max_ns x.par_busy_max_ns;
-  acc.gc_minor_words <- acc.gc_minor_words + x.gc_minor_words;
-  acc.gc_major_words <- acc.gc_major_words + x.gc_major_words;
-  acc.gc_minor_collections <- acc.gc_minor_collections + x.gc_minor_collections;
-  acc.gc_major_collections <- acc.gc_major_collections + x.gc_major_collections
+  List.iter
+    (fun c ->
+      let a = c.get acc and b = c.get x in
+      c.set acc (match c.merge with Sum -> a + b | Max -> max a b))
+    fields
 
-let field_names =
-  [
-    "pushes";
-    "pops";
-    "succ_calls";
-    "edges_scanned";
-    "adjacency_bytes";
-    "scan_ns";
-    "batches";
-    "seeds";
-    "answers";
-    "peak_queue";
-    "restarts";
-    "pruned";
-    "drop_visited";
-    "drop_dup";
-    "mem_bytes_peak";
-    "admission_est_states";
-    "degrade_drop_provenance";
-    "degrade_shrink_psi";
-    "par_shards";
-    "par_busy_total_ns";
-    "par_busy_max_ns";
-    "gc_minor_words";
-    "gc_major_words";
-    "gc_minor_collections";
-    "gc_major_collections";
-  ]
-
-let to_assoc t =
-  [
-    ("pushes", t.pushes);
-    ("pops", t.pops);
-    ("succ_calls", t.succ_calls);
-    ("edges_scanned", t.edges_scanned);
-    ("adjacency_bytes", t.adjacency_bytes);
-    ("scan_ns", t.scan_ns);
-    ("batches", t.batches);
-    ("seeds", t.seeds);
-    ("answers", t.answers);
-    ("peak_queue", t.peak_queue);
-    ("restarts", t.restarts);
-    ("pruned", t.pruned);
-    ("drop_visited", t.drop_visited);
-    ("drop_dup", t.drop_dup);
-    ("mem_bytes_peak", t.mem_bytes_peak);
-    ("admission_est_states", t.admission_est_states);
-    ("degrade_drop_provenance", t.degrade_drop_provenance);
-    ("degrade_shrink_psi", t.degrade_shrink_psi);
-    ("par_shards", t.par_shards);
-    ("par_busy_total_ns", t.par_busy_total_ns);
-    ("par_busy_max_ns", t.par_busy_max_ns);
-    ("gc_minor_words", t.gc_minor_words);
-    ("gc_major_words", t.gc_major_words);
-    ("gc_minor_collections", t.gc_minor_collections);
-    ("gc_major_collections", t.gc_major_collections);
-  ]
+let field_names = List.map (fun c -> c.name) fields
+let to_assoc t = List.map (fun c -> (c.name, c.get t)) fields
 
 let record_into registry t =
-  List.iter (fun (name, v) -> Obs.Metrics.set (Obs.Metrics.counter registry name) v) (to_assoc t)
+  List.iter (fun c -> Obs.Metrics.set (Obs.Metrics.counter registry c.name) (c.get t)) fields
 
 let pp ppf t =
   Format.fprintf ppf "pushes=%d pops=%d succ=%d edges=%d adj-bytes=%d " t.pushes t.pops t.succ_calls

@@ -85,9 +85,10 @@ val copy : t -> t
 val reset : t -> unit
 
 val merge_into : t -> t -> unit
-(** [merge_into acc x] adds [x]'s counters into [acc] ([peak_queue] takes the
-    max).  Associative and commutative over disjoint accumulators (pinned by
-    the observability test suite). *)
+(** [merge_into acc x] adds [x]'s counters into [acc]; the high-water marks
+    ([peak_queue], [mem_bytes_peak], [admission_est_states],
+    [par_busy_max_ns]) take the max.  Associative and commutative over
+    disjoint accumulators (pinned by the observability test suite). *)
 
 val field_names : string list
 (** The canonical counter names, in declaration order — the scalar half of

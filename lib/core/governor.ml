@@ -121,23 +121,15 @@ let trip t reason =
   if t.stop = None then begin
     t.stop <- Some reason;
     if Obs.Flight.enabled () then
-      Obs.Flight.record (Obs.Flight.Trip { reason = reason_string reason });
+      Obs.Flight.record
+        (Obs.Flight.Trip { reason = reason_string reason; tuples = t.tuples; answers = t.answers });
     (match t.shared with
     | None -> ()
     | Some s ->
       (* first trip across all domains wins; losers keep their local stop
          (they unwind either way) but never override the shared reason *)
       if Atomic.compare_and_set s.Shared.stop None (Some reason) then ();
-      s.Shared.on_trip ());
-    if Obs.Trace.enabled () then
-      Obs.Trace.instant ~cat:"governor"
-        ~args:
-          [
-            ("reason", Obs.Trace.Str (reason_string reason));
-            ("tuples", Obs.Trace.Num t.tuples);
-            ("answers", Obs.Trace.Num t.answers);
-          ]
-        "governor.trip"
+      s.Shared.on_trip ())
   end
 
 let fault t name = trip t (Fault name)

@@ -98,7 +98,7 @@ let worker t i build =
   let registry = Obs.Metrics.create () in
   let stats_fn = ref Exec_stats.create in
   (* name this domain's trace lane before any span lands on it *)
-  Obs.Trace.set_thread_name (Printf.sprintf "%s %d" t.label i);
+  Obs.Flight.set_thread_name (Printf.sprintf "%s %d" t.label i);
   let clocked = Obs.Clock.installed () in
   let t0 = if clocked then !Obs.Clock.now_ns () else 0 in
   (* benign unlocked int store: the watchdog only compares it to the clock *)

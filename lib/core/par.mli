@@ -49,7 +49,7 @@ val create :
     wake-up broadcast.
 
     [label] (default ["shard"]) prefixes the trace-lane names workers give
-    their domains ({!Obs.Trace.set_thread_name}: ["<label> <i>"]).
+    their domains ({!Obs.Flight.set_thread_name}: ["<label> <i>"]).
     [queue_cap] (default 8192, min 1) bounds each shard's undrained pending
     list; workers park at the cap until the consumer drains
     ([Options.par_queue_cap] threads it from the CLI).

@@ -92,13 +92,13 @@ let combinations t idx fresh fresh_dist fresh_wits =
 let pull_one t idx =
   Failpoints.check Failpoints.Join_pull;
   let input = t.inputs.(idx) in
-  let start_ns = if Obs.Trace.enabled () then !Obs.Clock.now_ns () else 0 in
+  let start_ns = if Obs.Flight.enabled () then !Obs.Clock.now_ns () else 0 in
   match input.pull () with
   | None ->
     input.exhausted <- true;
-    if Obs.Trace.enabled () then
-      Obs.Trace.complete ~cat:"join" ~start_ns
-        ~args:[ ("input", Obs.Trace.Num idx); ("combos", Obs.Trace.Num 0) ]
+    if Obs.Flight.enabled () then
+      Obs.Flight.complete ~cat:"join" ~start_ns
+        ~args:[ ("input", Obs.Flight.Num idx); ("combos", Obs.Flight.Num 0) ]
         "join.pull"
   | Some (b, d, ws) ->
     input.seen <- (b, d, ws) :: input.seen;
@@ -118,9 +118,9 @@ let pull_one t idx =
         Governor.tick_tuple t.governor)
       combos;
     Obs.Metrics.observe t.h_combos (List.length combos);
-    if Obs.Trace.enabled () then
-      Obs.Trace.complete ~cat:"join" ~start_ns
-        ~args:[ ("input", Obs.Trace.Num idx); ("combos", Obs.Trace.Num (List.length combos)) ]
+    if Obs.Flight.enabled () then
+      Obs.Flight.complete ~cat:"join" ~start_ns
+        ~args:[ ("input", Obs.Flight.Num idx); ("combos", Obs.Flight.Num (List.length combos)) ]
         "join.pull"
 
 let next_source t =

@@ -89,42 +89,18 @@ let to_json r =
 
 let ( let* ) = Result.bind
 
-let field k j =
-  match Json.member k j with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "missing field %S" k)
-
-let int_field k j =
-  let* v = field k j in
-  match Json.to_int v with
-  | Some n -> Ok n
-  | None -> Error (Printf.sprintf "field %S: expected int" k)
-
-let str_field k j =
-  let* v = field k j in
-  match Json.to_str v with
-  | Some s -> Ok s
-  | None -> Error (Printf.sprintf "field %S: expected string" k)
-
-let opt_str_field k j =
-  let* v = field k j in
-  match v with
-  | Json.Null -> Ok None
-  | Json.String s -> Ok (Some s)
-  | _ -> Error (Printf.sprintf "field %S: expected string or null" k)
+open Jsonl
 
 let assoc_field k j =
   let* v = field k j in
   match v with
   | Json.Obj kvs ->
-    let rec conv acc = function
-      | [] -> Ok (List.rev acc)
-      | (key, v) :: rest -> (
+    map_list
+      (fun (key, v) ->
         match Json.to_int v with
-        | Some n -> conv ((key, n) :: acc) rest
+        | Some n -> Ok (key, n)
         | None -> Error (Printf.sprintf "field %S.%S: expected int" k key))
-    in
-    conv [] kvs
+      kvs
   | _ -> Error (Printf.sprintf "field %S: expected object" k)
 
 let shard_of_json j =
@@ -134,28 +110,16 @@ let shard_of_json j =
   Ok { s_index; s_busy_ns; s_answers }
 
 let shards_field k j =
-  let* v = field k j in
-  match Json.to_list v with
-  | None -> Error (Printf.sprintf "field %S: expected list" k)
-  | Some l ->
-    let rec conv acc = function
-      | [] -> Ok (List.rev acc)
-      | s :: rest ->
-        let* s = shard_of_json s in
-        conv (s :: acc) rest
-    in
-    conv [] l
+  let* l = list_field k j in
+  map_list shard_of_json l
 
-let flight_field k j =
-  let* v = field k j in
-  match v with
-  | Json.Null -> Ok None
-  | Json.Obj _ ->
-    let* f_path = str_field "path" v in
-    let* f_events = int_field "events" v in
-    let* f_dropped = int_field "dropped" v in
-    Ok (Some { f_path; f_events; f_dropped })
-  | _ -> Error (Printf.sprintf "field %S: expected object or null" k)
+let flight_field =
+  nullable (fun k j ->
+      let* v = field k j in
+      let* f_path = str_field "path" v in
+      let* f_events = int_field "events" v in
+      let* f_dropped = int_field "dropped" v in
+      Ok { f_path; f_events; f_dropped })
 
 let of_json j =
   let* v = int_field "v" j in
@@ -170,7 +134,7 @@ let of_json j =
     let* query_class = str_field "class" j in
     let* plan = str_field "plan" j in
     let* termination = str_field "termination" j in
-    let* reason = opt_str_field "reason" j in
+    let* reason = nullable str_field "reason" j in
     let* answers = int_field "answers" j in
     let* wall_ns = int_field "wall_ns" j in
     let* cpu_ns = int_field "cpu_ns" j in
@@ -182,7 +146,7 @@ let of_json j =
     let* merge_wait_ns = int_field "merge_wait_ns" j in
     let* imbalance_pct = int_field "imbalance_pct" j in
     let* flight = if v = 1 then Ok None else flight_field "flight" j in
-    let* tenant = if v < 3 then Ok None else opt_str_field "tenant" j in
+    let* tenant = if v < 3 then Ok None else nullable str_field "tenant" j in
     let* stats = assoc_field "stats" j in
     let* gc = assoc_field "gc" j in
     Ok
@@ -227,15 +191,14 @@ let write sink r =
   Fun.protect
     ~finally:(fun () -> Mutex.unlock sink.sm)
     (fun () ->
-      output_string sink.oc (Json.to_string (to_json r));
-      output_char sink.oc '\n';
+      Jsonl.write_line sink.oc (to_json r);
       flush sink.oc)
 
 let close_sink sink = close_out sink.oc
 
 (* --- the process-global sink ----------------------------------------- *)
 
-(* Mirrors Trace's discipline: [on] is a plain ref read without the lock so
+(* Mirrors Flight's discipline: [on] is a plain ref read without the lock so
    the per-query check in Engine.close stays one load.  All sink swaps
    (enable / disable / SIGHUP reopen) and every emit serialise on [gm], so
    a rotation can never close the channel out from under a concurrent
@@ -280,23 +243,4 @@ let emit r = with_gm (fun () -> match !global with None -> () | Some (s, _) -> w
 
 (* --- reading ---------------------------------------------------------- *)
 
-let load path =
-  match open_in path with
-  | exception Sys_error e -> Error e
-  | ic ->
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () ->
-        let rec go acc skipped =
-          match input_line ic with
-          | exception End_of_file -> Ok (List.rev acc, skipped)
-          | line when String.trim line = "" -> go acc skipped
-          | line -> (
-            match Json.parse line with
-            | Error _ -> go acc (skipped + 1)
-            | Ok j -> (
-              match of_json j with
-              | Error _ -> go acc (skipped + 1)
-              | Ok r -> go (r :: acc) skipped))
-        in
-        go [] 0)
+let load ?strict path = Jsonl.read ?strict of_json path

@@ -2,7 +2,7 @@
     appended to a JSONL file.
 
     This is the durable half of the query observatory (DESIGN.md "Query
-    observatory"): where {!Metrics} and {!Trace} describe one process's
+    observatory"): where {!Metrics} and {!Flight} describe one process's
     current query, the audit log accumulates per-query records across
     processes and runs — canonicalised query hash, query class, plan
     summary, termination taxonomy, admission estimate vs actual work, the
@@ -133,7 +133,9 @@ val emit : record -> unit
 
 (** {2 Reading} *)
 
-val load : string -> (record list * int, string) result
-(** Parse a JSONL audit log: [(records, skipped)] where [skipped] counts
-    malformed or truncated lines (a crash-truncated tail is data loss, not
-    corruption).  [Error] only if the file itself cannot be read. *)
+val load : ?strict:bool -> string -> (record list * int, string) result
+(** Parse a JSONL audit log ({!Jsonl.read}): [(records, skipped)] where
+    [skipped] counts malformed or truncated lines (a crash-truncated tail
+    is data loss, not corruption).  With [~strict:true] (the CI schema
+    gate) the first such line is an [Error] naming its line number.
+    [Error] also if the file itself cannot be read. *)

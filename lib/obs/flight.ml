@@ -1,9 +1,12 @@
-let schema_version = 1
+let schema_version = 2
 let env_var = "OMEGA_FLIGHT"
 
 (* --- events ------------------------------------------------------------ *)
 
 type input = { i_shard : int; i_last : int; i_state : int }
+type arg = Str of string | Num of int
+type args = (string * arg) list
+type phase = Begin | End | Instant | Complete of int | Meta
 
 type kind =
   | Flow_open of { shards : int; slack : int; label : string }
@@ -17,9 +20,15 @@ type kind =
   | Emit of { dist : int; x : int; y : int }
   | Stall of { silent_ns : int }
   | Stop
-  | Trip of { reason : string }
+  | Trip of { reason : string; tuples : int; answers : int }
+  | Span of { ph : phase; name : string; cat : string; args : args }
 
 type event = { seq : int; ts_ns : int; domain : int; flow : int; shard : int; kind : kind }
+
+let is_span = function Span _ -> true | _ -> false
+
+(* The Chrome trace_event letter of a phase, also its dump encoding. *)
+let phase_letter = function Begin -> "B" | End -> "E" | Instant -> "i" | Complete _ -> "X" | Meta -> "M"
 
 let kind_tag = function
   | Flow_open _ -> "flow_open"
@@ -34,6 +43,7 @@ let kind_tag = function
   | Stall _ -> "stall"
   | Stop -> "stop"
   | Trip _ -> "trip"
+  | Span _ -> "span"
 
 let all_tags =
   [
@@ -49,7 +59,16 @@ let all_tags =
     "stall";
     "stop";
     "trip";
+    "span";
   ]
+
+let pp_args ppf args =
+  List.iter
+    (fun (k, v) ->
+      match v with
+      | Str s -> Format.fprintf ppf " %s=%s" k s
+      | Num n -> Format.fprintf ppf " %s=%d" k n)
+    args
 
 let pp_kind ppf = function
   | Flow_open { shards; slack; label } ->
@@ -75,7 +94,13 @@ let pp_kind ppf = function
   | Emit { dist; x; y } -> Format.fprintf ppf "emit dist=%d x=%d y=%d" dist x y
   | Stall { silent_ns } -> Format.fprintf ppf "stall silent_ns=%d" silent_ns
   | Stop -> Format.pp_print_string ppf "stop"
-  | Trip { reason } -> Format.fprintf ppf "trip reason=%s" reason
+  | Trip { reason; tuples; answers } ->
+    Format.fprintf ppf "trip reason=%s" reason;
+    (* v1 dumps carry no work counts: they decode as 0 and print the reason alone *)
+    if tuples > 0 || answers > 0 then Format.fprintf ppf " tuples=%d answers=%d" tuples answers
+  | Span { ph; name; cat; args } ->
+    Format.fprintf ppf "span %s %s cat=%s%a" (phase_letter ph) name cat pp_args args;
+    (match ph with Complete d -> Format.fprintf ppf " dur_ns=%d" d | _ -> ())
 
 let pp_event ppf ev =
   Format.fprintf ppf "seq=%-4d dom=%d flow=%d shard=%s %a" ev.seq ev.domain ev.flow
@@ -150,26 +175,42 @@ let ring_events r =
   let lo = w - n in
   List.filter_map (fun i -> r.buf.((lo + i) mod cap)) (List.init n Fun.id)
 
-let events () =
+let registered () =
   Mutex.lock reg_m;
   let rs = !rings in
   Mutex.unlock reg_m;
+  rs
+
+let events () =
   List.sort
     (fun a b -> compare (a.seq, a.ts_ns) (b.seq, b.ts_ns))
-    (List.concat_map ring_events rs)
+    (List.concat_map ring_events (registered ()))
 
 let stats () =
-  Mutex.lock reg_m;
-  let rs = !rings in
-  Mutex.unlock reg_m;
   let dropped =
-    List.fold_left (fun acc r -> acc + max 0 (Atomic.get r.written - Array.length r.buf)) 0 rs
+    List.fold_left
+      (fun acc r -> acc + max 0 (Atomic.get r.written - Array.length r.buf))
+      0 (registered ())
   in
   (Atomic.get seq_counter, dropped)
 
-(* --- codec (mirrors audit.ml: versioned, strict decode) ----------------- *)
+(* The recorder's retained footprint for memory accounting: per ring slot,
+   the array cell, the [Some] box, the event record and a flat estimate of
+   its payload (span names and categories are shared literals; args lists
+   are short).  Deliberately coarse: the rings are fixed-capacity, so one
+   charge at query open covers them.  Rings register lazily, so before any
+   domain recorded this counts the one ring the opening domain is about to
+   fill. *)
+let approx_bytes () =
+  let per_event_words = 12 in
+  max 1 (List.length (registered ())) * !capacity * per_event_words * (Sys.word_size / 8)
+
+(* --- codec (versioned, strict decode; lib/obs/jsonl.ml) ----------------- *)
 
 let input_json i = Json.List [ Json.Int i.i_shard; Json.Int i.i_last; Json.Int i.i_state ]
+
+let args_json args =
+  Json.Obj (List.map (fun (k, v) -> (k, match v with Str s -> Json.String s | Num n -> Json.Int n)) args)
 
 let to_json ev =
   let base =
@@ -201,49 +242,38 @@ let to_json ev =
       ]
     | Emit { dist; x; y } -> [ ("dist", Json.Int dist); ("x", Json.Int x); ("y", Json.Int y) ]
     | Stall { silent_ns } -> [ ("silent_ns", Json.Int silent_ns) ]
-    | Trip { reason } -> [ ("reason", Json.String reason) ]
+    | Trip { reason; tuples; answers } ->
+      [ ("reason", Json.String reason); ("tuples", Json.Int tuples); ("answers", Json.Int answers) ]
+    | Span { ph; name; cat; args } ->
+      [
+        ("ph", Json.String (phase_letter ph));
+        ("name", Json.String name);
+        ("cat", Json.String cat);
+        ("args", args_json args);
+      ]
+      @ (match ph with Complete d -> [ ("dur_ns", Json.Int d) ] | _ -> [])
   in
   Json.Obj (base @ extra)
 
 let ( let* ) = Result.bind
 
-let field k j =
-  match Json.member k j with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "missing field %S" k)
+let input_of_json = function
+  | Json.List [ Json.Int i_shard; Json.Int i_last; Json.Int i_state ] -> Ok { i_shard; i_last; i_state }
+  | _ -> Error "field \"inputs\": expected [shard, last, state] triples"
 
-let int_field k j =
-  let* v = field k j in
-  match Json.to_int v with
-  | Some n -> Ok n
-  | None -> Error (Printf.sprintf "field %S: expected int" k)
+let arg_of_json = function
+  | k, Json.String s -> Ok (k, Str s)
+  | k, Json.Int n -> Ok (k, Num n)
+  | k, _ -> Error (Printf.sprintf "field \"args\".%S: expected string or int" k)
 
-let str_field k j =
-  let* v = field k j in
-  match Json.to_str v with
-  | Some s -> Ok s
-  | None -> Error (Printf.sprintf "field %S: expected string" k)
-
-let bool_field k j =
-  let* v = field k j in
+let args_field j =
+  let* v = Jsonl.field "args" j in
   match v with
-  | Json.Bool b -> Ok b
-  | _ -> Error (Printf.sprintf "field %S: expected bool" k)
-
-let inputs_field k j =
-  let* v = field k j in
-  match Json.to_list v with
-  | None -> Error (Printf.sprintf "field %S: expected list" k)
-  | Some l ->
-    let rec conv acc = function
-      | [] -> Ok (List.rev acc)
-      | Json.List [ Json.Int i_shard; Json.Int i_last; Json.Int i_state ] :: rest ->
-        conv ({ i_shard; i_last; i_state } :: acc) rest
-      | _ -> Error (Printf.sprintf "field %S: expected [shard, last, state] triples" k)
-    in
-    conv [] l
+  | Json.Obj kvs -> Jsonl.map_list arg_of_json kvs
+  | _ -> Error "field \"args\": expected object"
 
 let kind_of_json tag j =
+  let open Jsonl in
   match tag with
   | "flow_open" ->
     let* shards = int_field "shards" j in
@@ -269,7 +299,8 @@ let kind_of_json tag j =
   | "seal" ->
     let* bound = int_field "bound" j in
     let* batch = int_field "batch" j in
-    let* inputs = inputs_field "inputs" j in
+    let* inputs = list_field "inputs" j in
+    let* inputs = map_list input_of_json inputs in
     Ok (Seal { bound; batch; inputs })
   | "emit" ->
     let* dist = int_field "dist" j in
@@ -282,13 +313,34 @@ let kind_of_json tag j =
   | "stop" -> Ok Stop
   | "trip" ->
     let* reason = str_field "reason" j in
-    Ok (Trip { reason })
+    (* v1 trips carry only the reason *)
+    let* tuples = optional int_field "tuples" j in
+    let* answers = optional int_field "answers" j in
+    Ok (Trip { reason; tuples = Option.value tuples ~default:0; answers = Option.value answers ~default:0 })
+  | "span" ->
+    let* ph = str_field "ph" j in
+    let* ph =
+      match ph with
+      | "B" -> Ok Begin
+      | "E" -> Ok End
+      | "i" -> Ok Instant
+      | "M" -> Ok Meta
+      | "X" -> Result.map (fun d -> Complete d) (int_field "dur_ns" j)
+      | p -> Error (Printf.sprintf "unknown span phase %S" p)
+    in
+    let* name = str_field "name" j in
+    let* cat = str_field "cat" j in
+    let* args = args_field j in
+    Ok (Span { ph; name; cat; args })
   | t -> Error (Printf.sprintf "unknown event tag %S" t)
 
+(* v2 added the span kinds and the trip's work counts; v1 dumps (the
+   committed fixtures among them) still load. *)
 let of_json j =
+  let open Jsonl in
   let* v = int_field "v" j in
-  if v <> schema_version then
-    Error (Printf.sprintf "schema version %d (expected %d)" v schema_version)
+  if v < 1 || v > schema_version then
+    Error (Printf.sprintf "schema version %d (expected 1..%d)" v schema_version)
   else
     let* seq = int_field "seq" j in
     let* ts_ns = int_field "ts_ns" j in
@@ -298,8 +350,6 @@ let of_json j =
     let* tag = str_field "ev" j in
     let* kind = kind_of_json tag j in
     Ok { seq; ts_ns; domain; flow; shard; kind }
-
-let validate j = Result.map (fun (_ : event) -> ()) (of_json j)
 
 (* --- the shared invariant checker --------------------------------------
 
@@ -447,7 +497,7 @@ module Check = struct
       | Stop ->
         fs.f_stopped <- true;
         None
-      | Shard_start | Park _ | Unpark | Heartbeat _ | Stall _ | Trip _ -> None
+      | Shard_start | Park _ | Unpark | Heartbeat _ | Stall _ | Trip _ | Span _ -> None
 end
 
 (* --- violations --------------------------------------------------------- *)
@@ -471,14 +521,14 @@ let pp_violation ppf v =
 let window_size = 16
 
 let window_around ~seq evs =
-  List.filter (fun e -> e.seq <= seq && e.seq > seq - window_size) evs
+  List.filter (fun e -> e.seq <= seq && e.seq > seq - window_size && not (is_span e.kind)) evs
 
 (* --- dumps -------------------------------------------------------------- *)
 
 (* One line per event, oldest first, preceded by a meta line carrying the
-   recorder totals.  Like the audit sink, each line is complete before the
-   next begins and the channel is flushed before closing, so a crash while
-   dumping truncates at most the trailing line. *)
+   recorder totals.  Each line is complete before the next begins and the
+   channel is flushed before closing, so a crash while dumping truncates at
+   most the trailing line. *)
 let meta_json ~recorded ~dropped =
   Json.Obj
     [
@@ -488,14 +538,6 @@ let meta_json ~recorded ~dropped =
       ("dropped", Json.Int dropped);
     ]
 
-let is_meta j = match Json.member "meta" j with Some (Json.Bool true) -> true | _ -> false
-
-let meta_counts j =
-  match (Json.member "recorded" j, Json.member "dropped" j) with
-  | Some r, Some d -> (
-    match (Json.to_int r, Json.to_int d) with Some r, Some d -> Some (r, d) | _ -> None)
-  | _ -> None
-
 let dump path =
   let evs = events () in
   let recorded, dropped = stats () in
@@ -503,13 +545,8 @@ let dump path =
   Fun.protect
     ~finally:(fun () -> close_out oc)
     (fun () ->
-      output_string oc (Json.to_string (meta_json ~recorded ~dropped));
-      output_char oc '\n';
-      List.iter
-        (fun ev ->
-          output_string oc (Json.to_string (to_json ev));
-          output_char oc '\n')
-        evs;
+      Jsonl.write_line oc (meta_json ~recorded ~dropped);
+      List.iter (fun ev -> Jsonl.write_line oc (to_json ev)) evs;
       flush oc);
   List.length evs
 
@@ -585,17 +622,46 @@ end
    branch; call sites guard with [enabled ()] so even the event payload is
    never allocated.  When on, recording is lock-free for the writer: a
    global sequence fetch-and-add, a clock read, two plain stores into the
-   domain's own ring and one atomic publish. *)
+   domain's own ring and one atomic publish.  Only flow events can break an
+   invariant, so only they reach the monitor. *)
+let push ~ts_ns ~flow ~shard kind =
+  let r = my_ring () in
+  let seq = Atomic.fetch_and_add seq_counter 1 in
+  let ev = { seq; ts_ns; domain = r.r_domain; flow; shard; kind } in
+  let w = Atomic.get r.written in
+  r.buf.(w mod Array.length r.buf) <- Some ev;
+  Atomic.set r.written (w + 1);
+  if !Monitor.mon_on && flow >= 0 then Monitor.step ev
+
 let record ?(flow = -1) ?(shard = -1) kind =
-  if !on then begin
-    let r = my_ring () in
-    let seq = Atomic.fetch_and_add seq_counter 1 in
-    let ev = { seq; ts_ns = !Clock.now_ns (); domain = r.r_domain; flow; shard; kind } in
-    let w = Atomic.get r.written in
-    r.buf.(w mod Array.length r.buf) <- Some ev;
-    Atomic.set r.written (w + 1);
-    if !Monitor.mon_on then Monitor.step ev
+  if !on then push ~ts_ns:(!Clock.now_ns ()) ~flow ~shard kind
+
+(* --- spans -------------------------------------------------------------- *)
+
+(* The timeline events behind the Chrome trace export ({!Trace}): process
+   level (flow and shard -1), recorded at batch/window granularity so the
+   [Succ] hot path never reaches them. *)
+
+let span ?(ts_ns = !Clock.now_ns ()) ph cat args name =
+  push ~ts_ns ~flow:(-1) ~shard:(-1) (Span { ph; name; cat; args })
+
+let with_span ?(cat = "") ?(args = []) name f =
+  if not !on then f ()
+  else begin
+    span Begin cat args name;
+    (* the close is pushed even if the recorder was switched off inside
+       [f]: a recorded span always nests *)
+    Fun.protect ~finally:(fun () -> span End cat [] name) f
   end
+
+let instant ?(cat = "") ?(args = []) name = if !on then span Instant cat args name
+
+let complete ?(cat = "") ?(args = []) ~start_ns name =
+  if !on then span ~ts_ns:start_ns (Complete (!Clock.now_ns () - start_ns)) cat args name
+
+(* a real timestamp keeps the export's t0 rebase honest (viewers ignore ts
+   on metadata events anyway) *)
+let set_thread_name nm = if !on then span Meta "__metadata" [ ("name", Str nm) ] "thread_name"
 
 (* [clear] discards every ring and resets the sequence and flow counters;
    only call it while no flow is in flight (rings of joined domains are
@@ -617,31 +683,48 @@ let enable ?capacity:(cap = default_capacity) ?(detail = false) () =
 
 let disable () = on := false
 
-(* --- reading (tolerant, for replay) ------------------------------------- *)
+(* --- reading ------------------------------------------------------------ *)
 
 type meta = { m_recorded : int; m_dropped : int }
+type line = Meta of meta | Event of event
 
-let load path =
-  match open_in path with
-  | exception Sys_error e -> Error e
-  | ic ->
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () ->
-        let rec go meta acc skipped =
-          match input_line ic with
-          | exception End_of_file -> Ok (meta, List.rev acc, skipped)
-          | line when String.trim line = "" -> go meta acc skipped
-          | line -> (
-            match Json.parse line with
-            | Error _ -> go meta acc (skipped + 1)
-            | Ok j when is_meta j -> (
-              match meta_counts j with
-              | Some (m_recorded, m_dropped) -> go (Some { m_recorded; m_dropped }) acc skipped
-              | None -> go meta acc (skipped + 1))
-            | Ok j -> (
-              match of_json j with
-              | Error _ -> go meta acc (skipped + 1)
-              | Ok ev -> go meta (ev :: acc) skipped))
-        in
-        go None [] 0)
+let line_of_json j =
+  match Json.member "meta" j with
+  | Some (Json.Bool true) ->
+    let* m_recorded = Jsonl.int_field "recorded" j in
+    let* m_dropped = Jsonl.int_field "dropped" j in
+    if m_recorded < 0 || m_dropped < 0 then Error "meta header has negative recorded/dropped"
+    else Ok (Meta { m_recorded; m_dropped })
+  | _ -> Result.map (fun ev -> Event ev) (of_json j)
+
+(* The strict shape of a dump, checked line by line: a meta header first
+   and only first, then events in strictly increasing sequence order (the
+   merged rings, as [dump] writes them). *)
+let strict_line () =
+  let last_seq = ref None (* None until the header *) in
+  fun j ->
+    let* l = line_of_json j in
+    match (l, !last_seq) with
+    | Meta _, None ->
+      last_seq := Some (-1);
+      Ok l
+    | Meta _, Some _ -> Error "duplicate meta header"
+    | Event _, None -> Error "not the meta header (crash-truncated dumps are not valid fixtures)"
+    | Event ev, Some prev when ev.seq <= prev ->
+      Error (Printf.sprintf "seq %d is not strictly increasing (previous %d)" ev.seq prev)
+    | Event ev, Some _ ->
+      last_seq := Some ev.seq;
+      Ok l
+
+let load ?(strict = false) path =
+  let* lines, skipped = Jsonl.read ~strict (if strict then strict_line () else line_of_json) path in
+  let meta = List.fold_left (fun m -> function Meta x -> Some x | Event _ -> m) None lines in
+  let evs = List.filter_map (function Event ev -> Some ev | Meta _ -> None) lines in
+  match meta with
+  | None when strict -> Error (path ^ ": empty flight dump")
+  | Some m when strict && m.m_recorded - m.m_dropped <> List.length evs ->
+    (* every recorded event is either in its ring or counted as dropped *)
+    Error
+      (Printf.sprintf "%s: meta header claims %d recorded - %d dropped event(s) but the dump carries %d"
+         path m.m_recorded m.m_dropped (List.length evs))
+  | _ -> Ok (meta, evs, skipped)

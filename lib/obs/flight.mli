@@ -1,13 +1,21 @@
-(** Parallel flight recorder: an always-on-capable, per-domain scheduling
-    event log for the sealed-bucket parallel merge, with an online
-    invariant monitor and a crash-safe JSONL dump.
+(** The flight recorder: the one event recorder of the engine.  Each
+    domain records into its own fixed-capacity wraparound ring (lock-free
+    for the single writer); events carry a global sequence number and a
+    {!Clock} timestamp, so merging the rings by sequence reconstructs the
+    full interleaving.
 
-    Each domain records into its own fixed-capacity wraparound ring
-    (lock-free for the single writer); events carry a global sequence
-    number and a {!Clock} timestamp so the full interleaving can be
-    reconstructed by merging rings.  When the recorder is off, [record]
-    is a single load — call sites should additionally guard payload
-    construction with {!enabled}. *)
+    Two families of events share the rings:
+    - {e flow events}: the scheduling log of the sealed-bucket parallel
+      merge ([Core.Par]), checked by an online invariant monitor and by
+      the offline replay ({!Replay});
+    - {e spans}: the timeline of one query (automaton build phases, seed
+      batches, ψ windows, join pulls), plus governor trips — exported as a
+      Chrome [trace_event] document by {!Trace}.
+
+    When the recorder is off, every recording call is a single load; call
+    sites additionally guard payload construction with {!enabled}.  The
+    recorder has three settings: on/off, the per-answer [detail] level and
+    the per-domain ring capacity. *)
 
 val schema_version : int
 val env_var : string
@@ -18,6 +26,18 @@ val env_var : string
 type input = { i_shard : int; i_last : int; i_state : int }
 (** One shard's contribution to a seal bound: its frontier distance and
     state (0 live, 1 done-complete, 2 done-incomplete). *)
+
+type arg = Str of string | Num of int
+(** Span arguments (the [args] object of the trace format). *)
+
+type args = (string * arg) list
+
+type phase =
+  | Begin  (** span open — Chrome ["B"] *)
+  | End  (** span close — ["E"] *)
+  | Instant  (** point event — ["i"] *)
+  | Complete of int  (** retro-recorded span with its duration in ns — ["X"] *)
+  | Meta  (** viewer metadata ([thread_name]) — ["M"] *)
 
 type kind =
   | Flow_open of { shards : int; slack : int; label : string }
@@ -31,12 +51,21 @@ type kind =
   | Emit of { dist : int; x : int; y : int }
   | Stall of { silent_ns : int }
   | Stop
-  | Trip of { reason : string }
+  | Trip of { reason : string; tuples : int; answers : int }
+      (** a governor trip, with the work done when it fired *)
+  | Span of { ph : phase; name : string; cat : string; args : args }
+      (** a timeline event; a [Complete] span's [ts_ns] is its start *)
 
 type event = { seq : int; ts_ns : int; domain : int; flow : int; shard : int; kind : kind }
 (** [flow] identifies one parallel merge instance ([-1] for process-level
-    events such as governor trips); [shard] is [-1] for consumer-side
-    events. *)
+    events such as governor trips and spans); [shard] is [-1] for
+    consumer-side and process-level events. *)
+
+val is_span : kind -> bool
+(** {!Check} and {!Replay} ignore spans. *)
+
+val phase_letter : phase -> string
+(** The Chrome [trace_event] phase letter (["B"], ["E"], ["i"], ["X"], ["M"]). *)
 
 val kind_tag : kind -> string
 val all_tags : string list
@@ -46,8 +75,8 @@ val pp_event : Format.formatter -> event -> unit
 (** {1 Recorder lifecycle} *)
 
 val enable : ?capacity:int -> ?detail:bool -> unit -> unit
-(** Clears all rings and starts recording; [capacity] is per-domain
-    (default 4096, clamped to at least 8).  [detail] (default [false])
+(** Clears all rings and starts recording flow events and spans;
+    [capacity] is per-domain (default 4096, clamped to at least 8).  [detail] (default [false])
     additionally records the per-answer events ([Deliver], [Emit]) that
     the always-on level skips to stay off the answer path's critical
     nanoseconds — seal bounds remain fully checkable without them because
@@ -70,6 +99,34 @@ val clear : unit -> unit
 
 val new_flow : unit -> int
 val record : ?flow:int -> ?shard:int -> kind -> unit
+
+val approx_bytes : unit -> int
+(** Approximate retained footprint of the rings (capacity × registered
+    rings, at least one) — charged once against a query's memory budget
+    at open when the recorder is on. *)
+
+(** {1 Spans}
+
+    Process-level timeline events, recorded whenever the recorder is on. *)
+
+val with_span : ?cat:string -> ?args:args -> string -> (unit -> 'a) -> 'a
+(** [with_span name f] brackets [f] with [Begin]/[End] spans; the end
+    is recorded even if [f] raises, so spans always nest.  When the
+    recorder is off this is exactly [f ()]. *)
+
+val instant : ?cat:string -> ?args:args -> string -> unit
+(** A point event (a ψ-level bump, an admission rejection). *)
+
+val complete : ?cat:string -> ?args:args -> start_ns:int -> string -> unit
+(** A retro-recorded span: [start_ns] was sampled from {!Clock.now_ns}
+    before the work, the duration is measured at the call.  Used where a
+    window is not lexically scoped (a ψ-restart part streaming across many
+    [next] calls). *)
+
+val set_thread_name : string -> unit
+(** Label the calling domain's timeline row ([Core.Par] workers call it
+    once at startup, so shard lanes read ["shard 0"]). *)
+
 val stall_threshold_ns : int ref
 (** A shard silent for longer than this (with a clock installed) gets a
     [Stall] event from the consumer-side watchdog. Default 250ms. *)
@@ -94,17 +151,23 @@ val dump : string -> int
 
 type meta = { m_recorded : int; m_dropped : int }
 
-val load : string -> (meta option * event list * int, string) result
-(** Tolerant read back: [(meta, events, skipped_lines)]. Malformed or
-    truncated lines are skipped and counted, mirroring [Audit.load]. *)
+val load : ?strict:bool -> string -> (meta option * event list * int, string) result
+(** Read a dump back: [(meta, events, skipped_lines)].  Tolerant by default:
+    malformed or truncated lines are skipped and counted (the postmortem
+    of a crashed process).  With [~strict:true] (the schema gate for
+    fixtures and CI dumps) the first bad line fails the load with its line
+    number, and so does a missing or repeated meta header, a sequence
+    number that does not increase, or a meta header whose
+    [recorded - dropped] differs from the events the dump carries.  Reads
+    schema v1 and v2. *)
 
 (** {1 Codec} *)
 
 val to_json : event -> Json.t
 val of_json : Json.t -> (event, string) result
-val validate : Json.t -> (unit, string) result
-val is_meta : Json.t -> bool
-val meta_json : recorded:int -> dropped:int -> Json.t
+
+val args_json : args -> Json.t
+(** Span arguments as a JSON object (shared with the {!Trace} export). *)
 
 (** {1 Invariant checking} *)
 

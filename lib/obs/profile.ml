@@ -123,52 +123,38 @@ let to_json t =
     ]
 
 let of_json j =
-  let ( let* ) = Option.bind in
-  let int_or k dflt o = match Json.member k o with Some v -> Json.to_int v | None -> Some dflt in
-  let bound k o =
-    match Json.member k o with
-    | Some Json.Null -> Some None
-    | Some v -> Option.map Option.some (Json.to_int v)
-    | None -> None
-  in
-  let* bs = Json.member "buckets" j in
-  let* bs = Json.to_list bs in
-  let* buckets =
-    List.fold_right
-      (fun b acc ->
-        let* acc = acc in
-        let* lo = bound "lo" b in
-        let* hi = bound "hi" b in
-        let* popped = Json.member "popped" b in
-        let* popped = Json.to_int popped in
-        let* answers = Json.member "answers" b in
-        let* answers = Json.to_int answers in
-        Some
-          ({
-             lo = Option.value lo ~default:min_int;
-             hi = Option.value hi ~default:max_int;
-             popped;
-             answers;
-           }
-          :: acc))
-      bs (Some [])
-  in
-  let* discards = Json.member "discards" j in
-  let* drop_visited = int_or "visited_dedup" 0 discards in
-  let* drop_dup = int_or "duplicate_final" 0 discards in
-  let* pruned = int_or "pruned_by_psi" 0 discards in
-  let* queue_left = int_or "left_in_queue" 0 discards in
-  let* pops = int_or "pops" 0 j in
-  let* answers = int_or "answers" 0 j in
-  let ops =
-    match Json.member "ops" j with
-    | Some (Json.Obj fields) ->
-      List.filter_map
-        (fun (op, v) ->
-          let* op_count = int_or "count" 0 v in
-          let* op_cost = int_or "cost" 0 v in
-          Some { op; op_count; op_cost })
-        fields
-    | _ -> []
-  in
-  Some { buckets; drop_visited; drop_dup; pruned; queue_left; pops; answers; ops }
+  let open Jsonl in
+  let ( let* ) = Result.bind in
+  let count k o = Result.map (Option.value ~default:0) (optional int_field k o) in
+  let bound k default o = Result.map (Option.value ~default) (nullable int_field k o) in
+  Result.to_option
+    (let* bs = list_field "buckets" j in
+     let* buckets =
+       map_list
+         (fun b ->
+           let* lo = bound "lo" min_int b in
+           let* hi = bound "hi" max_int b in
+           let* popped = int_field "popped" b in
+           let* answers = int_field "answers" b in
+           Ok { lo; hi; popped; answers })
+         bs
+     in
+     let* discards = field "discards" j in
+     let* drop_visited = count "visited_dedup" discards in
+     let* drop_dup = count "duplicate_final" discards in
+     let* pruned = count "pruned_by_psi" discards in
+     let* queue_left = count "left_in_queue" discards in
+     let* pops = count "pops" j in
+     let* answers = count "answers" j in
+     let ops =
+       match Json.member "ops" j with
+       | Some (Json.Obj fields) ->
+         List.filter_map
+           (fun (op, v) ->
+             match (count "count" v, count "cost" v) with
+             | Ok op_count, Ok op_cost -> Some { op; op_count; op_cost }
+             | _ -> None)
+           fields
+       | _ -> []
+     in
+     Ok { buckets; drop_visited; drop_dup; pruned; queue_left; pops; answers; ops })

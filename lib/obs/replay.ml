@@ -83,21 +83,44 @@ let kind_counts evs =
     (fun t -> Option.map (fun n -> (t, n)) (Hashtbl.find_opt tbl t))
     Flight.all_tags
 
+let wrapped = function Some m -> m.Flight.m_dropped > 0 | None -> false
+
+(* A wrapped dump lost the oldest events of each ring, so a flow whose
+   [flow_open] is gone has no known sealed bound: its checking starts at
+   its first retained seal (seals and emits share the consumer's ring, so
+   every later one is retained too).  Lost deliveries only lower the
+   shard frontiers the checker knows, which cannot fake a violation. *)
+let checkable ~wrapped evs =
+  let known = Hashtbl.create 4 in
+  List.filter
+    (fun (e : Flight.event) ->
+      (not wrapped) || e.flow < 0 || Hashtbl.mem known e.flow
+      ||
+      match e.kind with
+      | Flow_open _ | Seal _ ->
+        Hashtbl.replace known e.flow ();
+        true
+      | _ -> false)
+    evs
+
+(* Spans are the timeline's, not the merge's: [events] and the sequence
+   gaps cover the whole dump, everything else the flow events alone. *)
 let of_events ?(stall_ns = !Flight.stall_threshold_ns) ~path ~meta ~skipped evs =
-  let evs = sort_events evs in
+  let all = sort_events evs in
+  let evs = List.filter (fun (e : Flight.event) -> not (Flight.is_span e.kind)) all in
   {
     path;
     meta;
-    events = evs;
+    events = all;
     skipped;
     domains = List.sort_uniq compare (List.map (fun (e : Flight.event) -> e.domain) evs);
     flows =
       List.sort_uniq compare
         (List.filter_map (fun (e : Flight.event) -> if e.flow >= 0 then Some e.flow else None) evs);
     kinds = kind_counts evs;
-    seq_gaps = seq_gaps evs;
+    seq_gaps = seq_gaps all;
     stalls = find_stalls ~threshold_ns:stall_ns evs;
-    violation = recheck evs;
+    violation = recheck (checkable ~wrapped:(wrapped meta) evs);
   }
 
 let load ?stall_ns path =
@@ -135,6 +158,7 @@ let pp ppf t =
           s.st_silent_ns)
       ss);
   match t.violation with
+  | None when wrapped t.meta -> Format.fprintf ppf "  invariants: OK (wrapped: each flow checked from its first retained seal)@."
   | None -> Format.fprintf ppf "  invariants: OK@."
   | Some v ->
     Format.fprintf ppf "  invariants: VIOLATION %s at seq %d (flow %d)@.    %s@." v.Flight.v_rule

@@ -1,6 +1,8 @@
 (** Offline replay checker for flight-recorder dumps: reconstructs the
     interleaving from a JSONL dump, re-validates the full {!Flight.Check}
-    invariant set, and localises the first violating event. *)
+    invariant set, and localises the first violating event.  Span events
+    count in [events] and [seq_gaps] only: [domains], [flows], [kinds],
+    [stalls] and the invariant checks cover the flow events. *)
 
 type stall = { st_flow : int; st_shard : int; st_silent_ns : int }
 

@@ -1,166 +1,55 @@
-type arg = Str of string | Num of int
-type phase = Begin | End | Instant | Complete of int | Meta
-
-type event = {
-  name : string;
-  cat : string;
-  ph : phase;
-  ts_ns : int;
-  tid : int; (* 1 + domain id: the initial domain renders as tid 1, shard
-                workers as their own timeline rows *)
-  args : (string * arg) list;
-}
-
-let dummy = { name = ""; cat = ""; ph = Instant; ts_ns = 0; tid = 1; args = [] }
-
-type state = {
-  mutable buf : event array;
-  mutable len : int; (* events currently stored *)
-  mutable head : int; (* next write slot *)
-  mutable dropped : int;
-}
-
-let st = { buf = [||]; len = 0; head = 0; dropped = 0 }
-
-(* The ring is process-global and parallel shard workers emit into it, so
-   every ring access is mutex-guarded.  [on] stays a plain ref read without
-   the lock: the hot-path check must stay one load, and a worker racing an
-   enable/disable merely misses (or spuriously takes) the slow path, where
-   the lock makes the ring access itself safe either way. *)
-let m = Mutex.create ()
-let on = ref false
-let enabled () = !on
-
-let locked f =
-  Mutex.lock m;
-  Fun.protect ~finally:(fun () -> Mutex.unlock m) f
-
-let enable ?(capacity = 65536) () =
-  locked (fun () ->
-      st.buf <- Array.make (max 16 capacity) dummy;
-      st.len <- 0;
-      st.head <- 0;
-      st.dropped <- 0;
-      on := true)
-
-let disable () = on := false
-
-let clear () =
-  locked (fun () ->
-      if Array.length st.buf > 0 then Array.fill st.buf 0 (Array.length st.buf) dummy;
-      st.len <- 0;
-      st.head <- 0;
-      st.dropped <- 0)
-
-let record ev =
-  locked (fun () ->
-      let cap = Array.length st.buf in
-      if cap > 0 then begin
-        st.buf.(st.head) <- ev;
-        st.head <- (st.head + 1) mod cap;
-        if st.len < cap then st.len <- st.len + 1 else st.dropped <- st.dropped + 1
-      end)
-
-let now () = !Clock.now_ns ()
-let self_tid () = (Domain.self () :> int) + 1
-
-let with_span ?(cat = "") ?(args = []) name f =
-  if not !on then f ()
-  else begin
-    let tid = self_tid () in
-    record { name; cat; ph = Begin; ts_ns = now (); tid; args };
-    Fun.protect
-      ~finally:(fun () -> record { name; cat; ph = End; ts_ns = now (); tid; args = [] })
-      f
-  end
-
-let instant ?(cat = "") ?(args = []) name =
-  if !on then record { name; cat; ph = Instant; ts_ns = now (); tid = self_tid (); args }
-
-let complete ?(cat = "") ?(args = []) ~start_ns name =
-  if !on then
-    record
-      { name; cat; ph = Complete (now () - start_ns); ts_ns = start_ns; tid = self_tid (); args }
-
-let set_thread_name nm =
-  if !on then
-    record
-      {
-        name = "thread_name";
-        cat = "__metadata";
-        ph = Meta;
-        (* a real timestamp keeps [to_json]'s t0 rebase honest (viewers
-           ignore ts on metadata events anyway) *)
-        ts_ns = now ();
-        tid = self_tid ();
-        args = [ ("name", Str nm) ];
-      }
-
-let events () =
-  locked (fun () ->
-      let cap = Array.length st.buf in
-      List.init st.len (fun i -> st.buf.(((st.head - st.len + i) mod cap + cap) mod cap)))
-
-let dropped () = locked (fun () -> st.dropped)
-
-(* The ring's retained footprint for memory accounting: the event array's
-   slots plus a flat per-event payload estimate (name/cat pointers are
-   shared literals; args lists are short).  Deliberately coarse — the ring
-   is a fixed-capacity structure, so one charge at enable/query-open
-   covers it. *)
-let approx_bytes () =
-  let per_event_words = 8 in
-  Array.length st.buf * per_event_words * (Sys.word_size / 8)
-
 let us ns = Json.Float (float_of_int ns /. 1e3)
 
-let json_of_event ~t0 e =
-  let ph, extra =
-    match e.ph with
-    | Begin -> ("B", [])
-    | End -> ("E", [])
-    | Instant -> ("i", [ ("s", Json.String "t") ])
-    | Complete dur -> ("X", [ ("dur", us dur) ])
-    | Meta -> ("M", [])
-  in
-  let args =
-    match e.args with
-    | [] -> []
-    | l ->
-      [
-        ( "args",
-          Json.Obj (List.map (fun (k, v) -> (k, match v with Str s -> Json.String s | Num n -> Json.Int n)) l)
-        );
-      ]
-  in
-  Json.Obj
-    ([
-       ("name", Json.String e.name);
-       ("cat", Json.String (if e.cat = "" then "omega" else e.cat));
-       ("ph", Json.String ph);
-       ("ts", us (e.ts_ns - t0));
-       ("pid", Json.Int 1);
-       ("tid", Json.Int e.tid);
-     ]
-    @ extra @ args)
+let args_json = function [] -> [] | args -> [ ("args", Flight.args_json args) ]
+
+(* The Chrome phase, name, category and extra fields of a timeline event;
+   flow events are the replay's business, not the timeline's. *)
+let chrome (e : Flight.event) =
+  let instant = ("s", Json.String "t") in
+  match e.kind with
+  | Span { ph; name; cat; args } ->
+    let extra = match ph with Instant -> [ instant ] | Complete d -> [ ("dur", us d) ] | _ -> [] in
+    Some (Flight.phase_letter ph, name, cat, extra @ args_json args)
+  | Trip { reason; tuples; answers } ->
+    Some
+      ( "i",
+        "governor.trip",
+        "governor",
+        instant :: args_json [ ("reason", Str reason); ("tuples", Num tuples); ("answers", Num answers) ] )
+  | _ -> None
 
 let to_json ?(extra = []) () =
-  let evs = events () and dropped = dropped () in
-  (* Timestamps are rebased to the earliest buffered event: an epoch-based
+  let evs = List.filter_map (fun e -> Option.map (fun c -> (e, c)) (chrome e)) (Flight.events ()) in
+  let _, dropped = Flight.stats () in
+  (* Timestamps are rebased to the earliest exported event: an epoch-based
      wall clock would otherwise put every event ~10^15 µs from the origin,
      which viewers render poorly and floats print imprecisely. *)
-  let t0 = List.fold_left (fun acc e -> min acc e.ts_ns) max_int evs in
+  let t0 = List.fold_left (fun acc ((e : Flight.event), _) -> min acc e.ts_ns) max_int evs in
   let t0 = if t0 = max_int then 0 else t0 in
+  let event ((e : Flight.event), (ph, name, cat, fields)) =
+    Json.Obj
+      ([
+         ("name", Json.String name);
+         ("cat", Json.String (if cat = "" then "omega" else cat));
+         ("ph", Json.String ph);
+         ("ts", us (e.ts_ns - t0));
+         ("pid", Json.Int 1);
+         ("tid", Json.Int (e.domain + 1));
+       ]
+      @ fields)
+  in
   Json.Obj
     ([
-       ("traceEvents", Json.List (List.map (json_of_event ~t0) evs));
+       ("traceEvents", Json.List (List.map event evs));
        ("displayTimeUnit", Json.String "ms");
-       (* ring-buffer truncation is part of the export: a consumer (or
+       (* ring truncation is part of the export: a consumer (or
           bench/validate) can tell a complete trace from a clipped one *)
        ("dropped", Json.Int dropped);
      ]
     @ extra)
 
 let export ?extra path =
+  let doc = to_json ?extra () in
   let oc = open_out path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> Json.to_channel oc (to_json ?extra ()))
+  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> Json.to_channel oc doc);
+  match Json.member "traceEvents" doc with Some (Json.List l) -> List.length l | _ -> 0

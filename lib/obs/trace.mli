@@ -1,94 +1,20 @@
-(** Span/event tracer for the query engine: a process-wide ring buffer of
-    timestamped events, exportable as Chrome [trace_event] JSON (loadable in
-    [chrome://tracing] and Perfetto).
+(** The Chrome [trace_event] export of the flight recorder's timeline
+    (loadable in [chrome://tracing] and Perfetto).
 
-    Disabled by default and {e zero-cost} when disabled: {!with_span} is a
-    single flag check before calling the thunk, and the instrumented call
-    sites guard their argument construction on {!enabled} — nothing on the
-    [Succ] hot path touches the tracer at all (the span taxonomy stops at
-    batch/window granularity; see DESIGN.md §Observability).
-
-    Timestamps come from {!Clock.now_ns}; without an installed clock every
-    event sits at t=0 (the export is still structurally valid).
-
-    Domain-safe: the ring is mutex-guarded, and every event records the
-    emitting domain as its [tid] (the initial domain is tid 1, so purely
-    sequential runs export exactly as before parallel evaluation existed;
-    shard workers of [Core.Par] appear as their own timeline rows in
-    Perfetto).  All events carry pid=1. *)
-
-type arg = Str of string | Num of int
-(** Argument values attached to events (the [args] object of the trace
-    format). *)
-
-type phase =
-  | Begin  (** span open — ["B"] *)
-  | End  (** span close — ["E"] *)
-  | Instant  (** point event — ["i"] *)
-  | Complete of int  (** retro-recorded span with duration in ns — ["X"] *)
-  | Meta  (** viewer metadata (e.g. [thread_name]) — ["M"] *)
-
-type event = {
-  name : string;
-  cat : string;
-  ph : phase;
-  ts_ns : int;
-  tid : int;  (** 1 + the emitting domain's id; the initial domain is 1 *)
-  args : (string * arg) list;
-}
-
-val enabled : unit -> bool
-(** The flag every instrumentation point checks first. *)
-
-val enable : ?capacity:int -> unit -> unit
-(** Turn tracing on with a fresh ring buffer (default capacity 65536
-    events; the oldest events are overwritten past that, counted by
-    {!dropped}). *)
-
-val disable : unit -> unit
-(** Turn tracing off; the buffered events stay readable. *)
-
-val clear : unit -> unit
-
-val with_span : ?cat:string -> ?args:(string * arg) list -> string -> (unit -> 'a) -> 'a
-(** [with_span name f] brackets [f] with matching [Begin]/[End] events; the
-    [End] is recorded even if [f] raises, so span nesting is always
-    well-formed.  When disabled this is exactly [f ()]. *)
-
-val instant : ?cat:string -> ?args:(string * arg) list -> string -> unit
-(** A point event (e.g. a governor trip, a ψ-level bump). *)
-
-val complete : ?cat:string -> ?args:(string * arg) list -> start_ns:int -> string -> unit
-(** A retro-recorded span: [start_ns] was sampled from {!Clock.now_ns}
-    before the work, the duration is measured at the call.  Used where a
-    window is not lexically scoped (a ψ-restart part streaming across many
-    [next] calls).  [Complete] events do not participate in [Begin]/[End]
-    nesting. *)
-
-val set_thread_name : string -> unit
-(** Name the calling domain's timeline row: emits a [thread_name] metadata
-    event ([ph = "M"]) for this domain's [tid], which Perfetto and
-    [chrome://tracing] render as the row label.  [Core.Par] workers call it
-    once at startup so shard lanes read ["shard 0 (exact)"] instead of a
-    bare tid.  No-op when disabled. *)
-
-val events : unit -> event list
-(** Buffered events, oldest first. *)
-
-val dropped : unit -> int
-(** Events overwritten by the ring since {!enable}/{!clear}. *)
-
-val approx_bytes : unit -> int
-(** Approximate retained footprint of the ring buffer (0 when never
-    enabled) — charged once against a query's memory budget at open when
-    tracing is on, since the ring is fixed-capacity. *)
+    The events themselves are {!Flight} spans, instants and governor trips,
+    recorded into the per-domain rings whenever the recorder is on; this
+    module only encodes them.  Every event carries pid 1 and
+    [tid = domain + 1] (the initial domain is tid 1, shard workers of
+    [Core.Par] appear as their own timeline rows).  Timestamps come from
+    {!Clock.now_ns} and are rebased to the earliest exported event. *)
 
 val to_json : ?extra:(string * Json.t) list -> unit -> Json.t
-(** The buffer as a Chrome [trace_event] document:
+(** The recorder's timeline as
     [{"traceEvents": [...], "displayTimeUnit": "ms", "dropped": n}] with
-    microsecond [ts]/[dur] fields.  [dropped] is {!dropped} — non-zero means
-    the ring truncated the trace.  [extra] fields are appended to the
-    top-level object (the CLI embeds the query profile there). *)
+    microsecond [ts]/[dur] fields.  [dropped] counts the events the rings
+    overwrote (see {!Flight.stats}) — non-zero means the trace is a
+    truncated suffix.  [extra] fields are appended to the top-level object
+    (the CLI embeds the query profile there). *)
 
-val export : ?extra:(string * Json.t) list -> string -> unit
-(** Write {!to_json} to a file. *)
+val export : ?extra:(string * Json.t) list -> string -> int
+(** Write {!to_json} to a file; returns the number of trace events. *)

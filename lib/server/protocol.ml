@@ -36,14 +36,16 @@ let error_tag = function
 
 let ( let* ) = Result.bind
 
+(* A wrong-typed or out-of-range field is a [Bad_request] carrying the
+   request's id; every field but a query's text is optional. *)
+let bad ~id r = Result.map_error (fun msg -> (id, Bad_request msg)) r
+let opt_field ~id decode k j = bad ~id (Obs.Jsonl.optional decode k j)
+
 let opt_int ~id k j =
-  match Json.member k j with
-  | None | Some Json.Null -> Ok None
-  | Some v -> (
-    match Json.to_int v with
-    | Some n when n >= 1 -> Ok (Some n)
-    | Some _ -> Error (id, Bad_request (Printf.sprintf "field %S must be >= 1" k))
-    | None -> Error (id, Bad_request (Printf.sprintf "field %S: expected a positive int" k)))
+  let* n = opt_field ~id Obs.Jsonl.int_field k j in
+  match n with
+  | Some n when n < 1 -> Error (id, Bad_request (Printf.sprintf "field %S must be >= 1" k))
+  | n -> Ok n
 
 let max_tenant_bytes = 64
 
@@ -52,29 +54,27 @@ let parse_request line =
   | Error msg -> Error (Json.Null, Bad_json msg)
   | Ok (Json.Obj _ as j) ->
     let id = Option.value ~default:Json.Null (Json.member "id" j) in
+    let str k = opt_field ~id Obs.Jsonl.str_field k j in
+    let* op = str "op" in
     let* op =
-      match Json.member "op" j with
-      | None | Some Json.Null -> Ok Query
-      | Some (Json.String "query") -> Ok Query
-      | Some (Json.String "ping") -> Ok Ping
-      | Some (Json.String "sleep") -> Ok Sleep
-      | Some (Json.String s) -> Error (id, Bad_request (Printf.sprintf "unknown op %S" s))
-      | Some _ -> Error (id, Bad_request "field \"op\": expected a string")
+      match op with
+      | None | Some "query" -> Ok Query
+      | Some "ping" -> Ok Ping
+      | Some "sleep" -> Ok Sleep
+      | Some s -> Error (id, Bad_request (Printf.sprintf "unknown op %S" s))
     in
+    let* tenant = str "tenant" in
     let* tenant =
-      match Json.member "tenant" j with
-      | None | Some Json.Null -> Ok "anon"
-      | Some (Json.String t) when t <> "" && String.length t <= max_tenant_bytes -> Ok t
-      | Some (Json.String _) ->
+      match tenant with
+      | None -> Ok "anon"
+      | Some t when t <> "" && String.length t <= max_tenant_bytes -> Ok t
+      | Some _ ->
         Error (id, Bad_request (Printf.sprintf "field \"tenant\": expected 1..%d bytes" max_tenant_bytes))
-      | Some _ -> Error (id, Bad_request "field \"tenant\": expected a string")
     in
     let* query =
-      match (op, Json.member "query" j) with
-      | Query, Some (Json.String q) -> Ok q
-      | Query, Some _ -> Error (id, Bad_request "field \"query\": expected a string")
-      | Query, None -> Error (id, Bad_request "missing field \"query\"")
-      | (Ping | Sleep), _ -> Ok ""
+      match op with
+      | Query -> bad ~id (Obs.Jsonl.str_field "query" j)
+      | Ping | Sleep -> Ok ""
     in
     let* limit = opt_int ~id "limit" j in
     let* timeout_ms = opt_int ~id "timeout_ms" j in

@@ -30,6 +30,11 @@ let with_recorder ?capacity f =
       Flight.clear ())
     f
 
+let contains s sub =
+  let n = String.length sub in
+  let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+  go 0
+
 let with_temp_file f =
   let path = Filename.temp_file "omega-flight-test" ".jsonl" in
   Fun.protect ~finally:(fun () -> if Sys.file_exists path then Sys.remove path) (fun () -> f path)
@@ -123,8 +128,25 @@ let sample_events =
     mk 8 (Flight.Emit { dist = 3; x = 17; y = 42 });
     mk 9 (Flight.Stall { silent_ns = 300_000_000 });
     mk 10 Flight.Stop;
-    mk 11 (Flight.Trip { reason = "deadline" });
+    mk 11 (Flight.Trip { reason = "deadline"; tuples = 310; answers = 4 });
+    mk 12
+      (Flight.Span
+         { ph = Flight.Complete 1500; name = "seed.batch"; cat = "seed"; args = [ ("seeds", Flight.Num 3) ] });
   ]
+
+(* one span per phase: the tag list above has one entry per kind *)
+let span_phases =
+  List.mapi
+    (fun i ph ->
+      {
+        Flight.seq = 20 + i;
+        ts_ns = 7;
+        domain = 0;
+        flow = -1;
+        shard = -1;
+        kind = Flight.Span { ph; name = "build.approx"; cat = "build"; args = [ ("k", Flight.Str "v") ] };
+      })
+    Flight.[ Begin; End; Instant; Complete 9; Meta ]
 
 let codec_roundtrip_test () =
   List.iter
@@ -134,9 +156,9 @@ let codec_roundtrip_test () =
         if ev' <> ev then
           Alcotest.failf "event %s did not round-trip" (Flight.kind_tag ev.Flight.kind)
       | Error msg -> Alcotest.failf "%s: %s" (Flight.kind_tag ev.Flight.kind) msg)
-    sample_events;
+    (sample_events @ span_phases);
   (* the string rendering exists for every kind (postmortem windows) *)
-  List.iter (fun ev -> ignore (Format.asprintf "%a" Flight.pp_event ev)) sample_events;
+  List.iter (fun ev -> ignore (Format.asprintf "%a" Flight.pp_event ev)) (sample_events @ span_phases);
   Alcotest.(check (list string)) "tag list matches the constructors"
     (List.map (fun e -> Flight.kind_tag e.Flight.kind) sample_events)
     Flight.all_tags
@@ -175,6 +197,78 @@ let dump_roundtrip_test () =
             Alcotest.(check bool) "meta survives truncation" true (meta <> None);
             Alcotest.(check int) "the torn line is skipped and counted" 1 skipped;
             Alcotest.(check int) "all whole lines kept" (List.length live - 1) (List.length evs)))
+
+(* A wrapped ring: the dump carries only what the rings kept, and the meta
+   header's totals account for the rest (recorded - dropped = events).  The
+   strict loader (validate --flight) must accept it. *)
+let wrapped_strict_test () =
+  with_recorder ~capacity:8 (fun () ->
+      let worker =
+        Domain.spawn (fun () ->
+            for d = 0 to 29 do
+              Flight.record ~flow:0 ~shard:1 (Flight.Deliver { dist = d })
+            done)
+      in
+      for d = 0 to 19 do
+        Flight.record ~flow:0 ~shard:0 (Flight.Deliver { dist = d })
+      done;
+      Domain.join worker;
+      with_temp_file (fun path ->
+          let n = Flight.dump path in
+          Alcotest.(check int) "two rings of 8" 16 n;
+          match Flight.load ~strict:true path with
+          | Error msg -> Alcotest.failf "wrapped dump rejected: %s" msg
+          | Ok (meta, evs, _) ->
+            let m = Option.get meta in
+            Alcotest.(check (pair int int)) "meta totals" (50, 34) (m.Flight.m_recorded, m.Flight.m_dropped);
+            Alcotest.(check int) "recorded - dropped = events" (m.m_recorded - m.m_dropped) (List.length evs)))
+
+(* A wrapped consumer ring lost the flow's open and its first seal: the
+   replay cannot know the sealed bound before the first retained seal, so
+   it checks from there — and still catches a violation after it. *)
+let wrapped_replay_test () =
+  let replay () =
+    with_temp_file (fun path ->
+        ignore (Flight.dump path);
+        match Replay.load path with Ok r -> r | Error msg -> Alcotest.fail msg)
+  in
+  with_recorder ~capacity:8 (fun () ->
+      Flight.record ~flow:0 (Flight.Flow_open { shards = 1; slack = 0; label = "shard" });
+      Flight.record ~flow:0 (Flight.Seal { bound = 5; batch = 1; inputs = [ { Flight.i_shard = 0; i_last = 5; i_state = 0 } ] });
+      for x = 0 to 9 do
+        Flight.record ~flow:0 (Flight.Emit { dist = 1; x; y = 0 })
+      done;
+      Alcotest.(check bool) "emits of a lost seal are not violations" true (Replay.ok (replay ()));
+      Flight.record ~flow:0 (Flight.Seal { bound = 7; batch = 1; inputs = [ { Flight.i_shard = 0; i_last = 7; i_state = 0 } ] });
+      Flight.record ~flow:0 (Flight.Emit { dist = 9; x = 0; y = 0 });
+      match (replay ()).Replay.violation with
+      | Some v -> Alcotest.(check string) "checked from the retained seal" "emit-unsealed" v.Flight.v_rule
+      | None -> Alcotest.fail "the emit above the retained seal was not flagged")
+
+(* The strict reader fails on the first bad line, naming it; a header
+   whose totals do not match the events fails too.  The committed v1
+   fixtures pass it. *)
+let strict_errors_test () =
+  List.iter
+    (fun f ->
+      match Flight.load ~strict:true f with
+      | Ok _ -> ()
+      | Error msg -> Alcotest.failf "v1 fixture %s rejected: %s" f msg)
+    [ "fixtures/flight_fixture.jsonl"; "fixtures/flight_violation.jsonl" ];
+  let lines = In_channel.with_open_bin "fixtures/flight_fixture.jsonl" In_channel.input_all |> String.split_on_char '\n' in
+  let expect_error what edit needle =
+    with_temp_file (fun path ->
+        Out_channel.with_open_bin path (fun oc -> output_string oc (String.concat "\n" (edit lines)));
+        match Flight.load ~strict:true path with
+        | Ok _ -> Alcotest.failf "%s: accepted" what
+        | Error msg ->
+          if not (contains msg needle) then
+            Alcotest.failf "%s: error %S does not mention %S" what msg needle)
+  in
+  expect_error "torn line" (List.mapi (fun i l -> if i = 2 then String.sub l 0 10 else l)) "line 3:";
+  expect_error "dropped event" (List.filteri (fun i _ -> i <> 5)) "the dump carries 47";
+  expect_error "no header" List.tl "line 1:";
+  expect_error "reordered" (List.mapi (fun i l -> if i = 3 then List.nth lines 4 else if i = 4 then List.nth lines 3 else l)) "line 5:"
 
 (* --- the invariant checker --------------------------------------------- *)
 
@@ -346,6 +440,8 @@ let () =
         [
           Alcotest.test_case "every kind round-trips" `Quick codec_roundtrip_test;
           Alcotest.test_case "dump/load round-trip + truncated tail" `Quick dump_roundtrip_test;
+          Alcotest.test_case "wrapped dump passes the strict check" `Quick wrapped_strict_test;
+          Alcotest.test_case "strict load names the bad line" `Quick strict_errors_test;
         ] );
       ( "check",
         [
@@ -363,5 +459,7 @@ let () =
           Alcotest.test_case "clean fixture validates" `Quick replay_clean_fixture_test;
           Alcotest.test_case "violation fixture localised + golden rendering" `Quick
             replay_golden_test;
+          Alcotest.test_case "wrapped dump replays from the first retained seal" `Quick
+            wrapped_replay_test;
         ] );
     ]

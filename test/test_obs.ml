@@ -18,6 +18,7 @@ module Options = Core.Options
 module Stats = Core.Exec_stats
 module Metrics = Obs.Metrics
 module Trace = Obs.Trace
+module Flight = Obs.Flight
 module Json = Obs.Json
 open Instance_gen
 
@@ -275,69 +276,84 @@ let profile_empty_test () =
   | Some p' -> Alcotest.(check bool) "empty profile round-trips" true (p = p')
   | None -> Alcotest.fail "empty profile did not round-trip"
 
-(* --- tracer ------------------------------------------------------------- *)
+(* --- tracer: spans on the flight recorder, the Chrome export ----------- *)
 
+let with_recorder ?capacity f =
+  Flight.enable ?capacity ();
+  Fun.protect
+    ~finally:(fun () ->
+      Flight.disable ();
+      Flight.clear ())
+    f
+
+let spans () = List.filter (fun (e : Flight.event) -> Flight.is_span e.Flight.kind) (Flight.events ())
+
+(* Begin/End nest per domain (each domain is its own timeline row). *)
 let span_depth_ok events =
-  let rec go depth = function
-    | [] -> depth = 0
-    | (e : Trace.event) :: rest -> (
-      match e.Trace.ph with
-      | Trace.Begin -> go (depth + 1) rest
-      | Trace.End -> depth > 0 && go (depth - 1) rest
-      | Trace.Instant | Trace.Complete _ | Trace.Meta -> go depth rest)
-  in
-  go 0 events
+  let depth = Hashtbl.create 4 in
+  List.for_all
+    (fun (e : Flight.event) ->
+      let d = Option.value ~default:0 (Hashtbl.find_opt depth e.Flight.domain) in
+      match e.Flight.kind with
+      | Flight.Span { ph = Flight.Begin; _ } ->
+        Hashtbl.replace depth e.Flight.domain (d + 1);
+        true
+      | Flight.Span { ph = Flight.End; _ } ->
+        Hashtbl.replace depth e.Flight.domain (d - 1);
+        d > 0
+      | _ -> true)
+    events
+  && Hashtbl.fold (fun _ d ok -> ok && d = 0) depth true
 
 let trace_disabled_test () =
-  Trace.enable ~capacity:16 ();
-  Trace.disable ();
-  (* a fresh (empty) buffer, tracer off: nothing may be recorded *)
+  Flight.enable ~capacity:16 ();
+  Flight.disable ();
+  (* fresh (empty) rings, recorder off: nothing may be recorded *)
   Alcotest.(check int) "with_span is transparent when disabled" 7
-    (Trace.with_span "off" (fun () -> 7));
-  Trace.instant "off";
-  Trace.complete ~start_ns:0 "off";
-  Alcotest.(check int) "no events recorded while disabled" 0 (List.length (Trace.events ()))
+    (Flight.with_span "off" (fun () -> 7));
+  Flight.instant "off";
+  Flight.complete ~start_ns:0 "off";
+  Flight.set_thread_name "off";
+  Alcotest.(check int) "no events recorded while disabled" 0 (List.length (Flight.events ()))
 
 let trace_exception_test () =
-  Trace.enable ~capacity:64 ();
-  Fun.protect ~finally:Trace.disable (fun () ->
-      (try Trace.with_span "outer" (fun () -> Trace.with_span "boom" (fun () -> failwith "x"))
+  with_recorder ~capacity:64 (fun () ->
+      (try Flight.with_span "outer" (fun () -> Flight.with_span "boom" (fun () -> failwith "x"))
        with Failure _ -> ());
-      let events = Trace.events () in
+      let events = Flight.events () in
       Alcotest.(check int) "two B + two E" 4 (List.length events);
       Alcotest.(check bool) "spans closed despite the raise" true (span_depth_ok events))
 
+let trace_events doc =
+  match Option.bind (Json.member "traceEvents" doc) Json.to_list with
+  | Some l -> l
+  | None -> Alcotest.fail "no traceEvents array"
+
 let trace_json_test () =
-  Trace.enable ~capacity:64 ();
-  Fun.protect ~finally:Trace.disable (fun () ->
-      Obs.Clock.install (fun () -> 1_000_000_000 + (List.length (Trace.events ()) * 1000));
+  with_recorder ~capacity:64 (fun () ->
+      Obs.Clock.install (fun () -> 1_000_000_000 + (List.length (Flight.events ()) * 1000));
       Fun.protect ~finally:Obs.Clock.uninstall (fun () ->
-          Trace.with_span ~cat:"t" ~args:[ ("k", Trace.Num 3) ] "span" (fun () -> Trace.instant "tick");
-          let doc = Trace.to_json () in
-          match Json.parse (Json.to_string doc) with
+          Flight.with_span ~cat:"t" ~args:[ ("k", Flight.Num 3) ] "span" (fun () -> Flight.instant "tick");
+          (* flow events share the rings but stay out of the timeline *)
+          Flight.record ~flow:0 Flight.Stop;
+          match Json.parse (Json.to_string (Trace.to_json ())) with
           | Error msg -> Alcotest.failf "trace JSON does not re-parse: %s" msg
-          | Ok j -> (
-            match Json.member "traceEvents" j with
-            | None -> Alcotest.fail "no traceEvents array"
-            | Some evs -> (
-              match Json.to_list evs with
-              | None -> Alcotest.fail "traceEvents is not an array"
-              | Some l ->
-                Alcotest.(check int) "B + i + E exported" 3 (List.length l);
-                List.iter
-                  (fun e ->
-                    match Json.to_float (Option.get (Json.member "ts" e)) with
-                    | Some ts -> Alcotest.(check bool) "ts rebased to non-negative" true (ts >= 0.)
-                    | None -> Alcotest.fail "ts is not a number")
-                  l))))
+          | Ok j ->
+            let l = trace_events j in
+            Alcotest.(check int) "B + i + E exported" 3 (List.length l);
+            List.iter
+              (fun e ->
+                match Json.to_float (Option.get (Json.member "ts" e)) with
+                | Some ts -> Alcotest.(check bool) "ts rebased to non-negative" true (ts >= 0.)
+                | None -> Alcotest.fail "ts is not a number")
+              l))
 
 let trace_dropped_test () =
-  Trace.enable ~capacity:16 ();
-  Fun.protect ~finally:Trace.disable (fun () ->
+  with_recorder ~capacity:16 (fun () ->
       for _ = 1 to 40 do
-        Trace.instant "tick"
+        Flight.instant "tick"
       done;
-      Alcotest.(check int) "ring buffer truncation counted" 24 (Trace.dropped ());
+      Alcotest.(check int) "ring truncation counted" 24 (snd (Flight.stats ()));
       let doc = Trace.to_json ~extra:[ ("profile", Json.Obj [ ("pops", Json.Int 0) ]) ] () in
       (match Json.member "dropped" doc with
       | Some (Json.Int d) -> Alcotest.(check int) "dropped surfaced in the export" 24 d
@@ -345,6 +361,75 @@ let trace_dropped_test () =
       match Json.member "profile" doc with
       | Some (Json.Obj _) -> ()
       | _ -> Alcotest.fail "extra fields not carried through to_json")
+
+(* A span whose open was overwritten by the ring: the export ends with an
+   orphan close.  Without a clock every timestamp is 0, so the export
+   is byte-stable; bench/dune runs [validate --trace] on the committed copy
+   and must warn about the truncation, not fail. *)
+let trace_truncated_test () =
+  with_recorder ~capacity:16 (fun () ->
+      Flight.with_span "outer" (fun () ->
+          for _ = 1 to 20 do
+            Flight.instant "tick"
+          done);
+      let doc = Trace.to_json () in
+      let evs = trace_events doc in
+      Alcotest.(check int) "the ring kept its capacity" 16 (List.length evs);
+      Alcotest.(check (list string)) "15 ticks, then the close of the overwritten open"
+        (List.init 15 (fun _ -> "i") @ [ "E" ])
+        (List.map (fun e -> Option.get (Option.bind (Json.member "ph" e) Json.to_str)) evs);
+      let fixture = In_channel.with_open_bin "fixtures/trace_truncated.json" In_channel.input_all in
+      Alcotest.(check string) "the committed repro is this export" fixture (Json.to_string doc ^ "\n"))
+
+(* One recording, exported both ways: the Chrome timeline and the flight
+   dump carry the same spans (phase, name, category, row). *)
+let trace_both_exports_test () =
+  let g = Graph.create () in
+  let n = Array.init 6 (fun i -> Graph.add_node g (Printf.sprintf "n%d" i)) in
+  List.iter
+    (fun (x, y) -> Graph.add_edge_s g n.(x) "p" n.(y))
+    [ (0, 1); (1, 2); (2, 3); (3, 4); (4, 5); (5, 0) ];
+  Graph.freeze g;
+  let k = Ontology.create (Graph.interner g) in
+  let options = { Options.default with Options.domains = 2; max_answers = Some 5 } in
+  with_recorder ~capacity:4096 (fun () ->
+      (match
+         Engine.run_string ~graph:g ~ontology:k ~options ~limit:max_int
+           "(?X, ?Y) <- APPROX (?X, p.p, ?Y), (?Y, p, ?Z)"
+       with
+      | Ok _ -> ()
+      | Error msg -> Alcotest.fail msg);
+      let path = Filename.temp_file "omega-trace-both" ".jsonl" in
+      Fun.protect
+        ~finally:(fun () -> Sys.remove path)
+        (fun () ->
+          ignore (Flight.dump path);
+          let from_dump =
+            match Flight.load ~strict:true path with
+            | Error msg -> Alcotest.fail msg
+            | Ok (_, evs, _) ->
+              List.filter_map
+                (fun (e : Flight.event) ->
+                  match e.Flight.kind with
+                  | Flight.Span { ph; name; cat; _ } ->
+                    Some (Flight.phase_letter ph, name, (if cat = "" then "omega" else cat), e.Flight.domain + 1)
+                  | _ -> None)
+                evs
+          in
+          let from_trace =
+            List.filter_map
+              (fun e ->
+                let str k = Option.get (Option.bind (Json.member k e) Json.to_str) in
+                if str "name" = "governor.trip" then None
+                else Some (str "ph", str "name", str "cat", Option.get (Option.bind (Json.member "tid" e) Json.to_int)))
+              (trace_events (Trace.to_json ()))
+          in
+          Alcotest.(check bool) "spans were recorded (build, seed, join, shard rows)" true
+            (List.length from_dump > 10);
+          Alcotest.(check (list (pair (pair string string) (pair string int))))
+            "same spans, same order"
+            (List.map (fun (a, b, c, d) -> ((a, b), (c, d))) from_dump)
+            (List.map (fun (a, b, c, d) -> ((a, b), (c, d))) from_trace)))
 
 (* Randomized engine runs under injected faults and a deterministic counter
    deadline: whatever trips, the buffered span events must nest. *)
@@ -363,7 +448,8 @@ let trace_nesting_prop =
       let inst, q = query_of inst in
       let g, k = build inst in
       let options = { Options.default with Options.timeout_ns = Some timeout_ns } in
-      Trace.enable ();
+      (* rings deep enough that nothing wraps: the property checks every span *)
+      Flight.enable ~capacity:65536 ();
       let counter = ref 0 in
       (Governor.now_ns :=
          fun () ->
@@ -375,10 +461,12 @@ let trace_nesting_prop =
           ~finally:(fun () ->
             Failpoints.disarm ();
             Governor.now_ns := (fun () -> 0);
-            Trace.disable ())
+            Flight.disable ())
           (fun () -> Engine.run ~graph:g ~ontology:k ~options q)
       in
-      Trace.dropped () > 0 || span_depth_ok (Trace.events ()))
+      let dropped = snd (Flight.stats ()) and events = spans () in
+      Flight.clear ();
+      dropped > 0 || span_depth_ok events)
 
 (* --- engine: stream_stats mid-stream polling regression ----------------- *)
 
@@ -505,6 +593,8 @@ let () =
           Alcotest.test_case "spans close on exceptions" `Quick trace_exception_test;
           Alcotest.test_case "export re-parses, ts rebased" `Quick trace_json_test;
           Alcotest.test_case "dropped count surfaced in export" `Quick trace_dropped_test;
+          Alcotest.test_case "truncated export ends with an orphan close" `Quick trace_truncated_test;
+          Alcotest.test_case "one recording, same spans in both exports" `Quick trace_both_exports_test;
           QCheck_alcotest.to_alcotest trace_nesting_prop;
         ] );
       ( "engine",

@@ -156,12 +156,12 @@ let concurrent_runs () =
   let opts_a = { O.default with O.domains = 2 } and opts_b = O.default in
   let expect_a = solo opts_a ga ka ca and expect_b = solo opts_b gb kb cb in
   Core.Failpoints.arm ~seed:7 (List.map (fun p -> (p, 0.)) Core.Failpoints.all_points);
-  Obs.Trace.enable ~capacity:4096 ();
+  Obs.Flight.enable ~capacity:4096 ();
   Fun.protect
     ~finally:(fun () ->
       Core.Failpoints.disarm ();
-      Obs.Trace.disable ();
-      Obs.Trace.clear ())
+      Obs.Flight.disable ();
+      Obs.Flight.clear ())
     (fun () ->
       for _round = 1 to 5 do
         let worker = Domain.spawn (fun () -> solo opts_b gb kb cb) in
@@ -170,7 +170,11 @@ let concurrent_runs () =
         Alcotest.(check bool) "run A unperturbed by concurrent run B" true (got_a = expect_a);
         Alcotest.(check bool) "run B unperturbed by concurrent run A" true (got_b = expect_b)
       done;
-      (* the tracer survived concurrent emission: the ring is coherent *)
+      (* the recorder survived concurrent emission: every ring is coherent,
+         and the timeline exports *)
+      let seqs = List.map (fun (e : Obs.Flight.event) -> e.Obs.Flight.seq) (Obs.Flight.events ()) in
+      Alcotest.(check bool) "merged rings: unique, ordered sequence numbers" true
+        (List.sort_uniq compare seqs = seqs);
       ignore (Obs.Trace.to_json ()))
 
 let () =
