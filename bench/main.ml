@@ -611,7 +611,7 @@ let ablations () =
         (seeds, t)
       in
       let on_seeds, on_t = seeded Options.default in
-      let off_seeds, off_t = seeded { Options.default with Options.batched_seeding = false } in
+      let off_seeds, off_t = seeded { Options.default with Options.batch_size = max_int } in
       Printf.printf "%-34s %14.2f %16d %14.2f %16d\n%!" label on_t on_seeds off_t off_seeds)
     [
       ("L4All " ^ L4.scale_name l4_scale ^ " Q4 exact", l4, L4.query_text 4 Core.Query.Exact);

@@ -391,12 +391,10 @@ let query_cmd =
         max_product_est;
         failpoints;
         final_priority = true;
-        batched_seeding = true;
         (* --explain-analyze turns provenance on too, so its profile section
            includes the per-operation cost totals (fed by witnesses) *)
         provenance = why || why_json <> None || profile_flag || explain_analyze;
         domains = (if domains >= 1 && domains <= 64 then domains else 1);
-        par_queue_cap = Core.Options.default.Core.Options.par_queue_cap;
       }
     in
     let export_trace ?(extra = []) () =

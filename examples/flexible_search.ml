@@ -63,7 +63,7 @@ let () =
 
   (* 3b. Deadlines work the same way: install a clock, set timeout_ns, and
      the stream stops with a [Deadline] termination instead of raising. *)
-  Core.Governor.now_ns := (fun () -> int_of_float (1e9 *. Unix.gettimeofday ()));
+  Obs.Clock.install (fun () -> int_of_float (1e9 *. Unix.gettimeofday ()));
   let options = { Core.Options.default with Core.Options.timeout_ns = Some 20_000_000 } in
   let outcome = Core.Engine.run ~graph ~ontology ~options ~limit:max_int wide in
   Format.printf "20 ms deadline: %d answers, %a@."

@@ -5,9 +5,10 @@
    automaton whose lazy product with the graph is infeasible to explore;
    the governor only notices once the work is already being done.  This
    module estimates the blow-up from quantities that are cheap and exact —
-   the compiled automaton itself (compilation interns labels but never
-   scans an edge) and the graph's node count — and lets [Engine.open_query]
-   reject the query outright, before the first Succ call.  A rejected
+   the automaton each conjunct's plan compiled (compilation interns labels
+   but never scans an edge), the plan's seeding regime and the graph's node
+   count — and lets [Engine.open_query] reject the query outright, before
+   the first Succ call.  It compiles nothing itself.  A rejected
    query reports [Engine.Rejected] and provably never touches the graph:
    the chaos suite pins [edges_scanned = 0].
 
@@ -15,9 +16,9 @@
 
      states(c)       = |Q| of the conjunct's compiled automaton
      fanout(c)       = max out-degree over its states
-     seed_est(c)     = 1 for a known constant subject (after the case-2
-                       reversal), 0 for an unknown constant (the conjunct
-                       is empty), |V_G| for a variable subject
+     seed_est(c)     = 1 for a constant seeding regime (after the case-2
+                       reversal), 0 for an empty one (an unknown
+                       constant), |V_G| for a variable subject
      product_est(c)  = states(c) * seed_est(c)   — the |Q|*|V_seed|
                        frontier bound of the lazy product H_R
      total_product   = sum over conjuncts (a ranked join explores each
@@ -28,8 +29,6 @@
    — that path consults failpoints, and admission must stay side-effect
    free. *)
 
-module Graph = Graphstore.Graph
-module Regex = Rpq_regex.Regex
 module Nfa = Automaton.Nfa
 
 type conjunct_estimate = {
@@ -60,25 +59,13 @@ let fanout nfa =
   done;
   !m
 
-let estimate_conjunct ~graph ~ontology ~options ~index (c : Query.conjunct) =
-  (* Case 2 of [Conjunct.open_]: (?X, R, C) is evaluated as (C, R-, ?X). *)
-  let subj, regex, obj =
-    match (c.Query.subj, c.Query.obj) with
-    | Query.Var _, Query.Const _ -> (c.Query.obj, Regex.reverse c.Query.regex, c.Query.subj)
-    | _ -> (c.Query.subj, c.Query.regex, c.Query.obj)
-  in
-  let mode = Options.compile_mode options c.Query.cmode in
-  let nfa = Automaton.Compile.conjunct_automaton ~graph ~ontology ~mode regex in
+let estimate_conjunct ~graph ~index (p : Plan.t) =
+  let nfa = p.Plan.automaton in
   let seed_est =
-    match subj with
-    | Query.Const name -> ( match Graph.find_node graph name with Some _ -> 1 | None -> 0)
-    | Query.Var _ -> Graph.n_nodes graph
-  in
-  (* An unknown object constant empties the conjunct before any expansion. *)
-  let seed_est =
-    match obj with
-    | Query.Const name when Graph.find_node graph name = None -> 0
-    | _ -> seed_est
+    match p.Plan.seeding with
+    | Plan.Empty _ -> 0
+    | Plan.Constant _ | Plan.Ancestors _ -> 1
+    | Plan.Variable _ -> Graphstore.Graph.n_nodes graph
   in
   let states = Nfa.n_states nfa in
   {
@@ -90,10 +77,8 @@ let estimate_conjunct ~graph ~ontology ~options ~index (c : Query.conjunct) =
     product_est = states * seed_est;
   }
 
-let estimate ~graph ~ontology ~options (q : Query.t) =
-  let per_conjunct =
-    List.mapi (fun i c -> estimate_conjunct ~graph ~ontology ~options ~index:(i + 1) c) q.Query.conjuncts
-  in
+let estimate ~graph plans =
+  let per_conjunct = List.mapi (fun i p -> estimate_conjunct ~graph ~index:(i + 1) p) plans in
   {
     per_conjunct;
     total_states = List.fold_left (fun acc c -> acc + c.states) 0 per_conjunct;
@@ -101,8 +86,8 @@ let estimate ~graph ~ontology ~options (q : Query.t) =
     join_arity = List.length per_conjunct;
   }
 
-let vet ~graph ~ontology ~options (q : Query.t) =
-  let est = estimate ~graph ~ontology ~options q in
+let vet ~graph ~options plans =
+  let est = estimate ~graph plans in
   let states_rejection =
     match options.Options.max_states with
     | None -> None

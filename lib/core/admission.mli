@@ -2,9 +2,10 @@
 
     Run by [Engine.open_query] after parsing, before any evaluation state
     exists, when [Options.max_states] or [Options.max_product_est] is set.
-    The estimate is computed from the conjuncts' compiled automata (exact
-    state/transition counts after APPROX/RELAX expansion — compilation
-    interns labels but scans no edges) and the graph's node count; a
+    The estimate is read off the conjuncts' {!Plan}s — their compiled
+    automata (exact state/transition counts after APPROX/RELAX expansion)
+    and seeding regimes — and the graph's node count; it compiles nothing,
+    and a
     rejected query never touches the graph ([edges_scanned = 0], pinned by
     the chaos suite) and surfaces as [Engine.Rejected] / CLI exit code 6.
 
@@ -16,9 +17,9 @@ type conjunct_estimate = {
   transitions : int;
   fanout : int;  (** max out-degree over automaton states — alternation fan-out *)
   seed_est : int;
-      (** estimated [|V_seed|]: 1 for a known constant subject (after the
-          case-2 reversal), 0 for an unknown constant, [|V_G|] for a
-          variable subject *)
+      (** estimated [|V_seed|]: 1 for a constant seeding regime (after the
+          case-2 reversal), 0 for an empty one (an unknown constant),
+          [|V_G|] for a variable subject *)
   product_est : int;  (** [states * seed_est] — the lazy-product frontier bound *)
 }
 
@@ -38,15 +39,12 @@ type rejection = {
   conjunct : int option;  (** the offending conjunct's [index], when per-conjunct *)
 }
 
-val estimate : graph:Graphstore.Graph.t -> ontology:Ontology.t -> options:Options.t -> Query.t -> estimate
-(** Side-effect free: never consults failpoints, never scans an edge. *)
+val estimate : graph:Graphstore.Graph.t -> Plan.t list -> estimate
+(** The estimate of a query from its conjuncts' plans, in body order.
+    Side-effect free: compiles nothing, never consults failpoints, never
+    scans an edge. *)
 
-val vet :
-  graph:Graphstore.Graph.t ->
-  ontology:Ontology.t ->
-  options:Options.t ->
-  Query.t ->
-  estimate * rejection option
+val vet : graph:Graphstore.Graph.t -> options:Options.t -> Plan.t list -> estimate * rejection option
 (** {!estimate}, then check it against the options' limits: any conjunct
     with [states > max_states] rejects (first offender reported), then
     [total_product_est > max_product_est].  [None] limits admit

@@ -1,7 +1,6 @@
 module Graph = Graphstore.Graph
 module Interner = Graphstore.Interner
 module Nfa = Automaton.Nfa
-module Regex = Rpq_regex.Regex
 
 type answer = { x : int; y : int; dist : int; witness : Witness.t option }
 
@@ -53,7 +52,6 @@ type t = {
 
 let stats t = t.stats
 let pruned t = t.was_pruned
-let automaton t = t.nfa
 
 (* RELAX class-ancestor seeds (Open, line 8): the node of every super-class
    of [c], ordered most specific first, each at distance depth*beta.  The
@@ -63,61 +61,34 @@ let automaton t = t.nfa
 let relax_ancestor_seeds ~graph ~ontology ~beta oid =
   Failpoints.check Failpoints.Ontology_lookup;
   let interner = Graph.interner graph in
-  let label_id = Interner.intern interner (Graph.node_label graph oid) in
-  if not (Ontology.is_class ontology label_id) then [ (oid, 0) ]
-  else
+  (* [find], not [intern]: a label never interned is no class, and open
+     may run on a worker domain, which must not grow the shared interner *)
+  match Interner.find interner (Graph.node_label graph oid) with
+  | Some label_id when Ontology.is_class ontology label_id ->
     List.filter_map
       (fun (cls, depth) ->
         match Graph.find_node graph (Interner.name interner cls) with
         | Some node -> Some (node, depth * beta)
         | None -> None)
       (Ontology.ancestors_by_specificity ontology label_id)
+  | _ -> [ (oid, 0) ]
 
 let open_ ~graph ~ontology ~options ?governor ?metrics ?ceiling ?suppress ?seed_filter
-    (conjunct : Query.conjunct) =
+    (plan : Plan.t) (part : Plan.part) =
   let governor =
     match governor with Some g -> g | None -> Options.governor options
   in
   let metrics = match metrics with Some m -> m | None -> Obs.Metrics.create () in
-  (* Case 2: (?X, R, C) becomes (C, R-, ?X). *)
-  let subj, regex, obj, swap =
-    match (conjunct.subj, conjunct.obj) with
-    | Query.Var _, Query.Const _ ->
-      (conjunct.obj, Regex.reverse conjunct.regex, conjunct.subj, true)
-    | _ -> (conjunct.subj, conjunct.regex, conjunct.obj, false)
-  in
-  let mode = Options.compile_mode options conjunct.cmode in
-  let nfa = Automaton.Compile.conjunct_automaton ~graph ~ontology ~mode regex in
+  let nfa = part.Plan.nfa in
   let seeder =
-    match subj with
-    | Query.Const c -> (
-      match Graph.find_node graph c with
-      | None -> Seeder.of_list [] (* unknown constant: no answers *)
-      | Some oid ->
-        if conjunct.cmode = Query.Relax then
-          Seeder.of_list ?filter:seed_filter
-            (relax_ancestor_seeds ~graph ~ontology ~beta:options.Options.costs.beta oid)
-        else Seeder.of_list ?filter:seed_filter [ (oid, 0) ])
-    | Query.Var _ ->
-      let batch_size =
-        if options.Options.batched_seeding then options.Options.batch_size else max_int
-      in
+    match plan.Plan.seeding with
+    | Plan.Empty _ -> Seeder.of_list []
+    | Plan.Constant { oid; _ } -> Seeder.of_list ?filter:seed_filter [ (oid, 0) ]
+    | Plan.Ancestors { oid; _ } ->
+      Seeder.of_list ?filter:seed_filter
+        (relax_ancestor_seeds ~graph ~ontology ~beta:options.Options.costs.beta oid)
+    | Plan.Variable { batch_size } ->
       Seeder.of_initial_state ~governor ?filter:seed_filter ~graph ~nfa ~batch_size ()
-  in
-  (* An unknown object constant can never be matched: oids are dense
-     non-negative ints, so no tuple's node ever equals the [-1] sentinel.
-     Rather than explore the whole reachable product for nothing, drop the
-     seeds — the conjunct terminates immediately with zero answers. *)
-  let target, seeder =
-    match obj with
-    | Query.Const c -> (
-      match Graph.find_node graph c with
-      | Some oid -> (Some oid, seeder)
-      | None -> (Some (-1), Seeder.of_list []))
-    | Query.Var _ -> (None, seeder)
-  in
-  let same_var =
-    match (subj, obj) with Query.Var a, Query.Var b -> a = b | _ -> false
   in
   {
     graph;
@@ -127,9 +98,9 @@ let open_ ~graph ~ontology ~options ?governor ?metrics ?ceiling ?suppress ?seed_
     answers = Hashtbl.create 64;
     suppress;
     seeder;
-    target;
-    same_var;
-    swap;
+    target = plan.Plan.target;
+    same_var = plan.Plan.same_var;
+    swap = plan.Plan.reversed;
     stats = Exec_stats.create ();
     ceiling;
     governor;
@@ -149,44 +120,6 @@ let open_ ~graph ~ontology ~options ?governor ?metrics ?ceiling ?suppress ?seed_
     prov = (if options.Options.provenance then Some (Provenance.create ()) else None);
     seed_beta = options.Options.costs.beta;
   }
-
-(* The EXPLAIN view of [open_]: the same case analysis (reversal, compile
-   mode, seeding regime), carried out without building the evaluation
-   structures.  Returns the compiled automaton, a rendered seeding
-   description and whether case 2 reversed the conjunct. *)
-let describe ~graph ~ontology ~options (conjunct : Query.conjunct) =
-  let subj, regex, obj, swap =
-    match (conjunct.Query.subj, conjunct.Query.obj) with
-    | Query.Var _, Query.Const _ ->
-      (conjunct.Query.obj, Regex.reverse conjunct.Query.regex, conjunct.Query.subj, true)
-    | _ -> (conjunct.Query.subj, conjunct.Query.regex, conjunct.Query.obj, false)
-  in
-  let mode = Options.compile_mode options conjunct.Query.cmode in
-  let nfa = Automaton.Compile.conjunct_automaton ~graph ~ontology ~mode regex in
-  let seeding =
-    match subj with
-    | Query.Const c -> (
-      match Graph.find_node graph c with
-      | None -> Printf.sprintf "empty (unknown constant %S)" c
-      | Some oid ->
-        if conjunct.Query.cmode = Query.Relax then
-          let seeds =
-            relax_ancestor_seeds ~graph ~ontology ~beta:options.Options.costs.beta oid
-          in
-          Printf.sprintf "constant+ancestors %S (%d seeds)" c (List.length seeds)
-        else Printf.sprintf "constant %S" c)
-    | Query.Var _ ->
-      if options.Options.batched_seeding then
-        Printf.sprintf "batched(%d)" options.Options.batch_size
-      else "up-front"
-  in
-  let seeding =
-    match obj with
-    | Query.Const c when Graph.find_node graph c = None ->
-      Printf.sprintf "empty (unknown object constant %S)" c
-    | _ -> seeding
-  in
-  (nfa, seeding, swap)
 
 (* [NeighboursByEdge] (§3.4): nodes adjacent to [n] under a transition
    label, observing directionality.  The wildcard [*] retrieves every edge
@@ -215,9 +148,9 @@ let ubuf_push t m =
 let fill_ucache t n lbl =
   Failpoints.check Failpoints.Graph_scan;
   t.ulen <- 0;
-  let t0 = !Exec_stats.now_ns () in
+  let t0 = !Obs.Clock.now_ns () in
   iter_neighbours_by_edge t n lbl (fun m -> ubuf_push t m);
-  t.stats.scan_ns <- t.stats.scan_ns + (!Exec_stats.now_ns () - t0);
+  t.stats.scan_ns <- t.stats.scan_ns + (!Obs.Clock.now_ns () - t0);
   t.stats.edges_scanned <- t.stats.edges_scanned + t.ulen;
   t.stats.adjacency_bytes <- t.stats.adjacency_bytes + (t.ulen * (Sys.word_size / 8));
   Obs.Metrics.observe t.h_succ_edges t.ulen
@@ -309,7 +242,7 @@ let refill_if_needed t =
     && (not (Seeder.exhausted t.seeder))
     && not (Dr_queue.has_at t.dr 0)
   do
-    let t0 = !Exec_stats.now_ns () in
+    let t0 = !Obs.Clock.now_ns () in
     let batch = Seeder.next_batch t.seeder in
     if batch <> [] then begin
       t.stats.batches <- t.stats.batches + 1;
@@ -334,7 +267,7 @@ let refill_if_needed t =
           push t ~dist ~final:false { v = oid; n = oid; s = Nfa.initial t.nfa; fin = false; prov })
         batch
     end;
-    if clocked then Obs.Metrics.observe t.h_seed_batch_ns (!Exec_stats.now_ns () - t0);
+    if clocked then Obs.Metrics.observe t.h_seed_batch_ns (!Obs.Clock.now_ns () - t0);
     if Obs.Flight.enabled () then
       Obs.Flight.complete ~cat:"seed" ~start_ns:t0
         ~args:[ ("seeds", Obs.Flight.Num (List.length batch)) ]

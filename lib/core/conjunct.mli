@@ -5,7 +5,8 @@
     automaton [H_R] of the conjunct's NFA and the data graph lazily, tuple by
     tuple, returning answers [(v, n, d)] in non-decreasing distance [d].
 
-    The three initialisation cases of [Open]:
+    The three initialisation cases of [Open], decided once per query by
+    {!Plan}:
     + [(C, R, ?Y)] — start from the node labelled [C]; under RELAX, if [C]
       is a class, also start from every super-class node, most specific
       first, at distance [depth × beta] ([GetAncestors]);
@@ -48,9 +49,15 @@ val open_ :
   ?ceiling:int ->
   ?suppress:(int * int, int) Hashtbl.t ->
   ?seed_filter:(int -> bool) ->
-  Query.conjunct ->
+  Plan.t ->
+  Plan.part ->
   t
-(** Build the conjunct's automaton and initialise its data structures.
+(** Initialise the data structures that evaluate [part] (one of the plan's
+    parts) under the plan's orientation, seeding regime and target.  The
+    part's automaton is the plan's, shared read-only: opening compiles
+    nothing, so ψ restarts and parallel shards reopen parts for the cost of
+    their seeds alone.  A RELAX constant's ancestor seeds are resolved here
+    ({!relax_ancestor_seeds}).
 
     [governor] is the query's budget (default: a fresh one implementing the
     options' limits): every [D_R] push ticks its tuple budget, and the
@@ -75,15 +82,12 @@ val open_ :
     conjunct whose [x] (the traversal seed; [y] under case-2 reversal) it
     accepts, in the same non-decreasing distance order. *)
 
-val describe :
-  graph:Graphstore.Graph.t ->
-  ontology:Ontology.t ->
-  options:Options.t ->
-  Query.conjunct ->
-  Automaton.Nfa.t * string * bool
-(** The EXPLAIN view of {!open_}: performs the same case analysis (case-2
-    reversal, compile mode, seeding regime) without building the evaluation
-    structures.  Returns [(automaton, seeding description, reversed)]. *)
+val relax_ancestor_seeds :
+  graph:Graphstore.Graph.t -> ontology:Ontology.t -> beta:int -> int -> (int * int) list
+(** [GetAncestors] (Open, line 8): the seeds of a RELAX constant [oid] —
+    [(oid, 0)] if its label is no class, else the nodes of the class and
+    every super-class, most specific first, at [depth × beta].
+    @raise Failpoints.Injected when the [Ontology_lookup] failpoint fires. *)
 
 val get_next : t -> answer option
 (** The next answer in non-decreasing distance order, or [None] when the
@@ -106,6 +110,3 @@ val stats : t -> Exec_stats.t
 val pruned : t -> bool
 (** Whether the ψ ceiling suppressed at least one tuple; if false after
     exhaustion, the evaluation was complete and no restart can find more. *)
-
-val automaton : t -> Automaton.Nfa.t
-(** The compiled (ε-free) automaton, for inspection and tests. *)

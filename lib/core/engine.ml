@@ -39,6 +39,7 @@ type stream = {
   ontology : Ontology.t;
   options : Options.t;
   head : string list;
+  plans : Plan.t list; (* one per conjunct, built once at open *)
   evaluators : Evaluator.t list;
   pull : unit -> (Ranked_join.binding * int * Witness.t list) option;
   projected : (string list, unit) Hashtbl.t; (* dedup of projected bindings *)
@@ -79,16 +80,19 @@ let open_query ~graph ~ontology ?(options = Options.default) ?governor ?tenant (
     | Error msg -> invalid_arg ("Engine.open_query: " ^ msg)));
   let governor = match governor with Some g -> g | None -> Options.governor options in
   let registry = Obs.Metrics.create () in
+  (* Every conjunct is planned (oriented, compiled, its strategy and seam
+     chosen) here, once, on the calling domain: admission, evaluation,
+     EXPLAIN-style audit and the query class all read these plans. *)
+  let plans = Plan.of_query ~graph ~ontology ~options q in
   (* Admission control: when a limit is configured, vet the query before
-     building any evaluation state.  The estimate is side-effect free
-     (automaton compilation only — no edge scans, no failpoints); a
-     rejected stream is born with no evaluators, so [edges_scanned] stays
-     exactly 0. *)
+     building any evaluation state.  The estimate reads the plans (no edge
+     scans, no failpoints); a rejected stream is born with no evaluators,
+     so [edges_scanned] stays exactly 0. *)
   let admission, rejection =
     match (options.Options.max_states, options.Options.max_product_est) with
     | None, None -> (None, None)
     | _ ->
-      let est, rejection = Admission.vet ~graph ~ontology ~options q in
+      let est, rejection = Admission.vet ~graph ~options plans in
       (Some est, rejection)
   in
   let closed =
@@ -98,6 +102,7 @@ let open_query ~graph ~ontology ?(options = Options.default) ?governor ?tenant (
       ontology;
       options;
       head = q.head;
+      plans;
       evaluators = [];
       pull = (fun () -> None);
       projected = Hashtbl.create 1;
@@ -139,8 +144,9 @@ let open_query ~graph ~ontology ?(options = Options.default) ?governor ?tenant (
     match
       let evaluators =
         List.map
-          (fun c -> (c, Evaluator.create ~graph ~ontology ~options ~governor ~metrics:registry c))
-          q.conjuncts
+          (fun p ->
+            (p.Plan.conjunct, Evaluator.of_plan ~graph ~ontology ~options ~governor ~metrics:registry p))
+          plans
       in
       let stream_of (c, ev) () =
         match Evaluator.next ev with
@@ -201,50 +207,96 @@ let stream_stats st =
   st.agg.Exec_stats.gc_major_collections <- gc.Gc.major_collections - st.gc0.Gc.major_collections;
   st.agg
 
+let mode_string : Query.mode -> string = function
+  | Query.Exact -> "exact"
+  | Query.Approx -> "approx"
+  | Query.Relax -> "relax"
+
 (* The SLO accounting key: which operator family (and which expensive
    structural features) this query exercises. *)
 let query_class st =
-  let conjuncts = st.query.Query.conjuncts in
-  let modes = List.sort_uniq compare (List.map (fun c -> c.Query.cmode) conjuncts) in
   let base =
-    match modes with
-    | [ Query.Exact ] -> "exact"
-    | [ Query.Approx ] -> "approx"
-    | [ Query.Relax ] -> "relax"
+    match List.sort_uniq compare (List.map (fun p -> p.Plan.conjunct.Query.cmode) st.plans) with
+    | [ mode ] -> mode_string mode
     | _ -> "mixed"
   in
-  let decomposed =
-    st.options.Options.decompose
-    && List.exists
-         (fun c -> List.length (Rpq_regex.Regex.top_level_alternatives c.Query.regex) > 1)
-         conjuncts
-  in
-  let case2 =
-    List.exists
-      (fun c ->
-        match (c.Query.subj, c.Query.obj) with Query.Var _, Query.Const _ -> true | _ -> false)
-      conjuncts
-  in
+  let decomposed = List.exists (fun p -> p.Plan.strategy = Plan.Decomposed) st.plans in
+  let case2 = List.exists (fun p -> p.Plan.reversed) st.plans in
   base ^ (if decomposed then "+decomposed" else "") ^ if case2 then "+case2" else ""
 
-(* One line of physical plan per conjunct, from the EXPLAIN machinery.
-   Compiles the automata afresh — never called on the evaluation path, only
-   when an audit record is actually being built. *)
+let automaton_name : Query.mode -> string = function
+  | Query.Exact -> "M_R"
+  | Query.Approx -> "A_R"
+  | Query.Relax -> "M^K_R"
+
+(* The EXPLAIN rendering of one conjunct's plan.  Counting a RELAX
+   constant's ancestor seeds goes through [Conjunct.relax_ancestor_seeds],
+   as opening the conjunct does. *)
+let conjunct_plan ~graph ~ontology ~options ~index (p : Plan.t) =
+  let c = p.Plan.conjunct in
+  let phi = p.Plan.phi in
+  let strategy =
+    match p.Plan.strategy with
+    | Plan.Decomposed -> Printf.sprintf "decomposed(%d, phi=%d)" (List.length p.Plan.parts) phi
+    | Plan.Distance_aware -> Printf.sprintf "distance-aware(phi=%d)" phi
+    | Plan.Plain -> "plain"
+  in
+  let seeding =
+    match p.Plan.seeding with
+    | Plan.Empty { name; on_object = true } ->
+      Printf.sprintf "empty (unknown object constant %S)" name
+    | Plan.Empty { name; on_object = false } -> Printf.sprintf "empty (unknown constant %S)" name
+    | Plan.Constant { name; _ } -> Printf.sprintf "constant %S" name
+    | Plan.Ancestors { name; oid } ->
+      let seeds =
+        Conjunct.relax_ancestor_seeds ~graph ~ontology ~beta:options.Options.costs.beta oid
+      in
+      Printf.sprintf "constant+ancestors %S (%d seeds)" name (List.length seeds)
+    | Plan.Variable { batch_size } ->
+      if batch_size = max_int then "up-front" else Printf.sprintf "batched(%d)" batch_size
+  in
+  let parts =
+    if p.Plan.strategy <> Plan.Decomposed then []
+    else
+      List.map
+        (fun (part : Plan.part) ->
+          {
+            Obs.Explain.p_regex = Format.asprintf "%a" Rpq_regex.Regex.pp part.Plan.source;
+            p_states = Automaton.Nfa.n_states part.Plan.nfa;
+            p_transitions = Automaton.Nfa.n_transitions part.Plan.nfa;
+          })
+        p.Plan.parts
+  in
+  {
+    Obs.Explain.index;
+    (* [pp] prefixes the mode itself, so the source is the bare triple *)
+    source = Format.asprintf "%a" Query.pp_conjunct { c with Query.cmode = Query.Exact };
+    mode = mode_string c.Query.cmode;
+    automaton = automaton_name c.Query.cmode;
+    states = Automaton.Nfa.n_states p.Plan.automaton;
+    transitions = Automaton.Nfa.n_transitions p.Plan.automaton;
+    reversed = p.Plan.reversed;
+    strategy;
+    seeding;
+    parts;
+    counters = [];
+  }
+
+let explain_conjuncts ~graph ~ontology ~options plans =
+  List.mapi (fun i p -> conjunct_plan ~graph ~ontology ~options ~index:(i + 1) p) plans
+
+(* One line of physical plan per conjunct, rendered from the stream's plans
+   — only when an audit record is actually being built. *)
 let plan_summary st =
   if st.rejection <> None then "rejected"
   else
     String.concat "; "
-      (List.mapi
-         (fun i c ->
-           let p =
-             Evaluator.describe ~graph:st.graph ~ontology:st.ontology ~options:st.options
-               ~index:(i + 1) c
-           in
-           Printf.sprintf "%d:%s/%s(%ds,%dt)/%s/%s%s" p.Obs.Explain.index p.Obs.Explain.mode
-             p.Obs.Explain.automaton p.Obs.Explain.states p.Obs.Explain.transitions
-             p.Obs.Explain.strategy p.Obs.Explain.seeding
-             (if p.Obs.Explain.reversed then "/rev" else ""))
-         st.query.Query.conjuncts)
+      (List.map
+         (fun (p : Obs.Explain.conjunct_plan) ->
+           Printf.sprintf "%d:%s/%s(%ds,%dt)/%s/%s%s" p.index p.mode p.automaton p.states
+             p.transitions p.strategy p.seeding
+             (if p.reversed then "/rev" else ""))
+         (explain_conjuncts ~graph:st.graph ~ontology:st.ontology ~options:st.options st.plans))
 
 let audit_record ?flight st =
   let stats = stream_stats st in
@@ -415,9 +467,7 @@ let explain ~graph ~ontology ?(options = Options.default) (q : Query.t) =
   (match Query.validate q with
   | Ok () -> ()
   | Error msg -> invalid_arg ("Engine.explain: " ^ msg));
-  let conjuncts =
-    List.mapi (fun i c -> Evaluator.describe ~graph ~ontology ~options ~index:(i + 1) c) q.conjuncts
-  in
+  let conjuncts = explain_conjuncts ~graph ~ontology ~options (Plan.of_query ~graph ~ontology ~options q) in
   let join =
     match q.conjuncts with
     | [ _ ] -> "single-conjunct"

@@ -109,8 +109,8 @@ val query_class : stream -> string
 
 val audit_record : ?flight:Obs.Audit.flight_info -> stream -> Obs.Audit.record
 (** The stream's audit record, built from its current state: canonicalised
-    query text and hash, {!query_class}, a per-conjunct plan summary (the
-    automata are recompiled — never call this on a hot path), termination
+    query text and hash, {!query_class}, a per-conjunct plan summary
+    (rendered from the plans built at open — nothing is recompiled), termination
     taxonomy, admission estimate vs actual tuples, the full
     {!stream_stats} counters with GC deltas, wall/CPU time, and the
     per-shard breakdown of parallel conjuncts.  Also the [--stats-json]

@@ -1,5 +1,3 @@
-module Regex = Rpq_regex.Regex
-
 (* Level-wise evaluation shared by distance-aware retrieval and alternation
    decomposition: run each part (one sub-automaton; a single part for plain
    distance-aware mode) with ceiling ψ, stream its answers lazily, then move
@@ -19,14 +17,14 @@ type levelled = {
   governor : Governor.t;
   metrics : Obs.Metrics.t; (* shared with every part this evaluator opens *)
   seed_filter : (int -> bool) option; (* shard partition, threaded to every part open *)
+  plan : Plan.t;
   emitted : (int * int, int) Hashtbl.t;
-  phi : int;
   mutable psi : int;
-  mutable remaining : Query.conjunct list; (* parts not yet run at this level *)
-  mutable current : (Conjunct.t * Query.conjunct) option;
+  mutable remaining : Plan.part list; (* parts not yet run at this level *)
+  mutable current : (Conjunct.t * Plan.part) option;
   mutable current_count : int;
   mutable part_start_ns : int; (* clock sample at the current part's open *)
-  mutable counts : (Query.conjunct * int) list; (* finished parts, this level *)
+  mutable counts : (Plan.part * int) list; (* finished parts, this level *)
   mutable level_complete : bool; (* no part pruned anything so far this level *)
   mutable exhausted : bool;
   stats : Exec_stats.t;
@@ -44,22 +42,17 @@ type parallel = {
 
 type t = Plain of Conjunct.t | Levelled of levelled | Parallel of parallel
 
-(* The sequential strategies (Plain/Levelled) — the whole story when
-   [options.domains = 1], and the per-shard evaluator when it is not.
-   [seed_filter] partitions the seed universe; [parts] overrides the
-   decomposition part list (a shard runs only its own parts). *)
-let create_seq ~graph ~ontology ~options ~governor ~metrics ?seed_filter ?parts
-    (conjunct : Query.conjunct) =
-  let alternatives = Regex.top_level_alternatives conjunct.regex in
-  let decomposed = options.Options.decompose && List.length alternatives > 1 in
-  if decomposed || options.Options.distance_aware then begin
-    let parts =
-      match parts with
-      | Some ps -> ps
-      | None ->
-        if decomposed then List.map (fun regex -> { conjunct with Query.regex }) alternatives
-        else [ conjunct ]
-    in
+(* The sequential strategies (Plain/Levelled) — the whole story when the
+   plan's seam is [Sequential], and the per-shard evaluator when it is not.
+   [seed_filter] partitions the seed universe; [parts] narrows the plan's
+   parts (a part-shard runs only its own). *)
+let create_seq ~graph ~ontology ~options ~governor ~metrics ?seed_filter ?parts (plan : Plan.t) =
+  match plan.Plan.strategy with
+  | Plan.Plain ->
+    Plain
+      (Conjunct.open_ ~graph ~ontology ~options ~governor ~metrics ?seed_filter plan
+         (List.hd plan.Plan.parts))
+  | Plan.Distance_aware | Plan.Decomposed ->
     Levelled
       {
         graph;
@@ -68,10 +61,10 @@ let create_seq ~graph ~ontology ~options ~governor ~metrics ?seed_filter ?parts
         governor;
         metrics;
         seed_filter;
+        plan;
         emitted = Hashtbl.create 64;
-        phi = Options.phi options conjunct.cmode;
         psi = 0;
-        remaining = parts;
+        remaining = Option.value parts ~default:plan.Plan.parts;
         current = None;
         current_count = 0;
         part_start_ns = 0;
@@ -81,8 +74,6 @@ let create_seq ~graph ~ontology ~options ~governor ~metrics ?seed_filter ?parts
         stats = Exec_stats.create ();
         agg = Exec_stats.create ();
       }
-  end
-  else Plain (Conjunct.open_ ~graph ~ontology ~options ~governor ~metrics ?seed_filter conjunct)
 
 let finish_part lev eval part =
   Exec_stats.merge_into lev.stats (Conjunct.stats eval);
@@ -123,12 +114,12 @@ let rec next_levelled lev =
       match lev.remaining with
       | part :: rest ->
         lev.remaining <- rest;
-        lev.part_start_ns <- !Exec_stats.now_ns ();
+        lev.part_start_ns <- !Obs.Clock.now_ns ();
         lev.current <-
           Some
             ( Conjunct.open_ ~graph:lev.graph ~ontology:lev.ontology ~options:lev.options
                 ~governor:lev.governor ~metrics:lev.metrics ~ceiling:lev.psi
-                ~suppress:lev.emitted ?seed_filter:lev.seed_filter part,
+                ~suppress:lev.emitted ?seed_filter:lev.seed_filter lev.plan part,
               part );
         next_levelled lev
       | [] ->
@@ -150,7 +141,7 @@ let rec next_levelled lev =
             List.map fst (List.stable_sort (fun (_, n1) (_, n2) -> compare n1 n2) (List.rev lev.counts));
           lev.counts <- [];
           lev.level_complete <- true;
-          lev.psi <- lev.psi + lev.phi;
+          lev.psi <- lev.psi + lev.plan.Plan.phi;
           if Obs.Flight.enabled () then
             Obs.Flight.instant ~cat:"psi" ~args:[ ("psi", Obs.Flight.Num lev.psi) ] "psi.level";
           next_levelled lev
@@ -160,13 +151,6 @@ let next = function
   | Plain c -> Conjunct.get_next c
   | Levelled lev -> next_levelled lev
   | Parallel p -> Par.next p.par
-
-let take t k =
-  let rec loop acc k =
-    if k <= 0 then List.rev acc
-    else match next t with Some a -> loop (a :: acc) (k - 1) | None -> List.rev acc
-  in
-  loop [] k
 
 (* The levelled aggregate is computed into a record owned and reused by the
    evaluator — polling stats mid-stream therefore allocates nothing and
@@ -196,59 +180,39 @@ let shard_report = function
   | Plain _ | Levelled _ -> []
   | Parallel p -> Par.shard_report p.par
 
-(* The parallel dispatch.  Two partition seams exist:
+(* The parallel dispatch, on the plan's seam:
    - seed-sharding, for [(?X, R, ?Y)] conjuncts: seeds split [oid mod n]
      across shards.  Per-seed explorations are independent (the visited and
      answer keys both carry the seed vertex), so a shard emits exactly the
      full conjunct's answers whose [x] it owns and no cross-shard
      deduplication is needed;
-   - part-sharding, for constant-seeded conjuncts whose query decomposes
-     ([options.decompose] with a top-level alternation): alternation parts
-     split [index mod n] across shards, each shard levelling its own parts
-     with its own emitted-table — so the merge deduplicates [(x, y)] across
-     shards, keeping the first (cheapest) sealed occurrence.
-   Everything else — constant-seeded, undecomposed — stays sequential
-   whatever [options.domains] says: a single-source Dijkstra offers no
-   partition with these guarantees. *)
-let create ~graph ~ontology ~options ?governor ?metrics (conjunct : Query.conjunct) =
+   - part-sharding, for constant-seeded decomposed conjuncts: alternation
+     parts split [index mod n] across shards, each shard levelling its own
+     parts with its own emitted-table — so the merge deduplicates [(x, y)]
+     across shards, keeping the first (cheapest) sealed occurrence.
+   Shards open the plan's parts on their own domains but share its
+   automata, which are read-only: a worker compiles and interns nothing. *)
+let of_plan ~graph ~ontology ~options ?governor ?metrics (plan : Plan.t) =
   let governor = match governor with Some g -> g | None -> Options.governor options in
   let metrics = match metrics with Some m -> m | None -> Obs.Metrics.create () in
-  let alternatives = Regex.top_level_alternatives conjunct.regex in
-  let decomposed = options.Options.decompose && List.length alternatives > 1 in
-  let seed_parallel =
-    match (conjunct.Query.subj, conjunct.Query.obj) with
-    | Query.Var _, Query.Var _ -> true
-    | _ -> false
-  in
-  let part_parallel = (not seed_parallel) && decomposed in
-  let domains =
-    if seed_parallel then options.Options.domains
-    else if part_parallel then min options.Options.domains (List.length alternatives)
-    else 1
-  in
-  if domains <= 1 then create_seq ~graph ~ontology ~options ~governor ~metrics conjunct
-  else begin
-    let slack =
-      (* a psi-levelled shard's emission order is only non-decreasing up to
-         phi - 1 across level boundaries; a plain shard's is exact *)
-      if decomposed || options.Options.distance_aware then
-        Options.phi options conjunct.Query.cmode - 1
-      else 0
-    in
-    let all_parts =
-      if decomposed then List.map (fun regex -> { conjunct with Query.regex }) alternatives
-      else [ conjunct ]
-    in
+  match plan.Plan.seam with
+  | Plan.Sequential -> create_seq ~graph ~ontology ~options ~governor ~metrics plan
+  | Plan.Seed_shard | Plan.Part_shard ->
+    let domains = plan.Plan.domains in
+    let seed_shard = plan.Plan.seam = Plan.Seed_shard in
+    (* a psi-levelled shard's emission order is only non-decreasing up to
+       phi - 1 across level boundaries; a plain shard's is exact *)
+    let slack = if plan.Plan.strategy = Plan.Plain then 0 else plan.Plan.phi - 1 in
     let build ~shard ~governor ~metrics =
       let ev =
-        if seed_parallel then
+        if seed_shard then
           create_seq ~graph ~ontology ~options ~governor ~metrics
             ~seed_filter:(fun oid -> oid mod domains = shard)
-            conjunct
+            plan
         else
           create_seq ~graph ~ontology ~options ~governor ~metrics
-            ~parts:(List.filteri (fun i _ -> i mod domains = shard) all_parts)
-            conjunct
+            ~parts:(List.filteri (fun i _ -> i mod domains = shard) plan.Plan.parts)
+            plan
       in
       ((fun () -> next ev), fun () -> stats ev)
     in
@@ -256,61 +220,10 @@ let create ~graph ~ontology ~options ?governor ?metrics (conjunct : Query.conjun
       {
         par =
           Par.create ~domains ~slack ~governor ~metrics
-            ~label:(if seed_parallel then "seed-shard" else "part-shard")
-            ~dedup:part_parallel ~queue_cap:options.Options.par_queue_cap ~build ();
+            ~label:(if seed_shard then "seed-shard" else "part-shard")
+            ~dedup:(not seed_shard) ~build ();
         p_agg = Exec_stats.create ();
       }
-  end
 
-let automaton_name : Automaton.Compile.mode -> string = function
-  | Automaton.Compile.Exact -> "M_R"
-  | Automaton.Compile.Approx _ -> "A_R"
-  | Automaton.Compile.Relax _ -> "M^K_R"
-
-let mode_string : Query.mode -> string = function
-  | Query.Exact -> "exact"
-  | Query.Approx -> "approx"
-  | Query.Relax -> "relax"
-
-(* The EXPLAIN view of [create]: reproduce the strategy choice and compile
-   the automata, without opening any evaluation state. *)
-let describe ~graph ~ontology ~options ~index (conjunct : Query.conjunct) =
-  let nfa, seeding, reversed = Conjunct.describe ~graph ~ontology ~options conjunct in
-  let mode = Options.compile_mode options conjunct.Query.cmode in
-  let alternatives = Regex.top_level_alternatives conjunct.Query.regex in
-  let decomposed = options.Options.decompose && List.length alternatives > 1 in
-  let phi = Options.phi options conjunct.Query.cmode in
-  let strategy =
-    if decomposed then Printf.sprintf "decomposed(%d, phi=%d)" (List.length alternatives) phi
-    else if options.Options.distance_aware then Printf.sprintf "distance-aware(phi=%d)" phi
-    else "plain"
-  in
-  let parts =
-    if not decomposed then []
-    else
-      List.map
-        (fun regex ->
-          let pnfa, _, _ =
-            Conjunct.describe ~graph ~ontology ~options { conjunct with Query.regex }
-          in
-          {
-            Obs.Explain.p_regex = Format.asprintf "%a" Regex.pp regex;
-            p_states = Automaton.Nfa.n_states pnfa;
-            p_transitions = Automaton.Nfa.n_transitions pnfa;
-          })
-        alternatives
-  in
-  {
-    Obs.Explain.index;
-    (* [pp] prefixes the mode itself, so the source is the bare triple *)
-    source = Format.asprintf "%a" Query.pp_conjunct { conjunct with Query.cmode = Query.Exact };
-    mode = mode_string conjunct.Query.cmode;
-    automaton = automaton_name mode;
-    states = Automaton.Nfa.n_states nfa;
-    transitions = Automaton.Nfa.n_transitions nfa;
-    reversed;
-    strategy;
-    seeding;
-    parts;
-    counters = [];
-  }
+let create ~graph ~ontology ~options ?governor ?metrics conjunct =
+  of_plan ~graph ~ontology ~options ?governor ?metrics (Plan.make ~graph ~ontology ~options conjunct)

@@ -21,6 +21,11 @@
     All strategies yield answers in non-decreasing distance and dedupe
     [(x, y)] pairs, keeping the smallest distance.
 
+    The evaluator decides none of this: it runs the conjunct's {!Plan},
+    which fixed the strategy, the parts and their compiled automata, and
+    the parallel seam.  Restarts and shards reopen the plan's parts and
+    never recompile.
+
     {b Parallel} ([options.domains > 1]) — where the conjunct offers a
     sound partition, the strategies above run sharded on a {!Par} domain
     pool: [(?X, R, ?Y)] conjuncts partition their seed vertices
@@ -29,9 +34,27 @@
     set in non-decreasing distance with the canonical ascending [(x, y)]
     order within each distance — deterministic at any domain count [>= 2].
     Conjuncts with no such seam (constant-seeded, undecomposed) stay
-    sequential regardless of [options.domains]. *)
+    sequential regardless of [options.domains].  The shards share the
+    plan's automata read-only, so a shard's domain compiles nothing and
+    never touches the graph's interner. *)
 
 type t
+
+val of_plan :
+  graph:Graphstore.Graph.t ->
+  ontology:Ontology.t ->
+  options:Options.t ->
+  ?governor:Governor.t ->
+  ?metrics:Obs.Metrics.t ->
+  Plan.t ->
+  t
+(** Evaluate a plan built by {!Plan.make} with the same [graph],
+    [ontology] and [options].  [governor] (default: a fresh one implementing the options' limits) is
+    shared by every conjunct run this evaluator opens, including
+    distance-aware/decomposed restarts — so the tuple budget is cumulative
+    across ψ levels, and a deadline or cancellation also stops the restart
+    loop itself.  [metrics] (default: a fresh private registry) is likewise
+    shared by every conjunct run, so histograms accumulate across restarts. *)
 
 val create :
   graph:Graphstore.Graph.t ->
@@ -41,21 +64,14 @@ val create :
   ?metrics:Obs.Metrics.t ->
   Query.conjunct ->
   t
-(** [governor] (default: a fresh one implementing the options' limits) is
-    shared by every conjunct run this evaluator opens, including
-    distance-aware/decomposed restarts — so the tuple budget is cumulative
-    across ψ levels, and a deadline or cancellation also stops the restart
-    loop itself.  [metrics] (default: a fresh private registry) is likewise
-    shared by every conjunct run, so histograms accumulate across restarts. *)
+(** [of_plan] over [Plan.make ~graph ~ontology ~options conjunct]: plan and
+    evaluate a lone conjunct on the calling domain. *)
 
 val next : t -> Conjunct.answer option
 (** Next answer, or [None] when exhausted or when the governor tripped
     (read [Governor.termination] to tell which); the answers already
     returned are a valid ranked prefix either way.
     @raise Failpoints.Injected when an armed failpoint fires mid-pull. *)
-
-val take : t -> int -> Conjunct.answer list
-(** [take t k]: up to [k] further answers. *)
 
 val stats : t -> Exec_stats.t
 (** Counters aggregated over all runs/sub-automata so far.  The returned
@@ -76,15 +92,3 @@ val shard_report : t -> (int * int * int) list
 (** Per-shard [(index, busy_ns, answers)] of a parallel evaluator's
     completed shards ({!Par.shard_report}); [[]] on sequential
     evaluators. *)
-
-val describe :
-  graph:Graphstore.Graph.t ->
-  ontology:Ontology.t ->
-  options:Options.t ->
-  index:int ->
-  Query.conjunct ->
-  Obs.Explain.conjunct_plan
-(** The EXPLAIN view of {!create}: reproduces the strategy choice (plain /
-    distance-aware / decomposed), compiles the automaton (and each
-    decomposition part's), and renders the seeding regime — without opening
-    any evaluation state.  [index] is the conjunct's 1-based position. *)

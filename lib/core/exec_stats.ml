@@ -26,13 +26,6 @@ type t = {
   mutable gc_major_collections : int;
 }
 
-(* The monotonic clock used to attribute time to neighbour scans ([scan_ns])
-   is the shared process clock: one [Obs.Clock.install] in a binary's init
-   turns on every time attribution at once (scan_ns, governor deadlines,
-   trace timestamps).  The default reads nothing, so the engine stays
-   dependency-free and pays no syscall on the hot path. *)
-let now_ns = Obs.Clock.now_ns
-
 let create () =
   {
     pushes = 0;

@@ -69,12 +69,6 @@ type t = {
   mutable gc_major_collections : int;  (** major GC cycles during the query *)
 }
 
-val now_ns : (unit -> int) ref
-(** The clock behind [scan_ns] — an alias of {!Obs.Clock.now_ns}, the one
-    shared process clock.  Prefer [Obs.Clock.install] (it also marks the
-    clock installed, so printers stop flagging [scan-ns=n/a]); direct
-    assignment still works for deterministic test clocks. *)
-
 val create : unit -> t
 
 val copy : t -> t

@@ -4,12 +4,6 @@ type termination =
   | Completed
   | Exhausted of { reason : reason; elapsed_ns : int; tuples : int; answers : int }
 
-(* Monotonic clock behind deadlines — the shared process clock, the same
-   ref [Exec_stats.now_ns] aliases.  One [Obs.Clock.install] in a binary's
-   init arms every deadline; the default reads nothing, so a governor
-   without a deadline pays no syscall anywhere on the hot path. *)
-let now_ns = Obs.Clock.now_ns
-
 (* The cross-domain control block behind parallel evaluation: one per query,
    attached to the main governor and to every shard governor [Par] creates.
    Everything multiple domains touch is an [Atomic]; per-domain quantities
@@ -88,7 +82,7 @@ type t = {
 }
 
 let create ?timeout_ns ?max_tuples ?max_answers ?max_memory_bytes () =
-  let start_ns = !now_ns () in
+  let start_ns = !Obs.Clock.now_ns () in
   {
     stop = None;
     shared = None;
@@ -168,7 +162,7 @@ let poll t =
        begin
          t.polls <- t.polls + 1;
          t.polls land 15 <> 0
-         || !now_ns () <= t.deadline
+         || !Obs.Clock.now_ns () <= t.deadline
          ||
          (trip t Deadline;
           false)
@@ -260,7 +254,7 @@ let tuples t =
   match t.shared with None -> t.tuples | Some s -> Atomic.get s.Shared.tuples
 
 let answers t = t.answers
-let elapsed_ns t = !now_ns () - t.start_ns
+let elapsed_ns t = !Obs.Clock.now_ns () - t.start_ns
 
 let termination t =
   match tripped t with

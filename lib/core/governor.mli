@@ -30,14 +30,7 @@ type termination =
   | Exhausted of { reason : reason; elapsed_ns : int; tuples : int; answers : int }
       (** the governor tripped; the answers emitted before the trip are a
           valid ranked prefix.  [elapsed_ns] is 0 unless a clock is
-          installed in {!now_ns}. *)
-
-val now_ns : (unit -> int) ref
-(** The monotonic clock behind deadlines — an alias of {!Obs.Clock.now_ns},
-    the same ref as [Exec_stats.now_ns]: defaults to [fun () -> 0] (no
-    syscall on the hot path, deadlines never fire).  Binaries wanting
-    wall-clock control call [Obs.Clock.install] once; direct assignment
-    still works for deterministic test clocks. *)
+          installed in [Obs.Clock.now_ns]. *)
 
 type t
 
@@ -72,7 +65,7 @@ end
 val create :
   ?timeout_ns:int -> ?max_tuples:int -> ?max_answers:int -> ?max_memory_bytes:int -> unit -> t
 (** A fresh governor; omitted limits are unlimited.  [timeout_ns] is
-    relative to creation time (sampled from {!now_ns}).  [max_memory_bytes]
+    relative to creation time (sampled from [Obs.Clock.now_ns]).  [max_memory_bytes]
     bounds the {!Mem} live-bytes estimate and arms the degradation
     ladder. *)
 
@@ -180,7 +173,7 @@ val tuples : t -> int
 val answers : t -> int
 
 val elapsed_ns : t -> int
-(** Nanoseconds since creation per {!now_ns} (0 without a clock). *)
+(** Nanoseconds since creation per [Obs.Clock.now_ns] (0 without a clock). *)
 
 val reason_string : reason -> string
 (** ["tuple-budget"], ["deadline"], ["answer-limit"], ["fault:<name>"]. *)

@@ -13,10 +13,8 @@ type t = {
   max_product_est : int option;
   failpoints : string option;
   final_priority : bool;
-  batched_seeding : bool;
   provenance : bool;
   domains : int;
-  par_queue_cap : int;
 }
 
 let default_costs = { ins = 1; del = 1; sub = 1; beta = 1; gamma = 1 }
@@ -35,10 +33,8 @@ let default =
     max_product_est = None;
     failpoints = None;
     final_priority = true;
-    batched_seeding = true;
     provenance = false;
     domains = 1;
-    par_queue_cap = 8192;
   }
 
 let domains_env_var = "OMEGA_DOMAINS"

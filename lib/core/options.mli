@@ -13,7 +13,10 @@ type t = {
   costs : costs;
   batch_size : int;
       (** how many initial nodes the seeding coroutine delivers per batch for
-          [(?X, R, ?Y)] conjuncts (paper default: 100) *)
+          [(?X, R, ?Y)] conjuncts (paper default: 100).  [max_int] seeds
+          every node up-front in one batch — the ablation of batched
+          seeding, which the paper reports "reduced the execution time of
+          some queries by half" (§3.3); EXPLAIN prints it as [up-front]. *)
   distance_aware : bool;
       (** §4.3 "retrieving answers by distance": evaluate with a cost ceiling
           ψ = 0, φ, 2φ, … restarting from scratch at each increment *)
@@ -33,7 +36,7 @@ type t = {
           distance-aware restarts" regression test) *)
   timeout_ns : int option;
       (** the governor's wall-clock deadline, relative to query open.
-          Requires a clock installed in [Governor.now_ns]; without one the
+          Requires a clock installed in [Obs.Clock.now_ns]; without one the
           deadline never fires (documented no-op).  Answers emitted before
           the deadline are a valid ranked prefix. *)
   max_answers : int option;
@@ -69,11 +72,6 @@ type t = {
           that some queries, which had previously failed by running out of
           memory, completed" (§3.3) — disabling it lets the benchmark
           harness quantify that claim. *)
-  batched_seeding : bool;
-      (** ablation switch (default true): deliver [(?X, R, ?Y)] seeds in
-          coroutine batches of [batch_size].  When false, all seeds enter
-          [D_R] up-front (the paper reports batching "reduced the execution
-          time of some queries by half", §3.3). *)
   provenance : bool;
       (** record parent pointers on enqueued tuples (default false) so each
           answer carries a {!Witness.t} — the data path plus the
@@ -90,12 +88,6 @@ type t = {
           answer stream is the sequential answer set in non-decreasing
           distance with the documented [(x, y)] tie-break, identical at any
           domain count.  See DESIGN.md "Parallel evaluation". *)
-  par_queue_cap : int;
-      (** per-shard pending-list cap of the parallel merge (default 8192,
-          min 1): a worker parks once this many answers await draining, so
-          the cap bounds the unmerged backlog a fast shard can pile up
-          behind a slow seal bound.  Tiny values make the park/unpark path
-          deterministically exercisable in tests. *)
 }
 
 val governor : ?limit:int -> t -> Governor.t

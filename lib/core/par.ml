@@ -90,7 +90,7 @@ type t = {
    shard can accumulate while a slow one holds the seal bound back.
    Workers park on [space] at the cap and the consumer's drain wakes them,
    so the cap trades merge latency against memory without ever
-   deadlocking.  [Options.par_queue_cap] overrides it per query. *)
+   deadlocking.  Tests pass [~queue_cap:1] to force the park path. *)
 let default_queue_cap = 8192
 
 let worker t i build =

@@ -51,8 +51,8 @@ val create :
     [label] (default ["shard"]) prefixes the trace-lane names workers give
     their domains ({!Obs.Flight.set_thread_name}: ["<label> <i>"]).
     [queue_cap] (default 8192, min 1) bounds each shard's undrained pending
-    list; workers park at the cap until the consumer drains
-    ([Options.par_queue_cap] threads it from the CLI).
+    list; workers park at the cap until the consumer drains (tests pass
+    [1] to exercise park/unpark deterministically).
 
     When the flight recorder is on ({!Obs.Flight}), the pool logs its
     scheduling events — shard start/done, deliveries, park/unpark, seals

@@ -27,11 +27,11 @@ let fixture () =
 
 let estimate ?(options = Options.default) q =
   let g, k = fixture () in
-  Admission.estimate ~graph:g ~ontology:k ~options q
+  Admission.estimate ~graph:g (Core.Plan.of_query ~graph:g ~ontology:k ~options q)
 
 let vet ~options q =
   let g, k = fixture () in
-  Admission.vet ~graph:g ~ontology:k ~options q
+  Admission.vet ~graph:g ~options (Core.Plan.of_query ~graph:g ~ontology:k ~options q)
 
 (* --- the estimate ----------------------------------------------------- *)
 

@@ -174,7 +174,7 @@ let env_deadline_ms =
   | Some s -> int_of_string_opt (String.trim s)
   | None -> None
 
-let restore_clock () = Governor.now_ns := fun () -> 0
+let restore_clock () = Obs.Clock.now_ns := fun () -> 0
 
 let deadline_reason_ok (o : Engine.outcome) =
   match o.Engine.termination with
@@ -192,7 +192,7 @@ let deadline_prop =
       let options = { Options.default with Options.timeout_ns = Some timeout_ns } in
       let chaos =
         let counter = ref 0 in
-        Governor.now_ns :=
+        Obs.Clock.now_ns :=
           (fun () ->
             incr counter;
             !counter * 97);
@@ -202,7 +202,7 @@ let deadline_prop =
         match env_deadline_ms with
         | None -> true
         | Some ms ->
-          Governor.now_ns := (fun () -> int_of_float (1e9 *. Unix.gettimeofday ()));
+          Obs.Clock.now_ns := (fun () -> int_of_float (1e9 *. Unix.gettimeofday ()));
           let aggressive =
             Fun.protect ~finally:restore_clock (fun () ->
                 Engine.run ~graph:g ~ontology:k
@@ -461,7 +461,7 @@ let par_deadline_prop =
       let clean, clean_ok = clean_run g k options q in
       let chaos =
         let counter = Atomic.make 0 in
-        Governor.now_ns := (fun () -> (Atomic.fetch_and_add counter 1 + 1) * 97);
+        Obs.Clock.now_ns := (fun () -> (Atomic.fetch_and_add counter 1 + 1) * 97);
         Fun.protect ~finally:restore_clock (fun () ->
             Engine.run ~graph:g ~ontology:k
               ~options:{ options with Options.timeout_ns = Some timeout_ns }

@@ -250,7 +250,7 @@ let no_final_priority_prop =
 
 let unbatched_seeding_prop =
   ablation_prop "disabling batched seeding changes nothing (answers)"
-    { Core.Options.default with Core.Options.batched_seeding = false }
+    { Core.Options.default with Core.Options.batch_size = max_int }
 
 let small_batch_prop =
   QCheck2.Test.make ~name:"batch size 1 changes nothing" ~count:100

@@ -451,7 +451,7 @@ let trace_nesting_prop =
       (* rings deep enough that nothing wraps: the property checks every span *)
       Flight.enable ~capacity:65536 ();
       let counter = ref 0 in
-      (Governor.now_ns :=
+      (Obs.Clock.now_ns :=
          fun () ->
            incr counter;
            !counter * 97);
@@ -460,7 +460,7 @@ let trace_nesting_prop =
         Fun.protect
           ~finally:(fun () ->
             Failpoints.disarm ();
-            Governor.now_ns := (fun () -> 0);
+            Obs.Clock.now_ns := (fun () -> 0);
             Flight.disable ())
           (fun () -> Engine.run ~graph:g ~ontology:k ~options q)
       in

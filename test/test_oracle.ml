@@ -50,7 +50,7 @@ let relax_da_prop =
 
 let unbatched_prop =
   diff_prop "unbatched seeding = oracle (exact)" ~count:25 ~mode:Q.Exact
-    (Some { Core.Options.default with Core.Options.batched_seeding = false })
+    (Some { Core.Options.default with Core.Options.batch_size = max_int })
 
 let decomposed_prop =
   QCheck2.Test.make ~name:"decomposed = oracle (APPROX alternation)" ~count:35

@@ -177,6 +177,146 @@ let concurrent_runs () =
         (List.sort_uniq compare seqs = seqs);
       ignore (Obs.Trace.to_json ()))
 
+(* --- compile once, on the opening domain ------------------------------ *)
+
+(* Every automaton a query evaluates is compiled once, by the plan
+   [Engine.open_query] builds on the calling domain: shards and psi
+   restarts reuse it.  With the recorder on, each compile leaves one
+   [build.thompson] span.  None of these queries decomposes, so each plan
+   holds exactly one automaton. *)
+let l4_graph, l4_ontology = Datagen.L4all.generate ~timelines:21 ()
+
+let compiles_once ~options ?limit text () =
+  let q = Core.Query_parser.parse text in
+  Obs.Flight.enable ~capacity:65536 ();
+  let outcome, events =
+    Fun.protect
+      ~finally:(fun () ->
+        Obs.Flight.disable ();
+        Obs.Flight.clear ())
+      (fun () ->
+        let st = Core.Engine.open_query ~graph:l4_graph ~ontology:l4_ontology ~options q in
+        let outcome = Core.Engine.drain ?limit st in
+        (outcome, Obs.Flight.events ()))
+  in
+  Alcotest.(check bool) "answers" true (outcome.Core.Engine.answers <> []);
+  let compiles =
+    List.filter_map
+      (fun (e : Obs.Flight.event) ->
+        match e.Obs.Flight.kind with
+        | Obs.Flight.Span { ph = Obs.Flight.Begin; name = "build.thompson"; _ } ->
+          Some e.Obs.Flight.domain
+        | _ -> None)
+      events
+  in
+  Alcotest.(check int) "one compile per automaton" (List.length q.Q.conjuncts) (List.length compiles);
+  let self = (Domain.self () :> int) in
+  Alcotest.(check (list int)) "all on the opening domain" (List.map (fun _ -> self) compiles) compiles;
+  events
+
+let compile_once_sharded () =
+  ignore
+    (compiles_once ~options:{ O.default with O.domains = 2 } ~limit:200
+       "(?X, ?Y) <- (?X, job.type, ?Y)" ())
+
+let compile_once_restarts () =
+  let events =
+    compiles_once ~options:{ O.default with O.distance_aware = true } ~limit:50
+      "(?X) <- APPROX (Librarians, type-, ?X)" ()
+  in
+  let levels =
+    List.length
+      (List.filter
+         (fun (e : Obs.Flight.event) ->
+           match e.Obs.Flight.kind with
+           | Obs.Flight.Span { name = "psi.level"; _ } -> true
+           | _ -> false)
+         events)
+  in
+  Alcotest.(check bool) "at least two psi levels ran" true (levels >= 1)
+
+let compile_once_admission () =
+  ignore
+    (compiles_once
+       ~options:{ O.default with O.max_states = Some 1_000_000 }
+       ~limit:20 "(?X) <- APPROX (Librarians, type-.job-, ?X)" ())
+
+(* The graph's interner has no lock, so only the opening domain may grow
+   it: a label the graph lacks is interned exactly once per query, however
+   many shards evaluate the conjunct. *)
+let fresh_labels_intern_once () =
+  let interner = Graphstore.Graph.interner l4_graph in
+  let options = { O.default with O.domains = 4 } in
+  for i = 1 to 500 do
+    let before = Graphstore.Interner.cardinal interner in
+    let q = Core.Query_parser.parse (Printf.sprintf "(?X, ?Y) <- (?X, fresh_label_%d, ?Y)" i) in
+    let outcome = Core.Engine.run ~graph:l4_graph ~ontology:l4_ontology ~options q in
+    Alcotest.(check int) "no answers" 0 (List.length outcome.Core.Engine.answers);
+    Alcotest.(check int)
+      (Printf.sprintf "query %d interns its label once" i)
+      (before + 1) (Graphstore.Interner.cardinal interner)
+  done
+
+(* --- the merge's park/unpark path -------------------------------------- *)
+
+(* With a pending-list cap of 1, a worker parks after every undrained
+   answer and the consumer's drain unparks it; the merged stream must be
+   the one the default cap produces. *)
+let park_unpark () =
+  let per_shard = 200 in
+  let merged ?queue_cap () =
+    let produced = Array.init 2 (fun _ -> Atomic.make 0) in
+    let build ~shard ~governor:_ ~metrics:_ =
+      let k = ref 0 in
+      let pull () =
+        if !k >= per_shard then None
+        else begin
+          let a = { Core.Conjunct.x = (2 * !k) + shard; y = !k mod 7; dist = !k / 10; witness = None } in
+          incr k;
+          Atomic.set produced.(shard) !k;
+          Some a
+        end
+      in
+      (pull, Core.Exec_stats.create)
+    in
+    let par =
+      Core.Par.create ~domains:2 ~slack:0 ~governor:(Core.Governor.unlimited ())
+        ~metrics:(Obs.Metrics.create ()) ?queue_cap ~build ()
+    in
+    (* let both workers reach their second answer before the first drain *)
+    while Array.exists (fun c -> Atomic.get c < 2) produced do
+      Domain.cpu_relax ()
+    done;
+    Unix.sleepf 0.01;
+    let rec drain acc =
+      match Core.Par.next par with
+      | Some (a : Core.Conjunct.answer) -> drain ((a.dist, a.x, a.y) :: acc)
+      | None -> List.rev acc
+    in
+    drain []
+  in
+  let default = merged () in
+  Alcotest.(check int) "every answer merged" (2 * per_shard) (List.length default);
+  Obs.Flight.enable ~capacity:65536 ();
+  let capped, parks =
+    Fun.protect
+      ~finally:(fun () ->
+        Obs.Flight.disable ();
+        Obs.Flight.clear ())
+      (fun () ->
+        let capped = merged ~queue_cap:1 () in
+        let parks =
+          List.length
+            (List.filter
+               (fun (e : Obs.Flight.event) ->
+                 match e.Obs.Flight.kind with Obs.Flight.Park _ -> true | _ -> false)
+               (Obs.Flight.events ()))
+        in
+        (capped, parks))
+  in
+  Alcotest.(check bool) "workers parked" true (parks > 0);
+  Alcotest.(check bool) "same merged stream as the default cap" true (capped = default)
+
 let () =
   Alcotest.run "par"
     [
@@ -192,4 +332,14 @@ let () =
           QCheck_alcotest.to_alcotest provenance_prop;
         ] );
       ("reentrancy", [ Alcotest.test_case "two concurrent engine runs" `Quick concurrent_runs ]);
+      ( "compile",
+        [
+          Alcotest.test_case "seed-sharded: compiled once, on the opening domain" `Quick
+            compile_once_sharded;
+          Alcotest.test_case "psi restarts reuse the automaton" `Quick compile_once_restarts;
+          Alcotest.test_case "admission reads the plan" `Quick compile_once_admission;
+          Alcotest.test_case "fresh labels intern once at 4 domains" `Quick
+            fresh_labels_intern_once;
+        ] );
+      ("merge", [ Alcotest.test_case "queue cap 1: park/unpark, same stream" `Quick park_unpark ]);
     ]
