@@ -207,9 +207,9 @@ let write_json ?(extra = []) ?path ~section rows =
   end
 
 (* Exact protocol: run to completion, [!runs]+1 times, discard the first. *)
-let measure_exact (g, k) qtext =
+let measure_exact ?(options = Options.default) (g, k) qtext =
   let once () =
-    match Engine.run_string ~graph:g ~ontology:k ~limit:max_int qtext with
+    match Engine.run_string ~graph:g ~ontology:k ~options ~limit:max_int qtext with
     | Ok o -> o
     | Error msg -> failwith msg
   in
@@ -684,25 +684,7 @@ let par () =
   let scale = List.nth !scales (List.length !scales - 1) in
   let gk = l4_graph scale in
   let measure qtext domains =
-    let options = { Options.default with Options.domains } in
-    let once () =
-      match Engine.run_string ~graph:(fst gk) ~ontology:(snd gk) ~options ~limit:max_int qtext with
-      | Ok o -> o
-      | Error m -> failwith m
-    in
-    let outcome, _ = ms once in
-    let times = List.init !runs (fun _ -> snd (ms once)) in
-    {
-      time_ms = mean times;
-      times_ms = times;
-      count = List.length outcome.Engine.answers;
-      tuples = outcome.Engine.stats.Core.Exec_stats.pushes;
-      mem_bytes_peak = outcome.Engine.stats.Core.Exec_stats.mem_bytes_peak;
-      histogram = histogram_of outcome.Engine.answers;
-      aborted = aborted_of outcome.Engine.termination;
-      termination = outcome.Engine.termination;
-      gc = gc_of outcome.Engine.stats;
-    }
+    measure_exact ~options:{ Options.default with Options.domains } gk qtext
   in
   Printf.printf "%-5s %8s %12s %9s %10s %10s\n" "Q" "domains" "mean (ms)" "speedup" "answers"
     "tuples";
@@ -787,26 +769,7 @@ let flight () =
   let scale = List.hd !scales in
   let gk = l4_graph scale in
   let options = { Options.default with Options.domains = 2 } in
-  let measure qtext =
-    let once () =
-      match Engine.run_string ~graph:(fst gk) ~ontology:(snd gk) ~options ~limit:max_int qtext with
-      | Ok o -> o
-      | Error m -> failwith m
-    in
-    let outcome, _ = ms once in
-    let times = List.init !runs (fun _ -> snd (ms once)) in
-    {
-      time_ms = mean times;
-      times_ms = times;
-      count = List.length outcome.Engine.answers;
-      tuples = outcome.Engine.stats.Core.Exec_stats.pushes;
-      mem_bytes_peak = outcome.Engine.stats.Core.Exec_stats.mem_bytes_peak;
-      histogram = histogram_of outcome.Engine.answers;
-      aborted = aborted_of outcome.Engine.termination;
-      termination = outcome.Engine.termination;
-      gc = gc_of outcome.Engine.stats;
-    }
-  in
+  let measure = measure_exact ~options gk in
   let queries = [ 4; 5; 6; 7 ] in
   let pass recorder_on =
     if recorder_on then Obs.Flight.enable () else Obs.Flight.disable ();

@@ -8,26 +8,6 @@
 
 open Cmdliner
 
-let load_dataset ?(lenient = false) path =
-  match Ntriples.Nt.load_report ~lenient path with
-  | (graph, ontology), report ->
-    if report.Ntriples.Nt.malformed > 0 then begin
-      Printf.eprintf "%s: skipped %d malformed line(s) (kept %d triples):\n" path
-        report.Ntriples.Nt.malformed report.Ntriples.Nt.triples;
-      List.iter
-        (fun (msg, line) -> Printf.eprintf "  %s:%d: %s\n" path line msg)
-        report.Ntriples.Nt.errors
-    end;
-    (* loading is over: build the CSR index before any query is timed *)
-    Graphstore.Graph.freeze graph;
-    (graph, ontology)
-  | exception Ntriples.Nt.Parse_error (msg, line) ->
-    Printf.eprintf "%s:%d: %s (rerun with --lenient to skip malformed lines)\n" path line msg;
-    exit 2
-  | exception Sys_error msg ->
-    Printf.eprintf "%s\n" msg;
-    exit 2
-
 (* --- generate ------------------------------------------------------- *)
 
 let generate_cmd =
@@ -91,18 +71,9 @@ let generate_cmd =
 
 (* --- stats ---------------------------------------------------------- *)
 
-let data_arg =
-  Arg.(required & opt (some string) None & info [ "d"; "data" ] ~docv:"FILE" ~doc:"Triple file to load.")
-
-let lenient_arg =
-  Arg.(
-    value & flag
-    & info [ "lenient" ]
-        ~doc:"Skip malformed triple lines (reporting how many) instead of aborting the load.")
-
 let stats_cmd =
   let run data lenient =
-    let graph, ontology = load_dataset ~lenient data in
+    let graph, ontology = Front.load ~lenient data in
     Format.printf "graph: %a@." Graphstore.Graph.pp_stats (Graphstore.Graph.stats graph);
     let interner = Graphstore.Graph.interner graph in
     List.iter
@@ -118,7 +89,9 @@ let stats_cmd =
           (Ontology.property_hierarchy_stats ontology root))
       (Ontology.property_roots ontology)
   in
-  Cmd.v (Cmd.info "stats" ~doc:"Print graph and ontology statistics.") Term.(const run $ data_arg $ lenient_arg)
+  Cmd.v
+    (Cmd.info "stats" ~doc:"Print graph and ontology statistics.")
+    Term.(const run $ Front.data $ Front.lenient)
 
 (* --- saturate ------------------------------------------------------- *)
 
@@ -136,7 +109,7 @@ let saturate_cmd =
     Arg.(value & flag & info [ "no-domain-range" ] ~doc:"Skip rdfs2/rdfs3 (domain/range).")
   in
   let run data lenient output no_subclass no_subproperty no_domain_range =
-    let graph, ontology = load_dataset ~lenient data in
+    let graph, ontology = Front.load ~lenient data in
     let before = Graphstore.Graph.n_edges graph in
     let stats =
       Rdfs.saturate ~subclass:(not no_subclass) ~subproperty:(not no_subproperty)
@@ -152,7 +125,9 @@ let saturate_cmd =
        ~doc:
          "Materialise the RDFS entailments (rdfs2/3/7/9) of a triple file into the data graph — \
           the space-hungry alternative to query-time RELAX.")
-    Term.(const run $ data_arg $ lenient_arg $ output $ no_subclass $ no_subproperty $ no_domain_range)
+    Term.(
+      const run $ Front.data $ Front.lenient $ output $ no_subclass $ no_subproperty
+      $ no_domain_range)
 
 (* --- query ---------------------------------------------------------- *)
 
@@ -162,41 +137,6 @@ let query_cmd =
   in
   let limit =
     Arg.(value & opt int 100 & info [ "limit" ] ~docv:"N" ~doc:"Maximum number of answers (ranked).")
-  in
-  let distance_aware =
-    Arg.(value & flag & info [ "distance-aware" ] ~doc:"Enable distance-aware retrieval (§4.3).")
-  in
-  let decompose =
-    Arg.(value & flag & info [ "decompose" ] ~doc:"Enable alternation-by-disjunction decomposition (§4.3).")
-  in
-  let domains =
-    Arg.(
-      value
-      & opt int (Core.Options.domains_from_env ())
-      & info [ "domains" ] ~docv:"N"
-          ~doc:
-            "Evaluate parallelisable conjuncts on N OCaml domains (default 1, or \
-             \\$OMEGA_DOMAINS).  $(b,(?X, R, ?Y)) conjuncts partition their seed vertices across \
-             the pool; constant-seeded decomposed conjuncts partition their alternation \
-             sub-automata.  With N=1 the sequential code path runs unchanged; with N>1 the \
-             answer stream is the same answer set in non-decreasing distance with a \
-             deterministic tie-break, identical at any domain count.")
-  in
-  let max_tuples =
-    Arg.(
-      value & opt (some int) None
-      & info [ "max-tuples"; "budget" ] ~docv:"N"
-          ~doc:
-            "Stop after N tuples have been queued (memory stand-in; cumulative over conjuncts, \
-             joins and distance-aware restarts).  Answers emitted so far are kept.")
-  in
-  let timeout_ms =
-    Arg.(
-      value & opt (some int) None
-      & info [ "timeout-ms" ] ~docv:"MS"
-          ~doc:
-            "Wall-clock deadline for the whole query.  On expiry the answers found so far are \
-             printed (a valid ranked prefix) and the exit code is 3.")
   in
   let max_answers =
     Arg.(
@@ -215,14 +155,6 @@ let query_cmd =
              — before terminating with exit code 4; the answers printed are still a correct \
              ranked prefix.")
   in
-  let max_states =
-    Arg.(
-      value & opt (some int) None
-      & info [ "max-states" ] ~docv:"N"
-          ~doc:
-            "Admission control: reject the query (exit code 6, before touching the graph) if any \
-             conjunct's automaton, after APPROX/RELAX expansion, has more than N states.")
-  in
   let max_product_est =
     Arg.(
       value & opt (some int) None
@@ -231,15 +163,6 @@ let query_cmd =
             "Admission control: reject the query (exit code 6) if the estimated product-automaton \
              frontier — automaton states times estimated seed nodes, summed over conjuncts — \
              exceeds N.")
-  in
-  let failpoints =
-    Arg.(
-      value & opt (some string) None
-      & info [ "failpoints" ] ~docv:"SPEC"
-          ~doc:
-            "Arm fault-injection points, e.g. $(b,scan=0.01,join=0.05#42) (point=probability, \
-             $(b,#seed) for determinism; points: scan, seed, join, onto).  Also read from \
-             \\$OMEGA_FAILPOINTS.  Injected faults terminate the query gracefully with exit code 5.")
   in
   let edit_cost =
     Arg.(value & opt int 1 & info [ "edit-cost" ] ~docv:"C" ~doc:"Cost of each APPROX edit operation.")
@@ -260,15 +183,6 @@ let query_cmd =
             "Write the query's audit record — execution counters, GC deltas, latency, termination, \
              admission estimate vs actual, per-shard breakdown — as a single JSON object to FILE \
              ($(b,-) for stdout).  Same codec as $(b,--audit) records.")
-  in
-  let audit =
-    Arg.(
-      value & opt (some string) None
-      & info [ "audit" ] ~docv:"FILE"
-          ~doc:
-            "Append one schema-versioned JSON line per query to FILE (the query observatory's \
-             audit log; see $(b,omega_report)).  Also read from \\$OMEGA_AUDIT.  Crash-safe: each \
-             record is written and flushed atomically.")
   in
   let flight =
     Arg.(
@@ -334,20 +248,19 @@ let query_cmd =
              bucket, discard attribution (visited dedup / duplicate finals / ψ pruning / tuples \
              left queued) and per-operation cost totals.  Enables provenance tracking.")
   in
-  let run data lenient query limit distance_aware decompose domains max_tuples timeout_ms
-      max_answers max_memory_mb max_states max_product_est failpoints edit_cost relax_cost
-      show_stats stats_json audit flight explain_flag explain_analyze trace why why_json
-      profile_flag =
+  let run data lenient query limit options max_answers max_memory_mb max_product_est edit_cost
+      relax_cost show_stats stats_json audit failpoints flight explain_flag explain_analyze trace
+      why why_json profile_flag =
     let wall_ns () = int_of_float (1e9 *. Unix.gettimeofday ()) in
-    let audit = match audit with Some _ -> audit | None -> Sys.getenv_opt Obs.Audit.env_var in
+    let audit = Front.start ~audit ~failpoints in
     let flight = match flight with Some _ -> flight | None -> Sys.getenv_opt Obs.Flight.env_var in
     (* One shared init for every time source: scan-time attribution, governor
        deadlines and trace timestamps all read the same installed clock.
        (Separate conditional installs used to leave scan_ns silently 0 when
        only a deadline was requested.) *)
     if
-      show_stats || explain_analyze || timeout_ms <> None || trace <> None || audit <> None
-      || stats_json <> None || flight <> None
+      show_stats || explain_analyze || options.Core.Options.timeout_ns <> None || trace <> None
+      || audit <> None || stats_json <> None || flight <> None
     then Obs.Clock.install wall_ns;
     (* --trace and --flight switch on the one recorder: a timeline keeps a
        deeper ring, a flight dump adds the per-answer detail level *)
@@ -357,21 +270,10 @@ let query_cmd =
         ?capacity:(if trace <> None then Some 65536 else None)
         ~detail:(flight <> None) ()
     end;
-    (match audit with
-    | None -> ()
-    | Some path -> (
-      try Obs.Audit.enable path
-      with Sys_error msg ->
-        Printf.eprintf "cannot open audit log: %s\n" msg;
-        exit 2));
-    let failpoints =
-      match failpoints with
-      | Some _ -> failpoints
-      | None -> Sys.getenv_opt Core.Failpoints.env_var
-    in
-    let graph, ontology = load_dataset ~lenient data in
+    let graph, ontology = Front.load ~lenient data in
     let options =
       {
+        options with
         Core.Options.costs =
           {
             Core.Options.ins = edit_cost;
@@ -380,21 +282,12 @@ let query_cmd =
             beta = relax_cost;
             gamma = relax_cost;
           };
-        batch_size = 100;
-        distance_aware;
-        decompose;
-        max_tuples;
-        timeout_ns = Option.map (fun ms -> ms * 1_000_000) timeout_ms;
         max_answers;
         max_memory_bytes = Option.map (fun mb -> mb * 1024 * 1024) max_memory_mb;
-        max_states;
         max_product_est;
-        failpoints;
-        final_priority = true;
         (* --explain-analyze turns provenance on too, so its profile section
            includes the per-operation cost totals (fed by witnesses) *)
         provenance = why || why_json <> None || profile_flag || explain_analyze;
-        domains = (if domains >= 1 && domains <= 64 then domains else 1);
       }
     in
     let export_trace ?(extra = []) () =
@@ -442,20 +335,8 @@ let query_cmd =
           | None -> ()
           | Some path ->
             let answers_json =
-              Obs.Json.List
-                (List.map
-                   (fun (a : Core.Engine.answer) ->
-                     Obs.Json.Obj
-                       [
-                         ( "bindings",
-                           Obs.Json.Obj
-                             (List.map (fun (v, x) -> (v, Obs.Json.String x)) a.bindings) );
-                         ("distance", Obs.Json.Int a.distance);
-                         ( "witnesses",
-                           Obs.Json.List
-                             (List.map (Core.Witness.to_json ~node ~label) a.witnesses) );
-                       ])
-                   outcome.Core.Engine.answers)
+              Core.Engine.answers_json ~witness:(Core.Witness.to_json ~node ~label)
+                outcome.Core.Engine.answers
             in
             let oc = open_out path in
             Obs.Json.to_channel oc (Obs.Json.Obj [ ("answers", answers_json) ]);
@@ -467,21 +348,13 @@ let query_cmd =
             Core.Engine.annotate st plan;
             Format.printf "%a@." Obs.Explain.pp plan
           end;
-          let exit_code =
-            match outcome.Core.Engine.termination with
-            | Core.Engine.Completed -> 0
-            | Core.Engine.Exhausted { reason; _ } -> (
-              Format.printf "-- partial: %a (the ranked prefix above is still correct)@."
-                Core.Engine.pp_termination outcome.Core.Engine.termination;
-              match reason with
-              | Core.Governor.Answer_limit -> 0
-              | Core.Governor.Deadline -> 3
-              | Core.Governor.Tuple_budget | Core.Governor.Memory_budget -> 4
-              | Core.Governor.Fault _ -> 5)
-            | Core.Engine.Rejected r ->
-              Format.printf "-- rejected by admission control: %a@." Core.Admission.pp_rejection r;
-              6
-          in
+          (match outcome.Core.Engine.termination with
+          | Core.Engine.Completed -> ()
+          | Core.Engine.Exhausted _ ->
+            Format.printf "-- partial: %a (the ranked prefix above is still correct)@."
+              Core.Engine.pp_termination outcome.Core.Engine.termination
+          | Core.Engine.Rejected r ->
+            Format.printf "-- rejected by admission control: %a@." Core.Admission.pp_rejection r);
           Format.printf "%d answer(s) in %.2f ms@."
             (List.length outcome.Core.Engine.answers)
             (1000. *. (Unix.gettimeofday () -. t0));
@@ -514,15 +387,16 @@ let query_cmd =
                  [ ("profile", Obs.Profile.to_json profile) ]
                else [])
             ();
-          if exit_code <> 0 then exit exit_code)
+          let code = Core.Engine.exit_code outcome.Core.Engine.termination in
+          if code <> 0 then exit code)
   in
   Cmd.v
     (Cmd.info "query" ~doc:"Run a CRP query (with optional APPROX/RELAX conjuncts) against a triple file.")
     Term.(
-      const run $ data_arg $ lenient_arg $ query $ limit $ distance_aware $ decompose $ domains
-      $ max_tuples $ timeout_ms $ max_answers $ max_memory_mb $ max_states $ max_product_est
-      $ failpoints $ edit_cost $ relax_cost $ show_stats $ stats_json $ audit $ flight
-      $ explain_flag $ explain_analyze $ trace $ why $ why_json $ profile_flag)
+      const run $ Front.data $ Front.lenient $ query $ limit $ Front.options $ max_answers
+      $ max_memory_mb $ max_product_est $ edit_cost $ relax_cost $ show_stats $ stats_json
+      $ Front.audit $ Front.failpoints $ flight $ explain_flag $ explain_analyze $ trace $ why
+      $ why_json $ profile_flag)
 
 let () =
   let doc = "flexible regular path queries over graph data (APPROX / RELAX)" in

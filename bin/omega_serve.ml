@@ -9,30 +9,9 @@
 
 open Cmdliner
 
-let load_dataset ?(lenient = false) path =
-  match Ntriples.Nt.load_report ~lenient path with
-  | (graph, ontology), report ->
-    if report.Ntriples.Nt.malformed > 0 then
-      Printf.eprintf "%s: skipped %d malformed line(s) (kept %d triples)\n" path
-        report.Ntriples.Nt.malformed report.Ntriples.Nt.triples;
-    (graph, ontology)
-  | exception Ntriples.Nt.Parse_error (msg, line) ->
-    Printf.eprintf "%s:%d: %s (rerun with --lenient to skip malformed lines)\n" path line msg;
-    exit 2
-  | exception Sys_error msg ->
-    Printf.eprintf "%s\n" msg;
-    exit 2
-
 (* --- run ------------------------------------------------------------- *)
 
 let run_cmd =
-  let data =
-    Arg.(
-      required
-      & opt (some string) None
-      & info [ "data" ] ~docv:"FILE" ~doc:"N-Triples file to serve queries against.")
-  in
-  let lenient = Arg.(value & flag & info [ "lenient" ] ~doc:"Skip malformed triples on load.") in
   let socket =
     Arg.(
       value
@@ -44,15 +23,6 @@ let run_cmd =
       value & flag
       & info [ "stdio" ]
           ~doc:"Serve one session over stdin/stdout instead of a socket (tests, pipelines).")
-  in
-  let audit =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "audit" ] ~docv:"FILE"
-          ~doc:
-            "Append one audit record per request to FILE (JSONL; $(b,OMEGA_AUDIT) is the \
-             default).  SIGHUP reopens the file, so logrotate works without a restart.")
   in
   let max_inflight =
     Arg.(
@@ -103,53 +73,6 @@ let run_cmd =
       value & opt int 1000
       & info [ "max-limit" ] ~docv:"N" ~doc:"Ceiling on any request's answer limit.")
   in
-  let timeout_ms =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "timeout-ms" ] ~docv:"MS"
-          ~doc:"Default per-query deadline (requests can only tighten it).")
-  in
-  let max_tuples =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "max-tuples" ] ~docv:"N" ~doc:"Default per-query tuple budget (the memory stand-in).")
-  in
-  let max_states =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "max-states" ] ~docv:"N"
-          ~doc:"Admission control: reject queries compiling past this many automaton states.")
-  in
-  let flex_timeout_ms =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "flex-timeout-ms" ] ~docv:"MS"
-          ~doc:
-            "Tighter default deadline for flexible-operator queries (any APPROX/RELAX conjunct) — \
-             the expensive class pays for itself.")
-  in
-  let flex_max_tuples =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "flex-max-tuples" ] ~docv:"N"
-          ~doc:"Tighter default tuple budget for flexible-operator queries.")
-  in
-  let domains =
-    Arg.(
-      value & opt int 1
-      & info [ "domains" ] ~docv:"N" ~doc:"OCaml domains per query evaluation (1-64).")
-  in
-  let decompose =
-    Arg.(value & flag & info [ "decompose" ] ~doc:"Enable alternation decomposition (§4.3).")
-  in
-  let distance_aware =
-    Arg.(value & flag & info [ "distance-aware" ] ~doc:"Enable distance-aware retrieval (§4.3).")
-  in
   let debug_ops =
     Arg.(
       value & flag
@@ -159,54 +82,15 @@ let run_cmd =
              how the chaos suite and CI provoke deterministic sheds and drain cuts.  Off in \
              production.")
   in
-  let failpoints =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "failpoints" ] ~docv:"SPEC"
-          ~doc:
-            "Arm fault-injection points, e.g. $(b,read=0.1,write=0.1#42) \
-             ($(b,OMEGA_FAILPOINTS) is the default).  Server faults abort one connection, never \
-             the daemon.")
-  in
-  let run data lenient socket stdio audit max_inflight tenant_inflight retry_after_ms
-      hard_timeout_ms drain_grace_ms max_line_bytes default_limit max_limit timeout_ms max_tuples
-      max_states flex_timeout_ms flex_max_tuples domains decompose distance_aware debug_ops
-      failpoints =
+  let run data lenient socket stdio audit failpoints max_inflight tenant_inflight retry_after_ms
+      hard_timeout_ms drain_grace_ms max_line_bytes default_limit max_limit options debug_ops =
     if (not stdio) && socket = None then begin
       Printf.eprintf "omega_serve run: need --socket PATH (or --stdio)\n";
       exit 2
     end;
     Obs.Clock.install (fun () -> int_of_float (1e9 *. Unix.gettimeofday ()));
-    (match (match audit with Some _ -> audit | None -> Sys.getenv_opt Obs.Audit.env_var) with
-    | None -> ()
-    | Some path -> (
-      try Obs.Audit.enable path
-      with Sys_error msg ->
-        Printf.eprintf "cannot open audit log: %s\n" msg;
-        exit 2));
-    (match
-       ( (match failpoints with
-         | Some spec -> Core.Failpoints.arm_spec spec |> Result.map (fun () -> true)
-         | None -> Core.Failpoints.arm_from_env ()),
-         () )
-     with
-    | Ok _, () -> ()
-    | Error msg, () ->
-      Printf.eprintf "bad failpoint spec: %s\n" msg;
-      exit 2);
-    let graph, ontology = load_dataset ~lenient data in
-    let options =
-      {
-        Core.Options.default with
-        Core.Options.timeout_ns = Option.map (fun ms -> ms * 1_000_000) timeout_ms;
-        max_tuples;
-        max_states;
-        decompose;
-        distance_aware;
-        domains = (if domains >= 1 && domains <= 64 then domains else 1);
-      }
-    in
+    ignore (Front.start ~audit ~failpoints);
+    let graph, ontology = Front.load ~lenient data in
     let config =
       {
         Server.Daemon.max_line_bytes;
@@ -218,8 +102,6 @@ let run_cmd =
         max_limit;
         default_limit;
         options;
-        flex_timeout_ms;
-        flex_max_tuples;
         debug_ops;
       }
     in
@@ -241,10 +123,9 @@ let run_cmd =
   Cmd.v
     (Cmd.info "run" ~doc:"Run the always-on query daemon (Unix socket or stdio).")
     Term.(
-      const run $ data $ lenient $ socket $ stdio $ audit $ max_inflight $ tenant_inflight
-      $ retry_after_ms $ hard_timeout_ms $ drain_grace_ms $ max_line_bytes $ default_limit
-      $ max_limit $ timeout_ms $ max_tuples $ max_states $ flex_timeout_ms $ flex_max_tuples
-      $ domains $ decompose $ distance_aware $ debug_ops $ failpoints)
+      const run $ Front.data $ Front.lenient $ socket $ stdio $ Front.audit $ Front.failpoints
+      $ max_inflight $ tenant_inflight $ retry_after_ms $ hard_timeout_ms $ drain_grace_ms
+      $ max_line_bytes $ default_limit $ max_limit $ Front.options $ debug_ops)
 
 (* --- call ------------------------------------------------------------ *)
 
@@ -268,18 +149,10 @@ let call_cmd =
        Printf.eprintf "cannot connect to %s: %s\n" socket (Unix.error_message e);
        exit 1);
     let ic = Unix.in_channel_of_descr fd in
-    let send line =
-      let b = Bytes.of_string (line ^ "\n") in
-      let n = Bytes.length b in
-      let off = ref 0 in
-      while !off < n do
-        off := !off + Unix.write fd b !off (n - !off)
-      done
-    in
     let last_code = ref 0 in
     let roundtrip line =
       if String.trim line <> "" then begin
-        send line;
+        Server.Daemon.write_line fd line;
         match input_line ic with
         | resp ->
           print_endline resp;

@@ -22,6 +22,13 @@ let pp_termination ppf = function
       (float_of_int elapsed_ns /. 1e6)
   | Rejected r -> Format.fprintf ppf "rejected: %a" Admission.pp_rejection r
 
+let exit_code = function
+  | Completed | Exhausted { reason = Governor.Answer_limit; _ } -> 0
+  | Exhausted { reason = Governor.Deadline; _ } -> 3
+  | Exhausted { reason = Governor.Tuple_budget | Governor.Memory_budget; _ } -> 4
+  | Exhausted { reason = Governor.Fault _; _ } -> 5
+  | Rejected _ -> 6
+
 type outcome = {
   answers : answer list;
   termination : termination;
@@ -32,6 +39,21 @@ type outcome = {
 let pp_answer ppf a =
   Format.fprintf ppf "dist=%d %s" a.distance
     (String.concat ", " (List.map (fun (v, x) -> Printf.sprintf "?%s=%s" v x) a.bindings))
+
+let answers_json ?witness answers =
+  Obs.Json.List
+    (List.map
+       (fun a ->
+         Obs.Json.Obj
+           ([
+              ("bindings", Obs.Json.Obj (List.map (fun (v, x) -> (v, Obs.Json.String x)) a.bindings));
+              ("distance", Obs.Json.Int a.distance);
+            ]
+           @
+           match witness with
+           | None -> []
+           | Some to_json -> [ ("witnesses", Obs.Json.List (List.map to_json a.witnesses)) ]))
+       answers)
 
 type stream = {
   graph : Graph.t;
@@ -72,12 +94,6 @@ let open_query ~graph ~ontology ?(options = Options.default) ?governor ?tenant (
   | Error msg -> invalid_arg ("Engine.open_query: " ^ msg));
   (* build the index here, so no worker domain of a parallel run does *)
   Graph.freeze graph;
-  (match options.Options.failpoints with
-  | None -> ()
-  | Some spec -> (
-    match Failpoints.arm_spec spec with
-    | Ok () -> ()
-    | Error msg -> invalid_arg ("Engine.open_query: " ^ msg)));
   let governor = match governor with Some g -> g | None -> Options.governor options in
   let registry = Obs.Metrics.create () in
   (* Every conjunct is planned (oriented, compiled, its strategy and seam

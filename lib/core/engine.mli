@@ -41,6 +41,13 @@ type termination =
 
 val pp_termination : Format.formatter -> termination -> unit
 
+val exit_code : termination -> int
+(** The one exit-code taxonomy, shared by [omega query]'s exit status and
+    the query server's response [code]: 0 completed or answer limit
+    reached, 3 deadline, 4 tuple or memory budget, 5 fault, 6 rejected by
+    admission control.  (The front ends add 2 for usage and parse errors,
+    and the server 1 for a crash and 7 for a shed.) *)
+
 type outcome = {
   answers : answer list;  (** in non-decreasing distance *)
   termination : termination;
@@ -52,6 +59,13 @@ type outcome = {
 }
 
 val pp_answer : Format.formatter -> answer -> unit
+
+val answers_json : ?witness:(Witness.t -> Obs.Json.t) -> answer list -> Obs.Json.t
+(** The one answer codec: a JSON list of
+    [{"bindings": {var: label, ...}, "distance": d}] in rank order.  With
+    [witness], each object also carries ["witnesses"], the answer's
+    witnesses encoded by it ([Witness.to_json] — [omega query --why-json]).
+    The query server's responses use it without witnesses. *)
 
 type stream
 (** An open query evaluation producing answers on demand. *)
@@ -66,8 +80,9 @@ val open_query :
   stream
 (** [governor] defaults to a fresh [Options.governor options]; pass one
     explicitly to share a budget across queries or to {!Governor.cancel}
-    from outside.  If [options.failpoints] is set, the spec is armed
-    (process-globally) before evaluation starts.  [tenant] (the query
+    from outside.  Failpoints are process-global and are not armed here:
+    the front ends arm them once at start-up ({!Failpoints.arm_spec}).
+    [tenant] (the query
     server's attribution) is stamped into the stream's audit record and
     nothing else — omit it for standalone runs.
 
@@ -75,8 +90,7 @@ val open_query :
     is vetted by {!Admission} first; a rejected stream is born with no
     evaluation state ({!next} returns [None] immediately, {!status} is
     [Rejected _], and the graph is never touched).
-    @raise Invalid_argument if the query fails {!Query.validate} or the
-    failpoint spec does not parse. *)
+    @raise Invalid_argument if the query fails {!Query.validate}. *)
 
 val next : stream -> answer option
 (** The next answer, or [None] when the stream is exhausted {e or} its

@@ -11,7 +11,6 @@ type t = {
   max_memory_bytes : int option;
   max_states : int option;
   max_product_est : int option;
-  failpoints : string option;
   final_priority : bool;
   provenance : bool;
   domains : int;
@@ -31,12 +30,12 @@ let default =
     max_memory_bytes = None;
     max_states = None;
     max_product_est = None;
-    failpoints = None;
     final_priority = true;
     provenance = false;
     domains = 1;
   }
 
+let max_domains = 64
 let domains_env_var = "OMEGA_DOMAINS"
 
 (* Out-of-range values fall back to 1 rather than erroring: the variable is
@@ -45,7 +44,7 @@ let domains_env_var = "OMEGA_DOMAINS"
 let domains_from_env () =
   match Sys.getenv_opt domains_env_var with
   | None | Some "" -> 1
-  | Some s -> ( match int_of_string_opt s with Some n when n >= 1 && n <= 64 -> n | _ -> 1)
+  | Some s -> ( match int_of_string_opt s with Some n when n >= 1 && n <= max_domains -> n | _ -> 1)
 
 let governor ?limit t =
   let max_answers =

@@ -61,10 +61,6 @@ type t = {
           summed over conjuncts — automaton states x estimated seed
           population |Q| x |V_seed| — exceeds this.  [None] admits
           everything. *)
-  failpoints : string option;
-      (** a [Failpoints.arm_spec] string armed (process-globally) when the
-          query opens, e.g. ["scan=0.01,join=0.05#42"] — the CLI/chaos-suite
-          hook; [None] leaves the current arming untouched *)
   final_priority : bool;
       (** ablation switch (default true): pop final tuples before non-final
           ones at equal distance.  The paper reports that this refinement
@@ -87,7 +83,10 @@ type t = {
           deterministic ranked merge of {!Par}, so with [domains > 1] the
           answer stream is the sequential answer set in non-decreasing
           distance with the documented [(x, y)] tie-break, identical at any
-          domain count.  See DESIGN.md "Parallel evaluation". *)
+          domain count.  A query's parallel conjuncts share at most
+          {!max_domains} worker domains between them ({!Plan.of_query}
+          hands them out in body order); any value below 2 runs every
+          conjunct sequentially.  See DESIGN.md "Parallel evaluation". *)
 }
 
 val governor : ?limit:int -> t -> Governor.t
@@ -101,12 +100,16 @@ val default_costs : costs
 val default : t
 (** [default_costs], batch size 100, no optimisations, no budget, 1 domain. *)
 
+val max_domains : int
+(** 64: the most worker domains one query's plans may ask for, summed over
+    its parallel conjuncts — half of OCaml's default domain limit. *)
+
 val domains_env_var : string
 (** ["OMEGA_DOMAINS"]. *)
 
 val domains_from_env : unit -> int
 (** The domain count requested through [OMEGA_DOMAINS]: an integer in
-    [1 .. 64]; absent, empty or out-of-range values read as 1 (the knob must
+    [1 .. max_domains]; absent, empty or out-of-range values read as 1 (the knob must
     never turn a query into a usage failure).  Callers building options from
     the environment use this as the [domains] default. *)
 

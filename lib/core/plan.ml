@@ -25,7 +25,8 @@ type t = {
   domains : int;
 }
 
-let make ~graph ~ontology ~options (conjunct : Query.conjunct) =
+(* [spare]: the worker domains the query has left for this conjunct. *)
+let build ~spare ~graph ~ontology ~options (conjunct : Query.conjunct) =
   (* Case 2 of [Open]: (?X, R, C) is evaluated as (C, R-, ?X). *)
   let reversed =
     match (conjunct.subj, conjunct.obj) with Query.Var _, Query.Const _ -> true | _ -> false
@@ -63,11 +64,11 @@ let make ~graph ~ontology ~options (conjunct : Query.conjunct) =
   (* The parallel seams: seed-sharding for (?X, R, ?Y), part-sharding for
      constant-seeded decomposed conjuncts; a single-source Dijkstra offers
      no other partition with the merge's guarantees. *)
+  let offered = min options.Options.domains spare in
   let seam, domains =
     match subj with
-    | Query.Var _ when options.Options.domains > 1 -> (Seed_shard, options.Options.domains)
-    | Query.Const _ when decomposed && options.Options.domains > 1 ->
-      (Part_shard, min options.Options.domains (List.length parts))
+    | Query.Var _ when offered > 1 -> (Seed_shard, offered)
+    | Query.Const _ when decomposed && offered > 1 -> (Part_shard, min offered (List.length parts))
     | _ -> (Sequential, 1)
   in
   {
@@ -84,5 +85,15 @@ let make ~graph ~ontology ~options (conjunct : Query.conjunct) =
     domains;
   }
 
+let make = build ~spare:Options.max_domains
+
+(* Every parallel plan spawns its domains when the query opens, so the
+   query's conjuncts draw on one budget of [Options.max_domains], in body
+   order; a conjunct left fewer than 2 runs sequentially. *)
 let of_query ~graph ~ontology ~options (q : Query.t) =
-  List.map (make ~graph ~ontology ~options) q.Query.conjuncts
+  snd
+    (List.fold_left_map
+       (fun spare c ->
+         let p = build ~spare ~graph ~ontology ~options c in
+         ((if p.seam = Sequential then spare else spare - p.domains), p))
+       Options.max_domains q.Query.conjuncts)

@@ -56,8 +56,14 @@ val make :
   graph:Graphstore.Graph.t -> ontology:Ontology.t -> options:Options.t -> Query.conjunct -> t
 (** Decide and compile.  Interns the regex's labels into [graph]'s interner
     — call it on one domain at a time.  Scans no edge and consults no
-    failpoint. *)
+    failpoint.  A parallel plan gets at most {!Options.max_domains}
+    domains. *)
 
 val of_query :
   graph:Graphstore.Graph.t -> ontology:Ontology.t -> options:Options.t -> Query.t -> t list
-(** One plan per conjunct, in body order. *)
+(** One plan per conjunct, in body order.  The parallel plans share one
+    budget of {!Options.max_domains} worker domains, handed out in body
+    order: a conjunct gets [min options.domains spare] of what the earlier
+    ones left, and runs [Sequential] when that is below 2.  So the domains
+    a query spawns at open never exceed the bound, however many conjuncts
+    it has.  Spawns nothing itself. *)

@@ -139,35 +139,14 @@ let next_source t =
     t.inputs;
   !best
 
+(* Pop the buffer's least combination once it can no longer be beaten: its
+   distance is within [threshold], which is [max_int] once every input is
+   exhausted, so the same branch flushes the buffer at the end. *)
 let rec next t =
   if not (Governor.poll t.governor) then None
   else
-  let releasable =
     match Dr_queue.min_distance t.buffer with
-    | Some d -> d <= threshold t
-    | None -> false
-  in
-  if releasable then begin
-    match Dr_queue.pop t.buffer with
-    | Some ((binding, total, wits), _, _) ->
-      Governor.release_mem t.governor Mem.join_combo_bytes;
-      if Hashtbl.mem t.emitted binding then next t
-      else begin
-        Hashtbl.add t.emitted binding ();
-        Governor.charge_mem t.governor Mem.answer_entry_bytes;
-        Some (binding, total, wits)
-      end
-    | None ->
-      Invariant.fail
-        "Ranked_join.next: buffer reported min distance %d <= threshold %d but popped empty \
-         (%d input stream(s), %d binding(s) emitted)"
-        (Option.value (Dr_queue.min_distance t.buffer) ~default:(-1))
-        (threshold t) (Array.length t.inputs) (Hashtbl.length t.emitted)
-  end
-  else
-    match next_source t with
-    | -1 -> (
-      (* every input exhausted: flush the buffer *)
+    | Some d when d <= threshold t -> (
       match Dr_queue.pop t.buffer with
       | Some ((binding, total, wits), _, _) ->
         Governor.release_mem t.governor Mem.join_combo_bytes;
@@ -177,7 +156,14 @@ let rec next t =
           Governor.charge_mem t.governor Mem.answer_entry_bytes;
           Some (binding, total, wits)
         end
-      | None -> None)
-    | idx ->
-      pull_one t idx;
-      next t
+      | None ->
+        Invariant.fail
+          "Ranked_join.next: buffer reported min distance %d <= threshold %d but popped empty \
+           (%d input stream(s), %d binding(s) emitted)"
+          d (threshold t) (Array.length t.inputs) (Hashtbl.length t.emitted))
+    | _ -> (
+      match next_source t with
+      | -1 -> None (* every input exhausted and the buffer empty *)
+      | idx ->
+        pull_one t idx;
+        next t)

@@ -10,8 +10,6 @@ type config = {
   max_limit : int;
   default_limit : int;
   options : Core.Options.t;
-  flex_timeout_ms : int option;
-  flex_max_tuples : int option;
   debug_ops : bool;
 }
 
@@ -26,8 +24,6 @@ let default_config =
     max_limit = 1000;
     default_limit = 100;
     options = Core.Options.default;
-    flex_timeout_ms = None;
-    flex_max_tuples = None;
     debug_ops = false;
   }
 
@@ -121,28 +117,16 @@ let audit_shed t ~tenant ~draining ~query =
 let min_opt a b = match (a, b) with None, x | x, None -> x | Some x, Some y -> Some (min x y)
 let ms_to_ns = Option.map (fun ms -> ms * 1_000_000)
 
-let is_flex (q : Core.Query.t) =
-  List.exists (fun (c : Core.Query.conjunct) -> c.Core.Query.cmode <> Core.Query.Exact) q.conjuncts
-
-(* The request can only tighten the server's budgets; a flexible-operator
-   query (any APPROX/RELAX conjunct) additionally starts from the tighter
-   flex defaults; the reaper's hard timeout caps every deadline. *)
-let effective_options t (req : Protocol.request) q =
+(* The request can only tighten the server's budgets; the reaper's hard
+   timeout caps every deadline. *)
+let effective_options t (req : Protocol.request) =
   let base = t.config.options in
-  let flex = is_flex q in
   let timeout_ns =
     min_opt
-      (min_opt
-         (min_opt base.Core.Options.timeout_ns
-            (if flex then ms_to_ns t.config.flex_timeout_ms else None))
-         (ms_to_ns req.timeout_ms))
+      (min_opt base.Core.Options.timeout_ns (ms_to_ns req.timeout_ms))
       (ms_to_ns t.config.hard_timeout_ms)
   in
-  let max_tuples =
-    min_opt
-      (min_opt base.Core.Options.max_tuples (if flex then t.config.flex_max_tuples else None))
-      req.max_tuples
-  in
+  let max_tuples = min_opt base.Core.Options.max_tuples req.max_tuples in
   let max_states = min_opt base.Core.Options.max_states req.max_states in
   { base with Core.Options.timeout_ns; max_tuples; max_states }
 
@@ -157,7 +141,7 @@ let do_query t (req : Protocol.request) tk =
     audit_error t ~tenant:req.tenant ~tag:"bad-query" ~query:req.query;
     Protocol.resp_error ~id:req.id (Protocol.Bad_query msg)
   | Ok q -> (
-    let options = effective_options t req q in
+    let options = effective_options t req in
     let limit = effective_limit t req in
     let governor = Core.Options.governor ~limit options in
     Admit.attach t.admit tk governor;
@@ -252,7 +236,7 @@ let handle_oversized t =
    Read/write failures — injected faults, torn frames, EPIPE from a client
    that left — abort this connection only. *)
 
-let write_all fd s =
+let write_line fd s =
   let b = Bytes.of_string (s ^ "\n") in
   let n = Bytes.length b in
   let off = ref 0 in
@@ -280,7 +264,7 @@ let serve_connection t fd =
   let send resp =
     match
       Core.Failpoints.check Core.Failpoints.Srv_write;
-      write_all fd resp
+      write_line fd resp
     with
     | () -> true
     | exception (Unix.Unix_error _ | Sys_error _ | Core.Failpoints.Injected _) -> false

@@ -16,9 +16,7 @@
     structured [retry_after_ms] — one flooding tenant cannot starve the
     others, and the daemon's memory stays bounded under any offered load.
     Per-request budgets can only {e tighten} the server's configured
-    limits, and flexible-operator queries (any APPROX/RELAX conjunct) get
-    their own, tighter default budgets ([flex_timeout_ms] /
-    [flex_max_tuples]) — the expensive class pays for itself.  A stuck
+    limits ([options]).  A stuck
     query is cut by the reaper ({!reap_stuck}, driven by the accept loop)
     through [Core.Governor.cancel], so whatever it already emitted remains
     an exact ranked prefix.
@@ -49,9 +47,6 @@ type config = {
   max_limit : int;  (** ceiling on any request's answer [limit] *)
   default_limit : int;  (** answer limit when the request names none *)
   options : Core.Options.t;  (** base evaluation options (budgets = ceilings) *)
-  flex_timeout_ms : int option;
-      (** tighter deadline default for queries with an APPROX/RELAX conjunct *)
-  flex_max_tuples : int option;  (** tighter tuple budget for the same class *)
   debug_ops : bool;
       (** accept the [sleep] drill op (occupies an admission slot in
           cancellable 10 ms naps — how CI provokes deterministic sheds and
@@ -86,6 +81,12 @@ val serve_connection : t -> Unix.file_descr -> unit
     or real — torn frames, mid-stream disconnects, [EPIPE]) terminate
     {e this connection} silently; the request being evaluated still audits
     through its engine seam.  Never raises. *)
+
+val write_line : Unix.file_descr -> string -> unit
+(** Write the string and a newline in full (looping over short writes) —
+    how the server sends a response frame, and the [call] client a
+    request.
+    @raise Unix.Unix_error as [Unix.write] does. *)
 
 val serve_stdio : t -> unit
 (** One connection over stdin/stdout, then {!drain} — the [--stdio] mode

@@ -128,37 +128,23 @@ let resp_slept ~id ~tenant ~slept_ms ~cut =
         ("reason", Json.String reason);
       ]
 
-let answers_json (answers : Core.Engine.answer list) =
-  Json.List
-    (List.map
-       (fun (a : Core.Engine.answer) ->
-         Json.Obj
-           [
-             ("bindings", Json.Obj (List.map (fun (v, x) -> (v, Json.String x)) a.bindings));
-             ("distance", Json.Int a.distance);
-           ])
-       answers)
-
 let resp_outcome ~id ~tenant ~query_class (outcome : Core.Engine.outcome) =
-  let status, code, reason =
-    match outcome.Core.Engine.termination with
-    | Core.Engine.Completed -> ("ok", 0, None)
-    | Core.Engine.Exhausted { reason; _ } -> (
-      let rs = Core.Governor.reason_string reason in
-      match reason with
-      | Core.Governor.Answer_limit -> ("ok", 0, Some rs)
-      | Core.Governor.Deadline -> ("partial", 3, Some rs)
-      | Core.Governor.Tuple_budget | Core.Governor.Memory_budget -> ("partial", 4, Some rs)
-      | Core.Governor.Fault _ -> ("partial", 5, Some rs))
-    | Core.Engine.Rejected r -> ("rejected", 6, Some (Core.Admission.rejection_string r))
+  let termination = outcome.Core.Engine.termination in
+  let code = Core.Engine.exit_code termination in
+  let status = match code with 0 -> "ok" | 6 -> "rejected" | _ -> "partial" in
+  let reason =
+    match termination with
+    | Core.Engine.Completed -> Json.Null
+    | Core.Engine.Exhausted { reason; _ } -> Json.String (Core.Governor.reason_string reason)
+    | Core.Engine.Rejected r -> Json.String (Core.Admission.rejection_string r)
   in
   base ~id ~status ~code
     [
       ("tenant", Json.String tenant);
       ("class", Json.String query_class);
       ("count", Json.Int (List.length outcome.Core.Engine.answers));
-      ("answers", answers_json outcome.Core.Engine.answers);
-      ("reason", (match reason with None -> Json.Null | Some r -> Json.String r));
+      ("answers", Core.Engine.answers_json outcome.Core.Engine.answers);
+      ("reason", reason);
     ]
 
 let response_code j = Option.bind (Json.member "code" j) Json.to_int

@@ -16,8 +16,8 @@
     {e tighten} the server's own per-request limits, never widen them.
 
     A response is a JSON object with at least [id], [status] and [code];
-    [code] reuses the CLI exit-code taxonomy so one table covers both
-    surfaces:
+    a query's [code] is {!Core.Engine.exit_code}, the CLI's exit status,
+    so one table covers both surfaces:
 
     - [ok] (0) — completed, or the requested answer limit was reached;
     - [error] (2) — protocol or query parse/validation error ([error] field);
@@ -90,9 +90,10 @@ val resp_slept : id:Obs.Json.t -> tenant:string -> slept_ms:int -> cut:string op
 
 val resp_outcome :
   id:Obs.Json.t -> tenant:string -> query_class:string -> Core.Engine.outcome -> Obs.Json.t
-(** A query response from an engine outcome: termination mapped to
-    status/code per the table above, answers as
-    [{"bindings": {...}, "distance": d}] in rank order. *)
+(** A query response from an engine outcome: [code] is
+    {!Core.Engine.exit_code} of the termination and [status] follows from
+    it per the table above; [answers] is {!Core.Engine.answers_json}
+    (no witnesses). *)
 
 val response_code : Obs.Json.t -> int option
 (** The [code] field of a parsed response — the client's exit code. *)

@@ -257,6 +257,29 @@ let fresh_labels_intern_once () =
       (before + 1) (Graphstore.Interner.cardinal interner)
   done
 
+(* --- the query's domain budget ------------------------------------------ *)
+
+(* A query opens every conjunct's evaluator at once, and a parallel plan
+   spawns its domains then: [Plan.of_query] hands [Options.max_domains]
+   out in body order, and a conjunct left fewer than 2 runs sequentially.
+   Only plans are built here — no domain is spawned. *)
+let domain_budget ~domains ~sharded () =
+  let n = 40 in
+  let body = List.init n (fun i -> Printf.sprintf "(?X%d, type-, ?Y%d)" i i) in
+  let q = Core.Query_parser.parse ("(?X0) <- " ^ String.concat ", " body) in
+  let options = { O.default with O.domains } in
+  let got =
+    List.map
+      (fun (p : Core.Plan.t) -> (p.seam = Core.Plan.Seed_shard, p.domains))
+      (Core.Plan.of_query ~graph:l4_graph ~ontology:l4_ontology ~options q)
+  in
+  let expected =
+    List.init n (fun i -> if i < List.length sharded then (true, List.nth sharded i) else (false, 1))
+  in
+  Alcotest.(check (list (pair bool int))) "seam and domains per conjunct, in body order" expected got;
+  let spawned = List.fold_left (fun acc (par, d) -> if par then acc + d else acc) 0 got in
+  Alcotest.(check bool) "within the bound" true (spawned <= O.max_domains)
+
 (* --- the merge's park/unpark path -------------------------------------- *)
 
 (* With a pending-list cap of 1, a worker parks after every undrained
@@ -342,4 +365,11 @@ let () =
             fresh_labels_intern_once;
         ] );
       ("merge", [ Alcotest.test_case "queue cap 1: park/unpark, same stream" `Quick park_unpark ]);
+      ( "domains",
+        [
+          Alcotest.test_case "40 conjuncts at 2: 32 sharded" `Quick
+            (domain_budget ~domains:2 ~sharded:(List.init 32 (fun _ -> 2)));
+          Alcotest.test_case "40 conjuncts at 1000: one gets 64" `Quick
+            (domain_budget ~domains:1000 ~sharded:[ 64 ]);
+        ] );
     ]
