@@ -23,7 +23,7 @@ module Graph = Graphstore.Graph
 (* ------------------------------------------------------------------ *)
 
 let all_sections =
-  [ "fig2"; "fig3"; "fig5"; "fig6"; "fig7"; "fig8"; "yago-stats"; "fig10"; "fig11"; "opt1"; "opt2"; "abl"; "abl-sat"; "par"; "flight"; "micro"; "smoke" ]
+  [ "fig2"; "fig3"; "fig5"; "fig6"; "fig7"; "fig8"; "yago-stats"; "fig10"; "fig11"; "opt1"; "opt2"; "abl"; "abl-sat"; "par"; "flight"; "micro" ]
 
 let sections = ref all_sections
 let scales = ref L4.all_scales
@@ -53,7 +53,7 @@ let parse_args () =
       ( "--json",
         Arg.Set json_mode,
         "  additionally write one machine-readable BENCH_<section>.json per query-measuring \
-         section" );
+         section (flight: BENCH_flight_off.jsonl and BENCH_flight_on.jsonl)" );
     ]
   in
   Arg.parse spec (fun a -> raise (Arg.Bad ("unexpected argument " ^ a))) "omega benchmark harness"
@@ -111,7 +111,6 @@ type measured = {
   tuples : int; (* D_R pushes of the counting run — the memory proxy *)
   mem_bytes_peak : int; (* Mem cost-model high-water mark of the counting run *)
   histogram : (int * int) list; (* distance -> #answers *)
-  aborted : bool; (* tuple budget tripped: the paper's '?' (out-of-memory) cells *)
   termination : Engine.termination; (* full reason, per run (budget/deadline/fault/...) *)
   gc : (string * int) list; (* per-query GC deltas of the counting run (words, collections) *)
 }
@@ -125,10 +124,6 @@ let gc_of (st : Core.Exec_stats.t) =
     ("minor_collections", st.Core.Exec_stats.gc_minor_collections);
     ("major_collections", st.Core.Exec_stats.gc_major_collections);
   ]
-
-let aborted_of = function
-  | Engine.Exhausted { reason = Core.Governor.Tuple_budget; _ } -> true
-  | Engine.Completed | Engine.Exhausted _ | Engine.Rejected _ -> false
 
 (* table cell marker: '?' = tuple budget (as in Fig. 10), 'T' = deadline,
    'M' = memory budget, 'F' = injected fault, 'R' = rejected by admission
@@ -165,30 +160,31 @@ let termination_string = function
 
 (* One row of the BENCH_<section>.json results array (see
    bench/bench_schema.json, schema_version 2). *)
-let json_row ~dataset ~scale ~query ~mode (m : measured) =
+let json_row ?(extra = []) ~dataset ~scale ~query ~mode (m : measured) =
   let ns_of t = int_of_float (t *. 1e6) in
   let times = match m.times_ms with [] -> [ m.time_ms ] | l -> l in
   Obs.Json.Obj
-    [
-      ("dataset", Obs.Json.String dataset);
-      ("scale", Obs.Json.String scale);
-      ("query", Obs.Json.String query);
-      ("mode", Obs.Json.String (mode_name mode));
-      ("mean_ns", Obs.Json.Int (ns_of m.time_ms));
-      ("min_ns", Obs.Json.Int (ns_of (List.fold_left min infinity times)));
-      ("max_ns", Obs.Json.Int (ns_of (List.fold_left max neg_infinity times)));
-      ("answers", Obs.Json.Int m.count);
-      ("tuples", Obs.Json.Int m.tuples);
-      ("mem_bytes_peak", Obs.Json.Int m.mem_bytes_peak);
-      ("gc", Obs.Json.Obj (List.map (fun (k, v) -> (k, Obs.Json.Int v)) m.gc));
-      ("termination", Obs.Json.String (termination_string m.termination));
-      ( "marker",
-        match marker_of m.termination with
-        | Some mark -> Obs.Json.String mark
-        | None -> Obs.Json.Null );
+    ([
+       ("dataset", Obs.Json.String dataset);
+       ("scale", Obs.Json.String scale);
+       ("query", Obs.Json.String query);
+       ("mode", Obs.Json.String (mode_name mode));
+       ("mean_ns", Obs.Json.Int (ns_of m.time_ms));
+       ("min_ns", Obs.Json.Int (ns_of (List.fold_left min infinity times)));
+       ("max_ns", Obs.Json.Int (ns_of (List.fold_left max neg_infinity times)));
+       ("answers", Obs.Json.Int m.count);
+       ("tuples", Obs.Json.Int m.tuples);
+       ("mem_bytes_peak", Obs.Json.Int m.mem_bytes_peak);
+       ("gc", Obs.Json.Obj (List.map (fun (k, v) -> (k, Obs.Json.Int v)) m.gc));
+       ("termination", Obs.Json.String (termination_string m.termination));
+       ( "marker",
+         match marker_of m.termination with
+         | Some mark -> Obs.Json.String mark
+         | None -> Obs.Json.Null );
     ]
+    @ extra)
 
-let write_json ?(extra = []) ?path ~section rows =
+let write_json ?(extra = []) ~section rows =
   if !json_mode then begin
     let doc =
       Obs.Json.Obj
@@ -200,9 +196,8 @@ let write_json ?(extra = []) ?path ~section rows =
         @ extra
         @ [ ("results", Obs.Json.List rows) ])
     in
-    let path = match path with Some p -> p | None -> Printf.sprintf "BENCH_%s.json" section in
-    let oc = open_out path in
-    Fun.protect ~finally:(fun () -> close_out oc) (fun () -> Obs.Json.to_channel oc doc);
+    let path = Printf.sprintf "BENCH_%s.json" section in
+    Out_channel.with_open_text path (fun oc -> Obs.Json.to_channel oc doc);
     Printf.printf "[json] wrote %s (%d result(s))\n%!" path (List.length rows)
   end
 
@@ -222,7 +217,6 @@ let measure_exact ?(options = Options.default) (g, k) qtext =
     tuples = outcome.Engine.stats.Core.Exec_stats.pushes;
     mem_bytes_peak = outcome.Engine.stats.Core.Exec_stats.mem_bytes_peak;
     histogram = histogram_of outcome.Engine.answers;
-    aborted = aborted_of outcome.Engine.termination;
     termination = outcome.Engine.termination;
     gc = gc_of outcome.Engine.stats;
   }
@@ -273,7 +267,6 @@ let measure_flex (g, k) ~options qtext =
     tuples;
     mem_bytes_peak;
     histogram = histogram_of answers;
-    aborted = aborted_of termination;
     termination;
     gc;
   }
@@ -571,22 +564,22 @@ let ablations () =
      with some queries completing at all (we bound D_R's peak instead) *)
   Printf.printf "-- final-tuple priority (paper: 'improved the performance of most of our queries')\n";
   Printf.printf "%-34s %12s %14s %12s %14s\n" "query" "on (ms)" "peak queue" "off (ms)" "peak queue";
-  let peak_of gk options qtext =
+  (* the first 100 answers of [qtext]: the stream's stats and the time taken *)
+  let take_100 gk options qtext =
     let query = Core.Query_parser.parse qtext in
     let st = Engine.open_query ~graph:(fst gk) ~ontology:(snd gk) ~options query in
     let rec take k = if k > 0 then match Engine.next st with Some _ -> take (k - 1) | None -> () in
     let (), t = ms (fun () -> take 100) in
-    let peak = (Engine.stream_stats st).Core.Exec_stats.peak_queue in
+    let stats = Engine.stream_stats st in
     Engine.close st;
-    (peak, t)
+    (stats, t)
   in
   List.iter
     (fun (label, gk, qtext) ->
-      let on_peak, on_t = peak_of gk Options.default qtext in
-      let off_peak, off_t =
-        peak_of gk { Options.default with Options.final_priority = false } qtext
-      in
-      Printf.printf "%-34s %12.2f %14d %12.2f %14d\n%!" label on_t on_peak off_t off_peak)
+      let on, on_t = take_100 gk Options.default qtext in
+      let off, off_t = take_100 gk { Options.default with Options.final_priority = false } qtext in
+      Printf.printf "%-34s %12.2f %14d %12.2f %14d\n%!" label on_t on.Core.Exec_stats.peak_queue
+        off_t off.Core.Exec_stats.peak_queue)
     [
       ( "L4All " ^ L4.scale_name l4_scale ^ " Q9 APPROX",
         l4, L4.query_text 9 Core.Query.Approx );
@@ -601,18 +594,10 @@ let ablations () =
     "seeds entered";
   List.iter
     (fun (label, gk, qtext) ->
-      let seeded options =
-        let query = Core.Query_parser.parse qtext in
-        let st = Engine.open_query ~graph:(fst gk) ~ontology:(snd gk) ~options query in
-        let rec take k = if k > 0 then match Engine.next st with Some _ -> take (k - 1) | None -> () in
-        let (), t = ms (fun () -> take 100) in
-        let seeds = (Engine.stream_stats st).Core.Exec_stats.seeds in
-        Engine.close st;
-        (seeds, t)
-      in
-      let on_seeds, on_t = seeded Options.default in
-      let off_seeds, off_t = seeded { Options.default with Options.batch_size = max_int } in
-      Printf.printf "%-34s %14.2f %16d %14.2f %16d\n%!" label on_t on_seeds off_t off_seeds)
+      let on, on_t = take_100 gk Options.default qtext in
+      let off, off_t = take_100 gk { Options.default with Options.batch_size = max_int } qtext in
+      Printf.printf "%-34s %14.2f %16d %14.2f %16d\n%!" label on_t on.Core.Exec_stats.seeds off_t
+        off.Core.Exec_stats.seeds)
     [
       ("L4All " ^ L4.scale_name l4_scale ^ " Q4 exact", l4, L4.query_text 4 Core.Query.Exact);
       ("L4All " ^ L4.scale_name l4_scale ^ " Q5 exact", l4, L4.query_text 5 Core.Query.Exact);
@@ -641,18 +626,8 @@ let relax_vs_saturation () =
     sat_time;
   let q_relaxed = "(?X) <- RELAX (Alumni 4 Episode 1_1, prereq*.next+.prereq, ?X)" in
   let q_saturated = "(?X) <- (Alumni 4 Episode 1_1, isEpisodeLink*.isEpisodeLink+.isEpisodeLink, ?X)" in
-  let run gk q =
-    let once () =
-      match Engine.run_string ~graph:(fst gk) ~ontology:(snd gk) ~limit:100 q with
-      | Ok o -> List.length o.Engine.answers
-      | Error m -> failwith m
-    in
-    let n = once () in
-    let times = List.init (max 3 !runs) (fun _ -> snd (ms once)) in
-    (n, median times)
-  in
-  let n1, t1 = run (g, k) q_relaxed in
-  let n2, t2 = run (g', k') q_saturated in
+  let n1, t1 = top100_time (g, k) ~options:Options.default q_relaxed in
+  let n2, t2 = top100_time (g', k') ~options:Options.default q_saturated in
   Printf.printf
     "Q9 relaxed-on-original: %d answers in %.2f ms | fully-relaxed exact on saturated: %d answers in %.2f ms\n"
     n1 t1 n2 t2;
@@ -708,18 +683,12 @@ let par () =
           | None ->
             Printf.printf "%-5s %8d %12.2f %8.2fx %10d %10d\n%!" qname domains m.time_ms speedup
               m.count m.tuples);
-          let row =
-            match
-              json_row ~dataset:"l4all" ~scale:(L4.scale_name scale) ~query:qname
-                ~mode:Core.Query.Exact m
-            with
-            | Obs.Json.Obj fields ->
-              Obs.Json.Obj
-                (fields
-                @ [ ("domains", Obs.Json.Int domains); ("speedup", Obs.Json.Float speedup) ])
-            | j -> j
-          in
-          rows := row :: !rows)
+          rows :=
+            json_row ~dataset:"l4all" ~scale:(L4.scale_name scale) ~query:qname
+              ~mode:Core.Query.Exact
+              ~extra:[ ("domains", Obs.Json.Int domains); ("speedup", Obs.Json.Float speedup) ]
+              m
+            :: !rows)
         par_domains)
     [ 4; 5; 6; 7 ];
   write_json ~section:"par"
@@ -737,10 +706,15 @@ let par () =
       site pays unconditionally) and on (sequence fetch, slot write,
       publication store);
 
-   2. the answer path end to end — the same parallel exact queries run
-      with the recorder off and on, emitted as two row-identical JSON
-      documents so [validate --compare --threshold 2] gates the recorder
-      at <2% answer-path overhead. *)
+   2. the answer path end to end — the parallel exact queries, in
+      [flight_pairs] pairs of passes: a pair runs every query with the
+      recorder off and on back to back, the side that goes first swapping
+      every pair, and each side's times sum to its pass.  With [--json]
+      each side's passes go to one JSONL file, one run result per line in
+      perfbench's shape, which [validate --compare] gates at the
+      recorder's 2% bound. *)
+let flight_pairs = 400
+
 let flight () =
   header "[FLIGHT] flight recorder overhead";
   let reps = 1_000_000 in
@@ -765,44 +739,63 @@ let flight () =
     recorded dropped;
   Obs.Flight.disable ();
   Obs.Flight.clear ();
-  (* answer-path delta: parallel queries, the instrumented code path *)
   let scale = List.hd !scales in
-  let gk = l4_graph scale in
+  let g, k = l4_graph scale in
   let options = { Options.default with Options.domains = 2 } in
-  let measure = measure_exact ~options gk in
-  let queries = [ 4; 5; 6; 7 ] in
-  let pass recorder_on =
-    if recorder_on then Obs.Flight.enable () else Obs.Flight.disable ();
-    let rows =
-      List.map
-        (fun id ->
-          let qname = Printf.sprintf "Q%d" id in
-          let m = measure (L4.query_text id Core.Query.Exact) in
-          ( qname,
-            m,
-            json_row ~dataset:"l4all" ~scale:(L4.scale_name scale) ~query:qname
-              ~mode:Core.Query.Exact m ))
-        queries
+  let queries = List.map (fun id -> L4.query_text id Core.Query.Exact) [ 4; 5; 6; 7 ] in
+  let run recorder_on q =
+    if recorder_on then Obs.Flight.enable ();
+    let answers, t =
+      ms (fun () ->
+          match Engine.run_string ~graph:g ~ontology:k ~options ~limit:max_int q with
+          | Ok o -> List.length o.Engine.answers
+          | Error msg -> failwith msg)
     in
-    if recorder_on then begin
-      Obs.Flight.disable ();
-      Obs.Flight.clear ()
-    end;
-    rows
+    Obs.Flight.disable ();
+    Obs.Flight.clear ();
+    (answers, t)
   in
-  let off = pass false in
-  let on = pass true in
-  Printf.printf "%-5s %12s %12s %9s  (exact, domains=2, scale %s)\n" "Q" "off (ms)" "on (ms)"
-    "delta" (L4.scale_name scale);
-  List.iter2
-    (fun (q, o, _) (_, n, _) ->
-      let delta =
-        if o.time_ms > 0. then 100. *. (n.time_ms -. o.time_ms) /. o.time_ms else 0.
-      in
-      Printf.printf "%-5s %12.2f %12.2f %+8.1f%%\n%!" q o.time_ms n.time_ms delta)
-    off on;
-  write_json ~section:"flight" ~path:"BENCH_flight_off.json" (List.map (fun (_, _, r) -> r) off);
-  write_json ~section:"flight" (List.map (fun (_, _, r) -> r) on)
+  let pair i =
+    List.fold_left
+      (fun ((n_off, t_off), (n_on, t_on)) q ->
+        let (a, x), (b, y) =
+          if i mod 2 = 0 then
+            let off = run false q in
+            (off, run true q)
+          else
+            let on = run true q in
+            (run false q, on)
+        in
+        ((n_off + a, t_off +. x), (n_on + b, t_on +. y)))
+      ((0, 0.), (0, 0.))
+      queries
+  in
+  let (expected, _), _ = pair 0 (* warm-up *) in
+  let pairs = List.init flight_pairs pair in
+  let off = List.map fst pairs and on = List.map snd pairs in
+  let med side = median (List.map snd side) in
+  Printf.printf
+    "exact Q4-Q7 at domains=2, scale %s, %d alternating pairs: median pass off %.2f ms, on %.2f ms \
+     (%+.2f%%)\n%!"
+    (L4.scale_name scale) flight_pairs (med off) (med on)
+    (100. *. (med on -. med off) /. med off);
+  let result (answers, t) =
+    Obs.Json.(
+      Obj
+        [
+          ("correct", Bool (answers = expected));
+          ("attempted", Int (List.length queries));
+          ("failed", Int 0);
+          ("metrics", Obj [ ("answer_path_ms", Obj [ ("value", Float t); ("unit", String "ms") ]) ]);
+        ])
+  in
+  if !json_mode then
+    List.iter
+      (fun (path, side) ->
+        Out_channel.with_open_text path (fun oc ->
+            List.iter (fun r -> Obs.Jsonl.write_line oc (result r)) side);
+        Printf.printf "[json] wrote %s (%d run(s))\n%!" path (List.length side))
+      [ ("BENCH_flight_off.jsonl", off); ("BENCH_flight_on.jsonl", on) ]
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel micro-benchmarks: one Test.make per table/figure           *)
@@ -935,29 +928,6 @@ let micro () =
     (List.sort compare rows)
 
 (* ------------------------------------------------------------------ *)
-(* SMOKE: a fast, json-oriented subset (CI runs it with --json)        *)
-(* ------------------------------------------------------------------ *)
-
-let smoke () =
-  header "[SMOKE] quick L4All subset (Q1, Q3, Q9 — exact and APPROX)";
-  let scale = List.hd !scales in
-  Printf.printf "%-5s %-8s %10s %10s %8s\n" "Q" "mode" "mean (ms)" "answers" "tuples";
-  let rows =
-    List.concat_map
-      (fun id ->
-        List.map
-          (fun mode ->
-            let m = l4_measure scale id mode in
-            Printf.printf "Q%-4d %-8s %10.2f %10d %8d\n%!" id (mode_name mode) m.time_ms m.count
-              m.tuples;
-            json_row ~dataset:"l4all" ~scale:(L4.scale_name scale)
-              ~query:(Printf.sprintf "Q%d" id) ~mode m)
-          [ Core.Query.Exact; Core.Query.Approx ])
-      [ 1; 3; 9 ]
-  in
-  write_json ~section:"smoke" rows
-
-(* ------------------------------------------------------------------ *)
 
 let () =
   parse_args ();
@@ -986,5 +956,4 @@ let () =
   if enabled "par" then par ();
   if enabled "flight" then flight ();
   if enabled "micro" then micro ();
-  if enabled "smoke" then smoke ();
   Printf.printf "\ndone.\n"

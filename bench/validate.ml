@@ -1,16 +1,15 @@
 (* Validator for the observability artefacts, run by CI:
 
-     validate BENCH_smoke.json ...       # schema-check benchmark exports
+     validate BENCH_fig5.json ...        # schema-check benchmark exports
      validate --manifest FILE            # a live stream's metric names vs the pinned manifest
      validate --trace FILE               # Chrome trace structure + span nesting
      validate --audit FILE               # audit-log (JSONL) schema check
      validate --flight FILE              # flight-dump (JSONL) strict schema check
-     validate --compare OLD NEW          # per-section perf regression gate
-     validate --threshold PCT            # --compare slowdown tolerance (default 25)
+     validate --compare PARENT CHANGE    # paired timing gate over JSONL run results
 
    Exits non-zero with a message on the first violation, so a schema drift,
-   a silently renamed metric, an unbalanced span pair or a benchmark
-   section that got more than [threshold]% slower fails the build.  A trace
+   a silently renamed metric, an unbalanced span pair or a metric whose
+   paired median got worse than its bound fails the build.  A trace
    whose rings overflowed (top-level "dropped" > 0) is reported as a
    warning: the file is valid but truncated. *)
 
@@ -19,6 +18,7 @@ module Json = Obs.Json
 let failf fmt =
   Printf.ksprintf
     (fun s ->
+      flush stdout;
       prerr_endline ("validate: " ^ s);
       exit 1)
     fmt
@@ -279,79 +279,108 @@ let check_flight path =
   | Error msg -> failf "%s" msg
   | Ok (_, evs, _) -> Printf.printf "validate: %s ok (%d flight event(s))\n" path (List.length evs)
 
-(* --- benchmark comparison (perf regression gate) --------------------- *)
+(* --- paired comparison (the timing gate) ------------------------------ *)
 
-(* Rows are matched by (dataset, scale, query, mode); the gate is on the
-   per-section sum of mean_ns over the matched rows, so a single noisy
-   query does not fail the build but a systematic slowdown does.  Rows
-   present on only one side are reported (the section changed shape) but
-   do not fail the comparison. *)
-let check_compare ~threshold old_path new_path =
-  let load path =
-    let j = parse_file path in
-    let section = want_str path "document" j "section" in
-    match Json.to_list (get path "document" j "results") with
-    | None -> failf "%s: \"results\" is not an array" path
-    | Some results ->
-      ( section,
-        List.mapi
-          (fun i r ->
-            let what = Printf.sprintf "results[%d]" i in
-            ( ( want_str path what r "dataset",
-                want_str path what r "scale",
-                want_str path what r "query",
-                want_str path what r "mode" ),
-              want_int path what r "mean_ns" ))
-          results )
+(* Each side is a JSONL file of run results in perfbench's shape, one run
+   per line: {"correct", "failed", "metrics": {NAME: {"value", ...}}}.
+   A metric is gated when it has a bound: the end-to-end metrics take
+   [better] and [bound] from the BENCHMARK.json found in the current
+   directory or above it, and the flight section's [answer_path_ms] takes
+   the recorder's overhead bound.  The gate fails on a wrong or failed run,
+   on sides of unequal length, on a gated metric missing from any run, and
+   when a gated metric's median on the change side is worse than the
+   parent's by more than its bound. *)
+
+let recorder_overhead_bound = 0.02
+
+(* (name, (higher is better, bound)) of every gated metric *)
+let bounds () =
+  let rec find dir =
+    let path = Filename.concat dir "BENCHMARK.json" in
+    if Sys.file_exists path then path
+    else if Filename.dirname dir = dir then failf "--compare: no BENCHMARK.json here or above"
+    else find (Filename.dirname dir)
   in
-  let old_section, old_rows = load old_path in
-  let new_section, new_rows = load new_path in
-  if old_section <> new_section then
-    failf "--compare: section mismatch: %s is %S, %s is %S" old_path old_section new_path
-      new_section;
-  let key_str (d, s, q, m) = Printf.sprintf "%s/%s/%s/%s" d s q m in
-  List.iter
-    (fun (k, _) ->
-      if not (List.mem_assoc k new_rows) then
-        Printf.eprintf "validate: warning: --compare: %s disappeared from %s\n" (key_str k)
-          new_path)
-    old_rows;
-  List.iter
-    (fun (k, _) ->
-      if not (List.mem_assoc k old_rows) then
-        Printf.eprintf "validate: warning: --compare: %s is new in %s (not gated)\n" (key_str k)
-          new_path)
-    new_rows;
-  let paired =
-    List.filter_map
-      (fun (k, o) -> Option.map (fun n -> (k, o, n)) (List.assoc_opt k new_rows))
-      old_rows
+  let path = find (Sys.getcwd ()) in
+  let metric m =
+    let what = "end_to_end entry" in
+    match (want_str path what m "better", Json.to_float (get path what m "bound")) with
+    | (("higher" | "lower") as better), Some bound ->
+      (want_str path what m "name", (better = "higher", bound))
+    | _ -> failf "%s: %s needs \"better\" higher or lower and a numeric \"bound\"" path what
   in
-  if paired = [] then failf "--compare: no common rows between %s and %s" old_path new_path;
-  let old_sum = List.fold_left (fun acc (_, o, _) -> acc + o) 0 paired in
-  let new_sum = List.fold_left (fun acc (_, _, n) -> acc + n) 0 paired in
-  let pct =
-    if old_sum = 0 then 0. else 100. *. (float_of_int new_sum -. float_of_int old_sum) /. float_of_int old_sum
+  match Json.to_list (get path "document" (parse_file path) "end_to_end") with
+  | Some ms -> ("answer_path_ms", (false, recorder_overhead_bound)) :: List.map metric ms
+  | None -> failf "%s: \"end_to_end\" is not an array" path
+
+(* One (name, value) list per run; a wrong or failed run fails the read. *)
+let load_runs path =
+  let value (name, m) =
+    match Option.bind (Json.member "value" m) Json.to_float with
+    | Some v -> Ok (name, v)
+    | None -> Error (Printf.sprintf "metric %S has no numeric \"value\"" name)
   in
-  List.iter
-    (fun (k, o, n) ->
-      if o > 0 && float_of_int n > float_of_int o *. (1. +. (float_of_int threshold /. 100.)) then
-        Printf.eprintf "validate: note: --compare: %s: %d ns -> %d ns (%+.1f%%)\n" (key_str k) o n
-          (100. *. (float_of_int n -. float_of_int o) /. float_of_int o))
-    paired;
-  if float_of_int new_sum > float_of_int old_sum *. (1. +. (float_of_int threshold /. 100.)) then
-    failf
-      "--compare: section %S regressed: total mean_ns %d -> %d (%+.1f%%, threshold +%d%%) over %d \
-       matched row(s)"
-      old_section old_sum new_sum pct threshold (List.length paired);
-  Printf.printf "validate: compare ok: section %S total mean_ns %d -> %d (%+.1f%%) over %d row(s)\n"
-    old_section old_sum new_sum pct (List.length paired)
+  let decode j =
+    match (Obs.Jsonl.bool_field "correct" j, Obs.Jsonl.int_field "failed" j, Json.member "metrics" j) with
+    | Ok true, Ok 0, Some (Json.Obj fields) -> Obs.Jsonl.map_list value fields
+    | Ok false, _, _ -> Error "a wrong answer"
+    | _, Ok n, _ when n <> 0 -> Error (Printf.sprintf "%d failed operation(s)" n)
+    | Error e, _, _ | _, Error e, _ -> Error e
+    | _ -> Error "field \"metrics\": expected an object"
+  in
+  match Obs.Jsonl.read ~strict:true decode path with
+  | Error msg -> failf "%s" msg
+  | Ok ([], _) -> failf "%s: no runs" path
+  | Ok (runs, _) -> runs
+
+let check_compare parent_path change_path =
+  let bounds = bounds () in
+  let parent = load_runs parent_path and change = load_runs change_path in
+  let n = List.length parent in
+  if List.length change <> n then
+    failf "--compare: %s has %d run(s), %s has %d: the runs do not pair" parent_path n change_path
+      (List.length change);
+  let gated =
+    List.concat_map (List.map fst) (parent @ change)
+    |> List.sort_uniq compare
+    |> List.filter (fun name -> List.mem_assoc name bounds)
+  in
+  if gated = [] then failf "--compare: no gated metric in %s or %s" parent_path change_path;
+  let median path runs name =
+    let value i values =
+      match List.assoc_opt name values with
+      | Some v -> v
+      | None -> failf "%s: run %d lacks metric %S" path (i + 1) name
+    in
+    let a = Array.of_list (List.sort compare (List.mapi value runs)) in
+    (a.((n - 1) / 2) +. a.(n / 2)) /. 2.
+  in
+  let medians =
+    List.map (fun name -> (name, median parent_path parent name, median change_path change name)) gated
+  in
+  let regressed =
+    List.filter
+      (fun (name, p, c) ->
+        let higher, bound = List.assoc name bounds in
+        let delta = (c -. p) /. p in
+        let bad = (if higher then -.delta else delta) > bound in
+        Printf.printf "%-20s parent %10.4g  change %10.4g  %+7.2f%%  (%s is better, bound %g%%)%s\n"
+          name p c (100. *. delta)
+          (if higher then "higher" else "lower")
+          (100. *. bound)
+          (if bad then "  REGRESSED" else "");
+        bad)
+      medians
+  in
+  if regressed <> [] then
+    failf "--compare: %s regressed against %s over %d paired run(s): %s" change_path parent_path n
+      (String.concat ", " (List.map (fun (name, _, _) -> name) regressed));
+  Printf.printf "validate: compare ok: %d metric(s), %d paired run(s)\n" (List.length gated) n
 
 (* --------------------------------------------------------------------- *)
 
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
-  let threshold = ref 25 in
   let rec go = function
     | [] -> ()
     | "--manifest" :: path :: rest ->
@@ -369,18 +398,12 @@ let () =
     | "--flight" :: path :: rest ->
       check_flight path;
       go rest
-    | "--threshold" :: pct :: rest ->
-      (match int_of_string_opt pct with
-      | Some n when n >= 0 -> threshold := n
-      | _ -> failf "--threshold expects a non-negative integer percentage, got %S" pct);
+    | "--compare" :: parent_path :: change_path :: rest ->
+      check_compare parent_path change_path;
       go rest
-    | "--compare" :: old_path :: new_path :: rest ->
-      check_compare ~threshold:!threshold old_path new_path;
-      go rest
-    | [ "--manifest" ] | [ "--trace" ] | [ "--par" ] | [ "--audit" ] | [ "--flight" ]
-    | [ "--threshold" ] ->
+    | [ "--manifest" ] | [ "--trace" ] | [ "--par" ] | [ "--audit" ] | [ "--flight" ] ->
       failf "missing file operand"
-    | [ "--compare" ] | [ "--compare"; _ ] -> failf "--compare needs OLD.json and NEW.json"
+    | [ "--compare" ] | [ "--compare"; _ ] -> failf "--compare needs PARENT.jsonl and CHANGE.jsonl"
     | path :: rest ->
       check_bench path;
       go rest
@@ -388,5 +411,5 @@ let () =
   if args = [] then
     failf
       "usage: validate [BENCH_*.json ...] [--manifest FILE] [--trace FILE] [--par FILE] \
-       [--audit FILE] [--flight FILE] [--threshold PCT] [--compare OLD.json NEW.json]";
+       [--audit FILE] [--flight FILE] [--compare PARENT.jsonl CHANGE.jsonl]";
   go args

@@ -223,9 +223,6 @@ let release_mem t bytes =
   | None -> ()
   | Some s -> ignore (Atomic.fetch_and_add s.Shared.live (-bytes))
 
-let mem_live t =
-  match t.shared with None -> Mem.live t.mem | Some s -> Atomic.get s.Shared.live
-
 let mem_peak t =
   match t.shared with None -> Mem.peak t.mem | Some s -> Atomic.get s.Shared.peak
 
@@ -310,10 +307,3 @@ let absorb t ~from =
 
 let closing t =
   match t.shared with None -> false | Some s -> Atomic.get s.Shared.closing
-
-let pp_termination ppf = function
-  | Completed -> Format.fprintf ppf "completed"
-  | Exhausted { reason; elapsed_ns; tuples; answers } ->
-    Format.fprintf ppf "exhausted (%s) after %d answer(s), %d tuple(s), %.2f ms"
-      (reason_string reason) answers tuples
-      (float_of_int elapsed_ns /. 1e6)

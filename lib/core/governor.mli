@@ -101,9 +101,6 @@ val charge_mem : t -> int -> unit
 val release_mem : t -> int -> unit
 (** Release [bytes] (pops, drops); never re-arms a reached stage. *)
 
-val mem_live : t -> int
-(** The current live-bytes estimate. *)
-
 val mem_peak : t -> int
 (** The high-water mark of the estimate. *)
 
@@ -177,5 +174,3 @@ val elapsed_ns : t -> int
 
 val reason_string : reason -> string
 (** ["tuple-budget"], ["deadline"], ["answer-limit"], ["fault:<name>"]. *)
-
-val pp_termination : Format.formatter -> termination -> unit
