@@ -10,11 +10,28 @@ type tup = { v : int; n : int; s : int; fin : bool; prov : int }
    final/non-final distinction.  [prov] is the tuple's provenance-arena
    index, [Provenance.no_parent] whenever provenance is off. *)
 
+(* A D_R entry: a tuple, or a cursor — the successors of a popped [parent]
+   under one transition [tr] that [GetNext] has not reached yet, the
+   neighbours [arr.(lo) .. arr.(hi - 1)].  A cursor on top of its bucket's
+   stack yields its last remaining neighbour and stays there until it
+   yields its last; [bytes] is its ledger charge, released then. *)
+type entry =
+  | Tup of tup
+  | Cur of {
+      parent : tup;
+      tr : Nfa.transition;
+      arr : int array;
+      lo : int;
+      mutable hi : int;
+      bytes : int;
+    }
+
 type t = {
   graph : Graph.t;
   nfa : Nfa.t;
-  dr : tup Dr_queue.t;
-  visited : (int * int * int, unit) Hashtbl.t;
+  dr : entry Dr_queue.t;
+  mutable dr_bytes : int; (* the ledger charge of the entries in [dr] *)
+  visited : Triple_set.t;
   answers : (int * int, int) Hashtbl.t; (* (v, n) -> first emission distance *)
   suppress : (int * int, int) Hashtbl.t option;
   seeder : Seeder.t;
@@ -26,9 +43,17 @@ type t = {
   governor : Governor.t;
   mutable was_pruned : bool;
   opts : Options.t;
-  (* The U-cache of §3.4 as a reusable buffer: consecutive transitions with
-     the same label share one neighbour scan, and no per-lookup list is
-     allocated. *)
+  (* The U-cache of §3.4: the neighbour range [rarr.(rlo) .. rarr.(rhi - 1)]
+     of the expanding node under label [rlbl] ([Eps]: none yet), shared by
+     consecutive transitions with that label.  A [Sym] range is the CSR
+     row itself; the others are scanned into the reusable buffer [ubuf],
+     which a cursor never holds: the first cursor over it takes a copy
+     ([rshared] says [rarr] may be held). *)
+  mutable rlbl : Nfa.tlabel;
+  mutable rarr : int array;
+  mutable rlo : int;
+  mutable rhi : int;
+  mutable rshared : bool;
   mutable ubuf : int array;
   mutable ulen : int;
   (* Distribution metrics, handles resolved once at open time so recording
@@ -94,7 +119,8 @@ let open_ ~graph ~ontology ~options ?governor ?metrics ?ceiling ?suppress ?seed_
     graph;
     nfa;
     dr = Dr_queue.create ();
-    visited = Hashtbl.create 1024;
+    dr_bytes = 0;
+    visited = Triple_set.create 1024;
     answers = Hashtbl.create 64;
     suppress;
     seeder;
@@ -106,6 +132,11 @@ let open_ ~graph ~ontology ~options ?governor ?metrics ?ceiling ?suppress ?seed_
     governor;
     was_pruned = false;
     opts = options;
+    rlbl = Nfa.Eps;
+    rarr = [||];
+    rlo = 0;
+    rhi = 0;
+    rshared = false;
     ubuf = Array.make 64 0;
     ulen = 0;
     h_queue_depth = Obs.Metrics.histogram metrics "queue_depth";
@@ -121,21 +152,6 @@ let open_ ~graph ~ontology ~options ?governor ?metrics ?ceiling ?suppress ?seed_
     seed_beta = options.Options.costs.beta;
   }
 
-(* [NeighboursByEdge] (§3.4): nodes adjacent to [n] under a transition
-   label, observing directionality.  The wildcard [*] retrieves every edge
-   of [n] in both directions (the paper issues Neighbors over the generic
-   'edge' type plus 'type', both ways).  Every arm is a range scan over the
-   CSR index; nothing is allocated. *)
-let iter_neighbours_by_edge t n (lbl : Nfa.tlabel) f =
-  let dir_of : Nfa.dir -> Graph.dir = function Fwd -> Graph.Out | Bwd -> Graph.In in
-  match lbl with
-  | Nfa.Eps -> assert false (* the compiled automaton is ε-free *)
-  | Nfa.Sym (d, a) -> Graph.iter_neighbors t.graph n a (dir_of d) f
-  | Nfa.Any -> Graph.iter_neighbors_all_labels t.graph n Graph.Both f
-  | Nfa.Any_dir d -> Graph.iter_neighbors_all_labels t.graph n (dir_of d) f
-  | Nfa.Sub_closure (d, ls) -> Graph.iter_neighbors_labels t.graph n ls (dir_of d) f
-  | Nfa.Type_to c -> if Graph.mem_edge t.graph n (Graph.type_label t.graph) c then f c
-
 let ubuf_push t m =
   if t.ulen = Array.length t.ubuf then begin
     let bigger = Array.make (2 * t.ulen) 0 in
@@ -145,44 +161,56 @@ let ubuf_push t m =
   t.ubuf.(t.ulen) <- m;
   t.ulen <- t.ulen + 1
 
-let fill_ucache t n lbl =
-  Failpoints.check Failpoints.Graph_scan;
+let set_range t arr lo hi =
+  t.rarr <- arr;
+  t.rlo <- lo;
+  t.rhi <- hi
+
+(* Make the current range [ubuf], refilled by [iter]. *)
+let scan t iter =
   t.ulen <- 0;
+  iter (fun m -> ubuf_push t m);
+  set_range t t.ubuf 0 t.ulen;
+  t.rshared <- false
+
+(* [NeighboursByEdge] (§3.4): make the current range the nodes adjacent to
+   [n] under a transition label, observing directionality.  A [Sym] label
+   is one CSR row, taken in place.  The wildcard [*] retrieves every edge
+   of [n] in both directions (the paper issues Neighbors over the generic
+   'edge' type plus 'type', both ways); it and the other labels are range
+   scans into [ubuf]. *)
+let fill_range t n (lbl : Nfa.tlabel) =
+  Failpoints.check Failpoints.Graph_scan;
   let t0 = !Obs.Clock.now_ns () in
-  iter_neighbours_by_edge t n lbl (fun m -> ubuf_push t m);
+  let dir_of : Nfa.dir -> Graph.dir = function Fwd -> Graph.Out | Bwd -> Graph.In in
+  (match lbl with
+  | Nfa.Eps -> assert false (* the compiled automaton is ε-free *)
+  | Nfa.Sym (d, a) ->
+    Graph.row t.graph n a (dir_of d) t set_range;
+    t.rshared <- true
+  | Nfa.Any -> scan t (Graph.iter_neighbors_all_labels t.graph n Graph.Both)
+  | Nfa.Any_dir d -> scan t (Graph.iter_neighbors_all_labels t.graph n (dir_of d))
+  | Nfa.Sub_closure (d, ls) -> scan t (Graph.iter_neighbors_labels t.graph n ls (dir_of d))
+  | Nfa.Type_to c ->
+    scan t (fun add -> if Graph.mem_edge t.graph n (Graph.type_label t.graph) c then add c));
+  t.rlbl <- lbl;
+  let len = t.rhi - t.rlo in
   t.stats.scan_ns <- t.stats.scan_ns + (!Obs.Clock.now_ns () - t0);
-  t.stats.edges_scanned <- t.stats.edges_scanned + t.ulen;
-  t.stats.adjacency_bytes <- t.stats.adjacency_bytes + (t.ulen * (Sys.word_size / 8));
-  Obs.Metrics.observe t.h_succ_edges t.ulen
+  t.stats.edges_scanned <- t.stats.edges_scanned + len;
+  t.stats.adjacency_bytes <- t.stats.adjacency_bytes + (len * (Sys.word_size / 8));
+  Obs.Metrics.observe t.h_succ_edges len
 
-(* [Succ (s, n)]: transitions leaving (s, n) in the product automaton H_R,
-   delivered to [f tr m] (the automaton transition taken and the neighbour
-   reached — provenance needs the whole transition, its ops included).
-   Out-transitions are sorted by label
-   (Nfa.normalize), so consecutive identical labels reuse the U-cache buffer
-   filled by the previous scan (§3.4).
+let enqueue t ~dist ~final entry bytes =
+  Dr_queue.push t.dr ~dist ~final entry;
+  if Dr_queue.size t.dr > t.stats.peak_queue then t.stats.peak_queue <- Dr_queue.size t.dr;
+  t.dr_bytes <- t.dr_bytes + bytes;
+  Governor.charge_mem t.governor bytes
 
-   Distance-aware retrieval prunes here, before the neighbour lookup: a
-   transition that would exceed the ψ ceiling never touches the graph store —
-   this is where the §4.3 optimisation saves its work. *)
-let iter_succ t s n ~dist f =
-  t.stats.succ_calls <- t.stats.succ_calls + 1;
-  let cached : Nfa.tlabel option ref = ref None in
-  List.iter
-    (fun (tr : Nfa.transition) ->
-      match t.ceiling with
-      | Some psi when dist + tr.cost > psi ->
-        t.was_pruned <- true;
-        t.stats.pruned <- t.stats.pruned + 1
-      | _ ->
-        if !cached <> Some tr.lbl then begin
-          fill_ucache t n tr.lbl;
-          cached := Some tr.lbl
-        end;
-        for i = 0 to t.ulen - 1 do
-          f tr t.ubuf.(i)
-        done)
-    (Nfa.out t.nfa s)
+(* Remove the top entry, whose ledger charge is [bytes]. *)
+let unqueue t bytes =
+  ignore (Dr_queue.pop t.dr);
+  t.dr_bytes <- t.dr_bytes - bytes;
+  Governor.release_mem t.governor bytes
 
 let push t ~dist ~final tup =
   match t.ceiling with
@@ -190,16 +218,15 @@ let push t ~dist ~final tup =
     t.was_pruned <- true;
     t.stats.pruned <- t.stats.pruned + 1
   | _ ->
-    Dr_queue.push t.dr ~dist ~final:(final && t.opts.Options.final_priority) tup;
-    t.stats.pushes <- t.stats.pushes + 1;
-    if Dr_queue.size t.dr > t.stats.peak_queue then t.stats.peak_queue <- Dr_queue.size t.dr;
     (* The governor owns the tuple budget (cumulative across conjuncts and
        restarts); past the ceiling it trips and the GetNext loop unwinds at
        its next poll — no exception crosses the streaming surface.  The
        queued tuple is also charged against the memory budget, released at
        its pop. *)
-    Governor.charge_mem t.governor Mem.tuple_bytes;
-    Governor.tick_tuple t.governor
+    enqueue t ~dist ~final:(final && t.opts.Options.final_priority) (Tup tup) Mem.tuple_bytes;
+    t.stats.pushes <- t.stats.pushes + 1;
+    t.stats.materialised <- t.stats.materialised + 1;
+    Governor.tick_tuples t.governor 1
 
 (* Stage-1 memory degradation, consulted at every arena append: under
    pressure the arena is dropped once and recording stops for the rest of
@@ -217,12 +244,79 @@ let prov_arena t =
     None
   | some -> some
 
+(* The arena entry of [parent]'s successor [m] under [tr] (the one
+   provenance branch on the hot path: off, it is the shared [no_parent]
+   sentinel and nothing is allocated). *)
+let step t (parent : tup) tr m =
+  match prov_arena t with
+  | None -> Provenance.no_parent
+  | Some arena ->
+    Governor.charge_mem t.governor Mem.prov_entry_bytes;
+    Provenance.add arena ~parent:parent.prov ~node:m (Provenance.Step tr)
+
+(* [parent]'s successors under [tr], at [dist]: the members of the current
+   range not yet visited in state [tr.dst].  They are exactly the tuples an
+   eager expansion would queue, so one allocation-free scan counts them
+   into [pushes] and the tuple budget now; they are built only when
+   [GetNext] reaches them.  A lone member is pushed as a plain tuple, two
+   or more as one cursor over the range. *)
+let offer t (parent : tup) (tr : Nfa.transition) dist =
+  let s' = tr.Nfa.dst and v = parent.v in
+  let count = ref 0 and last = ref 0 in
+  for i = t.rlo to t.rhi - 1 do
+    let m = t.rarr.(i) in
+    if not (Triple_set.mem t.visited v m s') then begin
+      incr count;
+      last := m
+    end
+  done;
+  if !count = 1 then
+    push t ~dist ~final:false { v; n = !last; s = s'; fin = false; prov = step t parent tr !last }
+  else if !count > 1 then begin
+    let copied =
+      if t.rshared then 0
+      else begin
+        let len = t.rhi - t.rlo in
+        set_range t (Array.sub t.rarr t.rlo len) 0 len;
+        t.rshared <- true;
+        len * Mem.word
+      end
+    in
+    let bytes = Mem.cursor_bytes + copied in
+    enqueue t ~dist ~final:false (Cur { parent; tr; arr = t.rarr; lo = t.rlo; hi = t.rhi; bytes }) bytes;
+    t.stats.pushes <- t.stats.pushes + !count;
+    Governor.tick_tuples t.governor !count
+  end
+
+(* [Succ (s, n)] for a popped [tup]: one {!offer} per transition leaving
+   (s, n) in the product automaton H_R.  Out-transitions are sorted by
+   label (Nfa.normalize), so consecutive identical labels share the range
+   of the previous scan (§3.4).
+
+   Distance-aware retrieval prunes here, before the neighbour lookup: a
+   transition that would exceed the ψ ceiling never touches the graph store —
+   this is where the §4.3 optimisation saves its work. *)
+let iter_succ t tup ~dist =
+  t.stats.succ_calls <- t.stats.succ_calls + 1;
+  t.rlbl <- Nfa.Eps;
+  List.iter
+    (fun (tr : Nfa.transition) ->
+      match t.ceiling with
+      | Some psi when dist + tr.cost > psi ->
+        t.was_pruned <- true;
+        t.stats.pruned <- t.stats.pruned + 1
+      | _ ->
+        if tr.lbl <> t.rlbl then fill_range t tup.n tr.lbl;
+        offer t tup tr (dist + tr.cost))
+    (Nfa.out t.nfa tup.s)
+
 (* Release a discarded evaluation's charges (levelled parts are opened and
    dropped once per psi level).  The [suppress] table is owned by the
    caller and keeps its own charges. *)
 let close t =
-  Governor.release_mem t.governor (Dr_queue.size t.dr * Mem.tuple_bytes);
-  Governor.release_mem t.governor (Hashtbl.length t.visited * Mem.visited_entry_bytes);
+  Governor.release_mem t.governor t.dr_bytes;
+  t.dr_bytes <- 0;
+  Governor.release_mem t.governor (Triple_set.length t.visited * Mem.visited_entry_bytes);
   Governor.release_mem t.governor (Hashtbl.length t.answers * Mem.visited_entry_bytes);
   match t.prov with
   | None -> ()
@@ -332,51 +426,52 @@ let record_answer t tup dist =
   | None -> ());
   if t.swap then { x = tup.n; y = tup.v; dist; witness } else { x = tup.v; y = tup.n; dist; witness }
 
+(* A tuple that passed the visited check: expand it (GetNext lines 9–13). *)
+let expand t tup dist =
+  Governor.charge_mem t.governor Mem.visited_entry_bytes;
+  iter_succ t tup ~dist;
+  match Nfa.final_weight t.nfa tup.s with
+  | Some weight when annotation_matches t tup && not (already_answered t tup.v tup.n) ->
+    push t ~dist:(dist + weight) ~final:true { tup with fin = true }
+  | _ -> ()
+
+let popped t dist =
+  t.stats.pops <- t.stats.pops + 1;
+  Obs.Metrics.observe t.h_pop_distance dist
+
 let rec get_next t =
   if not (Governor.poll t.governor) then None
   else begin
   refill_if_needed t;
   Obs.Metrics.observe t.h_queue_depth (Dr_queue.size t.dr);
-  match Dr_queue.pop t.dr with
+  match Dr_queue.peek t.dr with
   | None -> None (* seeder exhausted too, or everything pruned *)
-  | Some (tup, dist, _) when tup.fin ->
-    t.stats.pops <- t.stats.pops + 1;
-    Governor.release_mem t.governor Mem.tuple_bytes;
-    Obs.Metrics.observe t.h_pop_distance dist;
+  | Some (Cur c, dist, _) ->
+    (* the cursor yields its last member, leaving D_R with it, before
+       that member's successors land on top *)
+    c.hi <- c.hi - 1;
+    let m = c.arr.(c.hi) in
+    if c.hi = c.lo then unqueue t c.bytes;
+    let v = c.parent.v and s = c.tr.Nfa.dst in
+    if Triple_set.add t.visited v m s then begin
+      popped t dist;
+      t.stats.materialised <- t.stats.materialised + 1;
+      expand t { v; n = m; s; fin = false; prov = step t c.parent c.tr m } dist
+    end
+    else t.stats.drop_visited <- t.stats.drop_visited + 1;
+    get_next t
+  | Some (Tup tup, dist, _) when tup.fin ->
+    unqueue t Mem.tuple_bytes;
+    popped t dist;
     if already_answered t tup.v tup.n then begin
       t.stats.drop_dup <- t.stats.drop_dup + 1;
       get_next t
     end
     else Some (record_answer t tup dist)
-  | Some (tup, dist, _) ->
-    t.stats.pops <- t.stats.pops + 1;
-    Governor.release_mem t.governor Mem.tuple_bytes;
-    Obs.Metrics.observe t.h_pop_distance dist;
-    let key = (tup.v, tup.n, tup.s) in
-    if not (Hashtbl.mem t.visited key) then begin
-      Hashtbl.add t.visited key ();
-      Governor.charge_mem t.governor Mem.visited_entry_bytes;
-      iter_succ t tup.s tup.n ~dist (fun tr m ->
-          let s' = tr.Nfa.dst in
-          if not (Hashtbl.mem t.visited (tup.v, m, s')) then begin
-            (* the one provenance branch on the hot path: off, [prov] is the
-               shared [no_parent] sentinel and nothing is allocated *)
-            let prov =
-              match prov_arena t with
-              | None -> Provenance.no_parent
-              | Some arena ->
-                Governor.charge_mem t.governor Mem.prov_entry_bytes;
-                Provenance.add arena ~parent:tup.prov ~node:m (Provenance.Step tr)
-            in
-            push t ~dist:(dist + tr.Nfa.cost) ~final:false
-              { v = tup.v; n = m; s = s'; fin = false; prov }
-          end);
-      match Nfa.final_weight t.nfa tup.s with
-      | Some weight
-        when annotation_matches t tup && not (already_answered t tup.v tup.n) ->
-        push t ~dist:(dist + weight) ~final:true { tup with fin = true }
-      | _ -> ()
-    end
+  | Some (Tup tup, dist, _) ->
+    unqueue t Mem.tuple_bytes;
+    popped t dist;
+    if Triple_set.add t.visited tup.v tup.n tup.s then expand t tup dist
     else t.stats.drop_visited <- t.stats.drop_visited + 1;
     get_next t
   end

@@ -16,10 +16,17 @@
 
     Implementation notes mirroring §3.4:
     - [D_R] pops minimum distance with final-tuple priority;
+    - [Succ] is lazy: expanding a tuple queues one {e cursor} per
+      transition — the neighbour range it leads to, in place in the CSR row
+      or copied once from a wildcard scan — and [GetNext] yields a cursor's
+      neighbours one at a time, last first, while it is on top of its
+      bucket's stack.  The pop sequence is exactly that of queueing every
+      successor tuple at once, without building the tuples [GetNext] never
+      reaches;
     - a hashed [visited] set guarantees no [(v, n, s)] triple is processed
       twice (tuples re-surfacing at higher distance are skipped);
-    - [Succ] groups the automaton's out-transitions by label and caches the
-      neighbour list between consecutive identical labels;
+    - [Succ] groups the automaton's out-transitions by label and shares the
+      neighbour range between consecutive identical labels;
     - seeds are pushed {e non-final} even when the initial state is final
       with weight 0; the final-state re-queue of [GetNext] (line 13)
       immediately surfaces the answer at the same distance while keeping the
@@ -60,7 +67,8 @@ val open_ :
     ({!relax_ancestor_seeds}).
 
     [governor] is the query's budget (default: a fresh one implementing the
-    options' limits): every [D_R] push ticks its tuple budget, and the
+    options' limits): every [D_R] push ticks its tuple budget (a cursor
+    ticks once per unvisited neighbour it holds), and the
     GetNext/seeding loops poll it — a shared governor makes the budget
     cumulative across conjuncts and distance-aware restarts.
 
@@ -99,7 +107,7 @@ val get_next : t -> answer option
 
 val close : t -> unit
 (** Release the evaluation structures' memory-budget charges (D_R tuples
-    still queued, visited/answers tables, provenance arena) — called when a
+    and cursors still queued, visited/answers tables, provenance arena) — called when a
     levelled part is discarded at the end of a psi level.  The [suppress]
     table is owned by the caller and keeps its own charges.  Idempotent
     enough for its use: the arena is dropped on first call, the table

@@ -39,25 +39,28 @@ let rec advance t =
     end
   end
 
-let pop t =
+let peek t =
   if t.count = 0 then None
   else begin
     advance t;
     let dist = t.lower in
     let bucket = t.buckets.(dist) in
-    match bucket.final with
-    | v :: rest ->
-      bucket.final <- rest;
-      t.count <- t.count - 1;
-      Some (v, dist, true)
-    | [] -> (
-      match bucket.nonfinal with
-      | v :: rest ->
-        bucket.nonfinal <- rest;
-        t.count <- t.count - 1;
-        Some (v, dist, false)
-      | [] -> assert false (* advance found a non-empty bucket since count > 0 *))
+    match (bucket.final, bucket.nonfinal) with
+    | v :: _, _ -> Some (v, dist, true)
+    | [], v :: _ -> Some (v, dist, false)
+    | [], [] -> assert false (* advance found a non-empty bucket since count > 0 *)
   end
+
+let pop t =
+  let top = peek t in
+  (match top with
+  | Some (_, dist, final) ->
+    let bucket = t.buckets.(dist) in
+    if final then bucket.final <- List.tl bucket.final
+    else bucket.nonfinal <- List.tl bucket.nonfinal;
+    t.count <- t.count - 1
+  | None -> ());
+  top
 
 let has_at t d =
   d >= 0

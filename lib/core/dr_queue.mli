@@ -22,6 +22,11 @@ val pop : 'a t -> ('a * int * bool) option
 (** Remove and return [(tuple, dist, final)] — minimum distance, final
     first — or [None] when empty. *)
 
+val peek : 'a t -> ('a * int * bool) option
+(** What {!pop} would return, left in place.  An entry that stands for
+    several tuples (a [GetNext] cursor) yields them one at a time from the
+    top of its stack this way, and is popped when it yields its last. *)
+
 val is_empty : 'a t -> bool
 
 val size : 'a t -> int

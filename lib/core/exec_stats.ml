@@ -1,5 +1,6 @@
 type t = {
   mutable pushes : int;
+  mutable materialised : int;
   mutable pops : int;
   mutable succ_calls : int;
   mutable edges_scanned : int;
@@ -29,6 +30,7 @@ type t = {
 let create () =
   {
     pushes = 0;
+    materialised = 0;
     pops = 0;
     succ_calls = 0;
     edges_scanned = 0;
@@ -68,6 +70,7 @@ let fields =
   let f name merge get set = { name; merge; get; set } in
   [
     f "pushes" Sum (fun t -> t.pushes) (fun t v -> t.pushes <- v);
+    f "materialised" Sum (fun t -> t.materialised) (fun t v -> t.materialised <- v);
     f "pops" Sum (fun t -> t.pops) (fun t v -> t.pops <- v);
     f "succ_calls" Sum (fun t -> t.succ_calls) (fun t v -> t.succ_calls <- v);
     f "edges_scanned" Sum (fun t -> t.edges_scanned) (fun t v -> t.edges_scanned <- v);
@@ -115,8 +118,8 @@ let record_into registry t =
   List.iter (fun c -> Obs.Metrics.set (Obs.Metrics.counter registry c.name) (c.get t)) fields
 
 let pp ppf t =
-  Format.fprintf ppf "pushes=%d pops=%d succ=%d edges=%d adj-bytes=%d " t.pushes t.pops t.succ_calls
-    t.edges_scanned t.adjacency_bytes;
+  Format.fprintf ppf "pushes=%d materialised=%d pops=%d succ=%d edges=%d adj-bytes=%d " t.pushes
+    t.materialised t.pops t.succ_calls t.edges_scanned t.adjacency_bytes;
   (* A silent 0 used to be indistinguishable from "no clock installed"; flag
      the uninstalled case instead of reporting a fake measurement. *)
   if t.scan_ns = 0 && not (Obs.Clock.installed ()) then Format.fprintf ppf "scan-ns=n/a"

@@ -11,8 +11,18 @@
     records directly (answer-distance, queue-depth, … histograms). *)
 
 type t = {
-  mutable pushes : int;  (** tuples added to [D_R] *)
-  mutable pops : int;  (** tuples removed from [D_R] *)
+  mutable pushes : int;
+      (** tuples added to [D_R], counted logically: a cursor (one
+          transition's pending successors of a popped tuple) counts the
+          neighbours it holds that were not yet visited when it was made —
+          the tuples an eager expansion would have queued *)
+  mutable materialised : int;
+      (** tuples actually built: plain [D_R] pushes (seeds, final tuples, a
+          transition's lone unvisited successor) and the cursor members
+          [GetNext] reached unvisited *)
+  mutable pops : int;
+      (** tuples [GetNext] took up: plain tuples popped from [D_R] and
+          cursor members yielded unvisited (at most [pushes]) *)
   mutable succ_calls : int;  (** invocations of [Succ] *)
   mutable edges_scanned : int;  (** neighbours returned across all [Succ] calls *)
   mutable adjacency_bytes : int;
@@ -24,12 +34,18 @@ type t = {
   mutable batches : int;  (** seed batches delivered by the coroutine *)
   mutable seeds : int;  (** initial nodes added *)
   mutable answers : int;  (** answers emitted *)
-  mutable peak_queue : int;  (** high-water mark of [D_R] *)
+  mutable peak_queue : int;
+      (** high-water mark of [D_R] in entries: a cursor counts once, however
+          many neighbours it holds *)
   mutable restarts : int;  (** distance-aware re-evaluations *)
   mutable pruned : int;  (** pushes suppressed by the ψ ceiling *)
   mutable drop_visited : int;
-      (** non-final pops discarded because their [(v, n, s)] triple had
-          already been processed — re-surfacings at a higher distance *)
+      (** non-final tuples discarded because their [(v, n, s)] triple had
+          already been processed — re-surfacings at a higher distance: plain
+          tuples popped, and cursor members found visited when yielded
+          (these include members already visited when their cursor was
+          made, which [pushes] never counted, so this is not bounded by
+          [pops]) *)
   mutable drop_dup : int;
       (** final pops discarded because the [(v, n)] pair was already emitted
           (here or in the restart-suppress table) — the wasted half of the

@@ -168,14 +168,14 @@ let poll t =
           false)
        end)
 
-let tick_tuple t =
-  t.tuples <- t.tuples + 1;
+let tick_tuples t n =
+  t.tuples <- t.tuples + n;
   match t.shared with
   | None -> if t.tuples > t.tuple_budget && t.stop = None then trip t Tuple_budget
   | Some s ->
     (* the budget is cumulative over the whole query, so the ceiling is
        checked against the query-wide atomic, not the per-domain share *)
-    let total = Atomic.fetch_and_add s.Shared.tuples 1 + 1 in
+    let total = Atomic.fetch_and_add s.Shared.tuples n + n in
     if total > t.tuple_budget && t.stop = None then trip t Tuple_budget
 
 (* --- memory accounting ------------------------------------------------

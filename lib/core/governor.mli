@@ -76,9 +76,10 @@ val poll : t -> bool
     no deadline this is two compares; the deadline clock read is amortised
     over 16 polls. *)
 
-val tick_tuple : t -> unit
-(** Count one tuple against the budget (a [D_R] push or a join-buffer
-    combination); trips [Tuple_budget] past the ceiling.  The count is
+val tick_tuples : t -> int -> unit
+(** Count [n] tuples against the budget (the members of a [D_R] cursor, a
+    plain [D_R] push or a join-buffer combination); trips [Tuple_budget]
+    once the count passes the ceiling.  The count is
     {e cumulative} across all conjuncts, join buffering and distance-aware
     restarts of the query (see [Options.max_tuples]). *)
 

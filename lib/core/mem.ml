@@ -38,10 +38,18 @@ let peak t = t.peak
 
 let word = 8
 
-(* A D_R tuple: (node, state, dist, prov) block + its bucket cons cell. *)
-let tuple_bytes = 9 * word
+(* A queued D_R tuple: its (seed, node, state, final, prov) record, the
+   queue-entry box around it and its bucket cons cell. *)
+let tuple_bytes = 11 * word
 
-(* One visited/answers hashtable binding: bucket cons + boxed key pair. *)
+(* A queued D_R cursor: its (parent, transition, range array, lo, hi,
+   charge) entry block + its bucket cons cell.  A wildcard range copied
+   out of the U-cache is charged on top, a word per member, by the cursor
+   that made the copy. *)
+let cursor_bytes = 10 * word
+
+(* One visited-set key (three int slots at load 1/4 to 1/2) or one answers
+   hashtable binding (bucket cons + boxed key pair). *)
 let visited_entry_bytes = 8 * word
 
 (* One provenance arena entry: a slot in each of the three parallel int

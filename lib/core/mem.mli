@@ -32,10 +32,16 @@ val peak : t -> int
 val word : int
 
 val tuple_bytes : int
-(** One D_R tuple (node, state, dist, prov) plus its bucket cons cell. *)
+(** One queued D_R tuple: its record, queue-entry box and bucket cons
+    cell. *)
+
+val cursor_bytes : int
+(** One queued D_R cursor (one transition's pending neighbour range),
+    without the range: a CSR row is shared, and a wildcard range copied
+    out of the U-cache is charged separately at {!word} per member. *)
 
 val visited_entry_bytes : int
-(** One visited/answers hashtable binding. *)
+(** One visited-set key or answers hashtable binding. *)
 
 val prov_entry_bytes : int
 (** One provenance-arena entry (three parallel int array slots). *)

@@ -115,7 +115,7 @@ let pull_one t idx =
            tuples, so they draw on the same governor budgets (tuple and
            memory; the bytes are released when the combination is popped) *)
         Governor.charge_mem t.governor Mem.join_combo_bytes;
-        Governor.tick_tuple t.governor)
+        Governor.tick_tuples t.governor 1)
       combos;
     Obs.Metrics.observe t.h_combos (List.length combos);
     if Obs.Flight.enabled () then

@@ -220,6 +220,16 @@ let iter_neighbors t n label dir f =
     iter_row (rows c c.fwd label) n f;
     iter_row (rows c c.bwd label) n f
 
+let row t n label dir x k =
+  let c = index t in
+  let r =
+    match dir with
+    | Out -> rows c c.fwd label
+    | In -> rows c c.bwd label
+    | Both -> invalid_arg "Graph.row: one direction only"
+  in
+  if n + 1 < Array.length r.off then k x r.tgt r.off.(n) r.off.(n + 1) else k x r.tgt 0 0
+
 let neighbors t n label dir =
   let acc = ref [] in
   iter_neighbors t n label dir (fun m -> acc := m :: !acc);

@@ -91,6 +91,13 @@ val iter_neighbors : t -> int -> int -> dir -> (int -> unit) -> unit
 (** Allocation-free variant of {!neighbors}: one offset-range scan per
     direction. *)
 
+val row : t -> int -> int -> dir -> 'a -> ('a -> int array -> int -> int -> 'b) -> 'b
+(** [row g n label dir x k] is [k x tgt lo hi], where
+    [tgt.(lo) .. tgt.(hi - 1)] are the {!iter_neighbors} of [n] in one
+    direction, ascending: the index's own array, not a copy, so it must not
+    be written.  Allocation-free when [k] is a closed function.
+    @raise Invalid_argument on [Both]. *)
+
 val iter_neighbors_all_labels : t -> int -> dir -> (int -> unit) -> unit
 (** Neighbours of [n] under {e every} label, label by label, outgoing
     before incoming for [Both].  One direction is the APPROX [Any_dir]

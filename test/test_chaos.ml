@@ -287,6 +287,44 @@ let memory_distance_aware =
   memory_prop ~name:"memory: prefix under distance-aware ψ shrinking (stage 2)"
     ~distance_aware:true ~provenance:false
 
+(* One expansion of a hub must not carry the ledger far past the budget.
+   The hub's APPROX expansion reaches its 50k neighbours through the exact
+   [p] transition and the [*] edits; the budget trips inside that
+   expansion's neighbourhood at the latest, so the peak may exceed the
+   budget by at most one expansion's charge: a visited entry, a final
+   tuple, one queue entry (cursor or tuple) and arena entry per automaton
+   transition, and one copy of the hub's wildcard row. *)
+let hub_budget_test () =
+  let degree = 50_000 and budget = 1 lsl 20 in
+  let g = Graph.create ~initial_nodes:(degree + 1) () in
+  let hub = Graph.add_node g "hub" in
+  let p = Graphstore.Interner.intern (Graph.interner g) "p" in
+  for i = 1 to degree do
+    Graph.add_edge g hub p (Graph.add_node g (Printf.sprintf "n%d" i))
+  done;
+  Graph.freeze g;
+  let k = Ontology.create (Graph.interner g) in
+  let q = Q.single ~mode:Q.Approx (Q.Const "hub") (Rpq_regex.Regex.lbl "p") (Q.Var "X") in
+  let options = { Options.default with Options.max_memory_bytes = Some budget } in
+  let transitions =
+    (List.hd (Engine.explain ~graph:g ~ontology:k ~options q).Obs.Explain.conjuncts)
+      .Obs.Explain.transitions
+  in
+  let module Mem = Core.Mem in
+  let expansion =
+    Mem.visited_entry_bytes + Mem.tuple_bytes
+    + (transitions * (max Mem.cursor_bytes Mem.tuple_bytes + Mem.prov_entry_bytes))
+    + (Mem.word * degree)
+  in
+  let o = Engine.run ~graph:g ~ontology:k ~options q in
+  (match o.Engine.termination with
+  | Engine.Exhausted { reason = Governor.Memory_budget; _ } -> ()
+  | t -> Alcotest.failf "expected a memory-budget trip, got %a" Engine.pp_termination t);
+  let peak = o.Engine.stats.Core.Exec_stats.mem_bytes_peak in
+  if peak > budget + expansion then
+    Alcotest.failf "ledger peaked at %d bytes: over the %d-byte budget by more than one \
+                    expansion (%d bytes)" peak budget expansion
+
 (* --- admission control -------------------------------------------------- *)
 
 (* A rejected query must never touch the graph; a generously-admitted query
@@ -692,6 +730,8 @@ let () =
           QCheck_alcotest.to_alcotest memory_plain;
           QCheck_alcotest.to_alcotest memory_provenance;
           QCheck_alcotest.to_alcotest memory_distance_aware;
+          Alcotest.test_case "hub expansion stays within one expansion of the budget" `Quick
+            hub_budget_test;
         ] );
       ("admission", [ QCheck_alcotest.to_alcotest admission_prop ]);
       ("joins", [ QCheck_alcotest.to_alcotest join_prop ]);

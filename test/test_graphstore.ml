@@ -241,7 +241,8 @@ let snd3 (_, y, _) = y
 let thd3 (_, _, z) = z
 
 (* Property: every read agrees with a model built from the generated edge
-   list, in order as well as content: rows ascending, [Both] outgoing then
+   list, in order as well as content: rows ascending ({!Graph.row}'s range
+   included), [Both] outgoing then
    incoming, label sweeps label by label.  The graph is read after
    [freeze], after adding a node, and after adding more edges (against the
    model over all edges), so an index a mutation failed to drop would
@@ -282,6 +283,9 @@ let reads_match_model =
           | Graph.Both -> List.concat_map (out n) ls @ List.concat_map (inn n) ls
           | d -> List.concat_map (fun l -> model n l d) ls
         in
+        let row_list n l dir =
+          Graph.row g n l dir () (fun () tgt lo hi -> Array.to_list (Array.sub tgt lo (hi - lo)))
+        in
         let subset = [ List.nth labels 2; List.nth labels 0 ] in
         let max_deg side =
           List.fold_left
@@ -306,7 +310,9 @@ let reads_match_model =
                  [ Graph.Out; Graph.In; Graph.Both ]
                && List.for_all
                     (fun l ->
-                      Graph.out_degree g n l = List.length (out n l)
+                      row_list n l Graph.Out = out n l
+                      && row_list n l Graph.In = inn n l
+                      && Graph.out_degree g n l = List.length (out n l)
                       && Graph.in_degree g n l = List.length (inn n l)
                       && List.for_all
                            (fun m -> Graph.mem_edge g n l m = List.mem m (out n l))

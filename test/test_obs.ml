@@ -99,7 +99,7 @@ let copy_independent_test () =
   Alcotest.(check int) "copy is a snapshot" 4 snap.Stats.pushes
 
 let field_names_test () =
-  Alcotest.(check int) "25 scalar counters" 25 (List.length Stats.field_names);
+  Alcotest.(check int) "26 scalar counters" 26 (List.length Stats.field_names);
   let s = Stats.create () in
   Alcotest.(check (list string)) "to_assoc follows field_names order" Stats.field_names
     (List.map fst (assoc s))

@@ -85,6 +85,50 @@ let dr_monotone_pops =
       in
       drain 0)
 
+(* Property: [peek] shows exactly what the next [pop] removes, and leaves
+   the queue as it was, under any interleaving of pushes and pops. *)
+let dr_peek_is_next_pop =
+  QCheck2.Test.make ~name:"peek is the next pop and removes nothing" ~count:200
+    QCheck2.Gen.(list_size (int_range 1 200) (option (pair (int_bound 10) bool)))
+    (fun ops ->
+      let q = Dr.create () in
+      List.for_all
+        (function
+          | Some (d, f) ->
+            Dr.push q ~dist:d ~final:f (d, f);
+            true
+          | None ->
+            let size = Dr.size q in
+            let top = Dr.peek q in
+            Dr.size q = size && Dr.peek q = top && Dr.pop q = top)
+        ops)
+
+(* --- Triple_set --------------------------------------------------------- *)
+
+(* Property: the open-addressing set answers [add] and [mem] exactly as a
+   [Hashtbl] keyed by the triple does.  Keys come from a small cube so that
+   probes collide, and sequences are long enough to grow the table
+   several times. *)
+let triple_set_model =
+  QCheck2.Test.make ~name:"agrees with a Hashtbl model" ~count:200
+    QCheck2.Gen.(
+      list_size (int_range 1 3000)
+        (pair bool (triple (int_bound 40) (int_bound 40) (int_bound 4))))
+    (fun ops ->
+      let set = Core.Triple_set.create 1 and model = Hashtbl.create 16 in
+      List.for_all
+        (fun (insert, (a, b, c)) ->
+          let expected = Hashtbl.mem model (a, b, c) in
+          let agrees =
+            if insert then begin
+              Hashtbl.replace model (a, b, c) ();
+              Core.Triple_set.add set a b c = not expected
+            end
+            else Core.Triple_set.mem set a b c = expected
+          in
+          agrees && Core.Triple_set.length set = Hashtbl.length model)
+        ops)
+
 (* --- Seeder ----------------------------------------------------------- *)
 
 let seeder_graph () =
@@ -218,7 +262,9 @@ let () =
           Alcotest.test_case "sizes" `Quick test_dr_sizes;
           Alcotest.test_case "negative distance" `Quick test_dr_negative_rejected;
           QCheck_alcotest.to_alcotest dr_monotone_pops;
+          QCheck_alcotest.to_alcotest dr_peek_is_next_pop;
         ] );
+      ("triple_set", [ QCheck_alcotest.to_alcotest triple_set_model ]);
       ( "seeder",
         [
           Alcotest.test_case "fixed list" `Quick test_seeder_fixed;
