@@ -3,7 +3,8 @@
 #
 #   bench/paired_gate.sh PARENT_REV
 #
-# Checks PARENT_REV out into a temporary git worktree and runs PAIRS pairs
+# Extracts PARENT_REV into a temporary directory (git archive, so the
+# repository's own metadata is not touched) and runs PAIRS pairs
 # of the flex-topk perfbench workload: in each pair one run on the parent
 # and one on the working tree, with the same seed, the side that goes
 # first swapping every pair.  The result object of each run (the last line
@@ -29,9 +30,9 @@ parent=$(git rev-parse --verify --quiet "$1^{commit}") || {
   exit 2
 }
 tmp=$(mktemp -d) || exit 2
-trap 'git worktree remove --force "$tmp/parent" 2>/dev/null; rm -rf "$tmp"' EXIT
+trap 'rm -rf "$tmp"' EXIT
 trap 'exit 130' INT TERM
-git worktree add --detach --quiet "$tmp/parent" "$parent" || exit 2
+mkdir "$tmp/parent" && git archive "$parent" | tar -x -C "$tmp/parent" || exit 2
 : >BENCH_paired_parent.jsonl
 : >BENCH_paired_change.jsonl
 

@@ -12,19 +12,13 @@ type tup = { v : int; n : int; s : int; fin : bool; prov : int }
 
 (* A D_R entry: a tuple, or a cursor — the successors of a popped [parent]
    under one transition [tr] that [GetNext] has not reached yet, the
-   neighbours [arr.(lo) .. arr.(hi - 1)].  A cursor on top of its bucket's
-   stack yields its last remaining neighbour and stays there until it
-   yields its last; [bytes] is its ledger charge, released then. *)
+   neighbours [Graph.target arr lo .. Graph.target arr (hi - 1)], a slice
+   of the index.  A cursor on top of its bucket's stack yields its last
+   remaining neighbour and stays there until it yields its last; its
+   ledger charge, [Mem.cursor_bytes], is released then. *)
 type entry =
   | Tup of tup
-  | Cur of {
-      parent : tup;
-      tr : Nfa.transition;
-      arr : int array;
-      lo : int;
-      mutable hi : int;
-      bytes : int;
-    }
+  | Cur of { parent : tup; tr : Nfa.transition; arr : Graph.entries; lo : int; mutable hi : int }
 
 type t = {
   graph : Graph.t;
@@ -43,25 +37,17 @@ type t = {
   governor : Governor.t;
   mutable was_pruned : bool;
   opts : Options.t;
-  (* The U-cache of §3.4: the neighbour range [rarr.(rlo) .. rarr.(rhi - 1)]
-     of the expanding node under label [rlbl] ([Eps]: none yet), shared by
-     consecutive transitions with that label.  A [Sym] range is the CSR
-     row itself; the others are scanned into the reusable buffer [ubuf],
-     which a cursor never holds: the first cursor over it takes a copy
-     ([rshared] says [rarr] may be held). *)
+  (* The U-cache of §3.4: the neighbour range of the expanding node under
+     label [rlbl] ([Eps]: none yet), shared by consecutive transitions with
+     that label: [nslices] slices of the index [rarr], slice [i] from
+     [slices.(2i)] to [slices.(2i + 1)] (one per label of a [Sub_closure]). *)
   mutable rlbl : Nfa.tlabel;
-  mutable rarr : int array;
-  mutable rlo : int;
-  mutable rhi : int;
-  mutable rshared : bool;
-  mutable ubuf : int array;
-  mutable ulen : int;
+  mutable rarr : Graph.entries;
+  mutable slices : int array;
+  mutable nslices : int;
   (* Distribution metrics, handles resolved once at open time so recording
      is an array increment (kept unconditional — cheaper than a branch that
      would misrepresent the run when observability is on). *)
-  h_queue_depth : Obs.Metrics.histogram;
-  h_succ_edges : Obs.Metrics.histogram;
-  h_seed_batch_ns : Obs.Metrics.histogram;
   h_pop_distance : Obs.Metrics.histogram;
   h_ops_insert : Obs.Metrics.histogram;
   h_ops_delete : Obs.Metrics.histogram;
@@ -133,15 +119,9 @@ let open_ ~graph ~ontology ~options ?governor ?metrics ?ceiling ?suppress ?seed_
     was_pruned = false;
     opts = options;
     rlbl = Nfa.Eps;
-    rarr = [||];
-    rlo = 0;
-    rhi = 0;
-    rshared = false;
-    ubuf = Array.make 64 0;
-    ulen = 0;
-    h_queue_depth = Obs.Metrics.histogram metrics "queue_depth";
-    h_succ_edges = Obs.Metrics.histogram metrics "succ_edges";
-    h_seed_batch_ns = Obs.Metrics.histogram metrics "seed_batch_ns";
+    rarr = Graph.entries graph;
+    slices = [| 0; 0 |];
+    nslices = 0;
     h_pop_distance = Obs.Metrics.histogram metrics "pop_distance";
     h_ops_insert = Obs.Metrics.histogram metrics "ops_insert";
     h_ops_delete = Obs.Metrics.histogram metrics "ops_delete";
@@ -152,53 +132,40 @@ let open_ ~graph ~ontology ~options ?governor ?metrics ?ceiling ?suppress ?seed_
     seed_beta = options.Options.costs.beta;
   }
 
-let ubuf_push t m =
-  if t.ulen = Array.length t.ubuf then begin
-    let bigger = Array.make (2 * t.ulen) 0 in
-    Array.blit t.ubuf 0 bigger 0 t.ulen;
-    t.ubuf <- bigger
-  end;
-  t.ubuf.(t.ulen) <- m;
-  t.ulen <- t.ulen + 1
-
-let set_range t arr lo hi =
+(* Append a slice to the current range (the callback of the slice reads). *)
+let add_slice t arr lo hi =
+  let i = 2 * t.nslices in
   t.rarr <- arr;
-  t.rlo <- lo;
-  t.rhi <- hi
-
-(* Make the current range [ubuf], refilled by [iter]. *)
-let scan t iter =
-  t.ulen <- 0;
-  iter (fun m -> ubuf_push t m);
-  set_range t t.ubuf 0 t.ulen;
-  t.rshared <- false
+  t.slices.(i) <- lo;
+  t.slices.(i + 1) <- hi;
+  t.nslices <- t.nslices + 1;
+  t.stats.edges_scanned <- t.stats.edges_scanned + (hi - lo);
+  t.stats.adjacency_bytes <- t.stats.adjacency_bytes + ((hi - lo) * (Sys.word_size / 8))
 
 (* [NeighboursByEdge] (§3.4): make the current range the nodes adjacent to
-   [n] under a transition label, observing directionality.  A [Sym] label
-   is one CSR row, taken in place.  The wildcard [*] retrieves every edge
-   of [n] in both directions (the paper issues Neighbors over the generic
-   'edge' type plus 'type', both ways); it and the other labels are range
-   scans into [ubuf]. *)
+   [n] under a transition label, observing directionality.  Every label
+   kind is read in place: a [Sym] label is one slice of [n]'s row; the
+   wildcard [*] is the whole row (the paper issues Neighbors over the
+   generic 'edge' type plus 'type', both ways) and [Any_dir] its outgoing
+   or incoming half; [Type_to c] is the one [(n, type, c)] edge, if any;
+   a [Sub_closure] is one slice per label, in the order given. *)
 let fill_range t n (lbl : Nfa.tlabel) =
   Failpoints.check Failpoints.Graph_scan;
   let t0 = !Obs.Clock.now_ns () in
   let dir_of : Nfa.dir -> Graph.dir = function Fwd -> Graph.Out | Bwd -> Graph.In in
+  t.nslices <- 0;
   (match lbl with
   | Nfa.Eps -> assert false (* the compiled automaton is ε-free *)
-  | Nfa.Sym (d, a) ->
-    Graph.row t.graph n a (dir_of d) t set_range;
-    t.rshared <- true
-  | Nfa.Any -> scan t (Graph.iter_neighbors_all_labels t.graph n Graph.Both)
-  | Nfa.Any_dir d -> scan t (Graph.iter_neighbors_all_labels t.graph n (dir_of d))
-  | Nfa.Sub_closure (d, ls) -> scan t (Graph.iter_neighbors_labels t.graph n ls (dir_of d))
-  | Nfa.Type_to c ->
-    scan t (fun add -> if Graph.mem_edge t.graph n (Graph.type_label t.graph) c then add c));
+  | Nfa.Sym (d, a) -> Graph.row t.graph n a (dir_of d) t add_slice
+  | Nfa.Any -> Graph.row_all t.graph n Graph.Both t add_slice
+  | Nfa.Any_dir d -> Graph.row_all t.graph n (dir_of d) t add_slice
+  | Nfa.Sub_closure (d, ls) ->
+    if 2 * Array.length ls > Array.length t.slices then
+      t.slices <- Array.make (2 * Array.length ls) 0;
+    Array.iter (fun l -> Graph.row t.graph n l (dir_of d) t add_slice) ls
+  | Nfa.Type_to c -> Graph.row_to t.graph n (Graph.type_label t.graph) c t add_slice);
   t.rlbl <- lbl;
-  let len = t.rhi - t.rlo in
-  t.stats.scan_ns <- t.stats.scan_ns + (!Obs.Clock.now_ns () - t0);
-  t.stats.edges_scanned <- t.stats.edges_scanned + len;
-  t.stats.adjacency_bytes <- t.stats.adjacency_bytes + (len * (Sys.word_size / 8));
-  Obs.Metrics.observe t.h_succ_edges len
+  t.stats.scan_ns <- t.stats.scan_ns + (!Obs.Clock.now_ns () - t0)
 
 let enqueue t ~dist ~final entry bytes =
   Dr_queue.push t.dr ~dist ~final entry;
@@ -258,35 +225,28 @@ let step t (parent : tup) tr m =
    range not yet visited in state [tr.dst].  They are exactly the tuples an
    eager expansion would queue, so one allocation-free scan counts them
    into [pushes] and the tuple budget now; they are built only when
-   [GetNext] reaches them.  A lone member is pushed as a plain tuple, two
-   or more as one cursor over the range. *)
+   [GetNext] reaches them.  Per slice, in range order, a lone member is
+   pushed as a plain tuple, two or more as one cursor over the slice. *)
 let offer t (parent : tup) (tr : Nfa.transition) dist =
   let s' = tr.Nfa.dst and v = parent.v in
-  let count = ref 0 and last = ref 0 in
-  for i = t.rlo to t.rhi - 1 do
-    let m = t.rarr.(i) in
-    if not (Triple_set.mem t.visited v m s') then begin
-      incr count;
-      last := m
-    end
-  done;
-  if !count = 1 then
-    push t ~dist ~final:false { v; n = !last; s = s'; fin = false; prov = step t parent tr !last }
-  else if !count > 1 then begin
-    let copied =
-      if t.rshared then 0
-      else begin
-        let len = t.rhi - t.rlo in
-        set_range t (Array.sub t.rarr t.rlo len) 0 len;
-        t.rshared <- true;
-        len * Mem.word
+  for k = 0 to t.nslices - 1 do
+    let lo = t.slices.(2 * k) and hi = t.slices.((2 * k) + 1) in
+    let count = ref 0 and last = ref 0 in
+    for i = lo to hi - 1 do
+      let m = Graph.target t.rarr i in
+      if not (Triple_set.mem t.visited v m s') then begin
+        incr count;
+        last := m
       end
-    in
-    let bytes = Mem.cursor_bytes + copied in
-    enqueue t ~dist ~final:false (Cur { parent; tr; arr = t.rarr; lo = t.rlo; hi = t.rhi; bytes }) bytes;
-    t.stats.pushes <- t.stats.pushes + !count;
-    Governor.tick_tuples t.governor !count
-  end
+    done;
+    if !count = 1 then
+      push t ~dist ~final:false { v; n = !last; s = s'; fin = false; prov = step t parent tr !last }
+    else if !count > 1 then begin
+      enqueue t ~dist ~final:false (Cur { parent; tr; arr = t.rarr; lo; hi }) Mem.cursor_bytes;
+      t.stats.pushes <- t.stats.pushes + !count;
+      Governor.tick_tuples t.governor !count
+    end
+  done
 
 (* [Succ (s, n)] for a popped [tup]: one {!offer} per transition leaving
    (s, n) in the product automaton H_R.  Out-transitions are sorted by
@@ -330,7 +290,6 @@ let refill_if_needed t =
      preserving the non-decreasing answer order.  The poll also breaks the
      loop when the governor trips mid-seeding (the seeder then keeps
      returning short batches without finishing). *)
-  let clocked = Obs.Clock.installed () in
   while
     Governor.poll t.governor
     && (not (Seeder.exhausted t.seeder))
@@ -361,7 +320,6 @@ let refill_if_needed t =
           push t ~dist ~final:false { v = oid; n = oid; s = Nfa.initial t.nfa; fin = false; prov })
         batch
     end;
-    if clocked then Obs.Metrics.observe t.h_seed_batch_ns (!Obs.Clock.now_ns () - t0);
     if Obs.Flight.enabled () then
       Obs.Flight.complete ~cat:"seed" ~start_ns:t0
         ~args:[ ("seeds", Obs.Flight.Num (List.length batch)) ]
@@ -443,15 +401,14 @@ let rec get_next t =
   if not (Governor.poll t.governor) then None
   else begin
   refill_if_needed t;
-  Obs.Metrics.observe t.h_queue_depth (Dr_queue.size t.dr);
   match Dr_queue.peek t.dr with
   | None -> None (* seeder exhausted too, or everything pruned *)
   | Some (Cur c, dist, _) ->
     (* the cursor yields its last member, leaving D_R with it, before
        that member's successors land on top *)
     c.hi <- c.hi - 1;
-    let m = c.arr.(c.hi) in
-    if c.hi = c.lo then unqueue t c.bytes;
+    let m = Graph.target c.arr c.hi in
+    if c.hi = c.lo then unqueue t Mem.cursor_bytes;
     let v = c.parent.v and s = c.tr.Nfa.dst in
     if Triple_set.add t.visited v m s then begin
       popped t dist;

@@ -17,12 +17,12 @@
     Implementation notes mirroring §3.4:
     - [D_R] pops minimum distance with final-tuple priority;
     - [Succ] is lazy: expanding a tuple queues one {e cursor} per
-      transition — the neighbour range it leads to, in place in the CSR row
-      or copied once from a wildcard scan — and [GetNext] yields a cursor's
-      neighbours one at a time, last first, while it is on top of its
-      bucket's stack.  The pop sequence is exactly that of queueing every
-      successor tuple at once, without building the tuples [GetNext] never
-      reaches;
+      transition — the neighbour range it leads to, a slice of the CSR
+      index (one per label of a RELAX sub-property closure) — and
+      [GetNext] yields a cursor's neighbours one at a time, last first,
+      while it is on top of its bucket's stack.  The pop sequence is
+      exactly that of queueing every successor tuple at once, without
+      building the tuples [GetNext] never reaches;
     - a hashed [visited] set guarantees no [(v, n, s)] triple is processed
       twice (tuples re-surfacing at higher distance are skipped);
     - [Succ] groups the automaton's out-transitions by label and shares the
@@ -73,8 +73,8 @@ val open_ :
     cumulative across conjuncts and distance-aware restarts.
 
     [metrics] is the stream's registry (default: a fresh private one); the
-    conjunct records its [queue_depth], [succ_edges] and [seed_batch_ns]
-    histograms there.
+    conjunct records its [pop_distance] and per-operation cost histograms
+    there.
 
     [ceiling] is the ψ bound of distance-aware retrieval: tuples with
     distance above it are pruned (and recorded, see {!pruned}).

@@ -42,11 +42,10 @@ let word = 8
    queue-entry box around it and its bucket cons cell. *)
 let tuple_bytes = 11 * word
 
-(* A queued D_R cursor: its (parent, transition, range array, lo, hi,
-   charge) entry block + its bucket cons cell.  A wildcard range copied
-   out of the U-cache is charged on top, a word per member, by the cursor
-   that made the copy. *)
-let cursor_bytes = 10 * word
+(* A queued D_R cursor, its whole charge: its (parent, transition, index
+   array, lo, hi) entry block + its bucket cons cell; its range is a slice
+   of the graph's index, never a copy. *)
+let cursor_bytes = 9 * word
 
 (* One visited-set key (three int slots at load 1/4 to 1/2) or one answers
    hashtable binding (bucket cons + boxed key pair). *)

@@ -36,9 +36,8 @@ val tuple_bytes : int
     cell. *)
 
 val cursor_bytes : int
-(** One queued D_R cursor (one transition's pending neighbour range),
-    without the range: a CSR row is shared, and a wildcard range copied
-    out of the U-cache is charged separately at {!word} per member. *)
+(** One queued D_R cursor (one transition's pending neighbour range), its
+    whole charge: the range is a slice of the CSR index, never a copy. *)
 
 val visited_entry_bytes : int
 (** One visited-set key or answers hashtable binding. *)

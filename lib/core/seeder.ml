@@ -28,11 +28,17 @@ let all_nodes graph : int Seq.t = Seq.init (Graph.n_nodes graph) (fun oid -> oid
 
 (* Nodes carrying an edge compatible with [lbl], as a sequence (the Sparksee
    Heads/Tails calls of §3.3).  Instead of materialising per-label oid sets,
-   each label contributes a lazy ascending scan filtered by
-   {!Graph.has_adjacent} — an O(1) offset-range check on the index — so
-   unneeded batches cost nothing downstream. *)
+   each label contributes a lazy ascending scan of the index
+   ({!Graph.next_adjacent}), so unneeded batches cost nothing
+   downstream. *)
 let nodes_with_edge graph (lbl : Nfa.tlabel) : int Seq.t =
-  let with_label dir a = Seq.filter (fun n -> Graph.has_adjacent graph n a dir) (all_nodes graph) in
+  let with_label dir a =
+    Seq.unfold
+      (fun n ->
+        let m = Graph.next_adjacent graph n a dir in
+        if m < Graph.n_nodes graph then Some (m, m + 1) else None)
+      0
+  in
   let all_labels dir =
     List.to_seq (Graph.labels graph) |> Seq.concat_map (fun l -> with_label dir l)
   in

@@ -1,16 +1,19 @@
 type dir = Out | In | Both
 
-(* One direction of the index for one label: a CSR row group.  [off] has
-   [node_count + 1] entries; the neighbours of node [n] under this label are
-   [tgt.(off.(n)) .. tgt.(off.(n+1) - 1)], sorted ascending so lookups are
-   mergeable and [mem_edge] can bisect. *)
-type csr_rows = { off : int array; tgt : int array }
+(* The index: node [n]'s row is [ent.(off.(n)) .. ent.(off.(n+1) - 1)],
+   one entry per edge at [n], each packed as [key lsl shift lor target]
+   where [key] is the edge's label, with [in_bit] set for an incoming edge.
+   Rows are sorted as ints, so in (direction, label, target) order: every
+   label kind is one slice of a row, found by bisection on the key. *)
+type index = { off : int array; ent : int array }
 
-type csr = {
-  slot_of_label : int array; (* label id -> dense slot, or -1 *)
-  fwd : csr_rows array; (* slot -> out-adjacency *)
-  bwd : csr_rows array; (* slot -> in-adjacency *)
-}
+type entries = int array
+
+let shift = 32
+let mask = (1 lsl shift) - 1
+let in_bit = 1 lsl 29 (* keys stay below [1 lsl 30], so entries are positive *)
+
+let[@inline] target (e : entries) i = e.(i) land mask
 
 (* [adj_out] (label id -> source oid -> targets, newest first) is
    construction-only storage: every read goes through the [csr] index, which
@@ -26,7 +29,7 @@ type t = {
   mutable adj_out : (int, int list ref) Hashtbl.t option array;
   mutable edge_count : int;
   mutable label_counts : int array; (* label id -> number of edges *)
-  mutable csr : csr option;
+  mutable csr : index option;
 }
 
 let create ?(initial_nodes = 1024) () =
@@ -119,57 +122,67 @@ let labels t =
   done;
   !acc
 
+let iter_edges t f =
+  Array.iteri
+    (fun label tbl ->
+      match tbl with
+      | None -> ()
+      | Some tbl -> Hashtbl.iter (fun src cell -> List.iter (fun dst -> f src label dst) !cell) tbl)
+    t.adj_out
+
 (* --- the CSR index --------------------------------------------------- *)
 
-(* Pack the [(row, value)] pairs [pairs] yields into [n] CSR rows: a
-   counting pass, then a fill pass that keeps [pairs]' order within a row. *)
-let pack n pairs =
-  let off = Array.make (n + 1) 0 in
-  pairs (fun row _ -> off.(row + 1) <- off.(row + 1) + 1);
+(* For each label, nodes [v] ascending: copy every entry keyed
+   [label lor from] of [v]'s part [next.(v) .. upto.(v) - 1] to its target
+   [w]'s other part at [into.(w)], keyed [label lor to_], with target [v].
+   Parts grouped by label yield sorted parts. *)
+let transpose ent labels ~next ~upto ~into ~from ~to_ =
+  List.iter
+    (fun label ->
+      let key = label lor from and e = (label lor to_) lsl shift in
+      for v = 0 to Array.length next - 1 do
+        while next.(v) < upto.(v) && ent.(next.(v)) lsr shift = key do
+          let w = target ent next.(v) in
+          ent.(into.(w)) <- e lor v;
+          into.(w) <- into.(w) + 1;
+          next.(v) <- next.(v) + 1
+        done
+      done)
+    labels
+
+(* Every edge lands in its source's row (outgoing) and its target's
+   (incoming).  The outgoing parts are filled in [iter_edges] order, label
+   by label; the incoming parts are their transpose, and the outgoing parts
+   are rewritten, sorted, as the transpose of those. *)
+let build t =
+  let n = t.node_count and labels = labels t in
+  if n > mask + 1 || Array.length t.label_counts > in_bit then
+    invalid_arg "Graph: too many nodes or labels for the index";
+  let off = Array.make (n + 1) 0 and mid = Array.make n 0 in
+  iter_edges t (fun src _ dst ->
+      mid.(src) <- mid.(src) + 1;
+      off.(src + 1) <- off.(src + 1) + 1;
+      off.(dst + 1) <- off.(dst + 1) + 1);
   for i = 1 to n do
     off.(i) <- off.(i) + off.(i - 1)
   done;
-  let tgt = Array.make off.(n) 0 in
-  let cursor = Array.sub off 0 n in
-  pairs (fun row v ->
-      tgt.(cursor.(row)) <- v;
-      cursor.(row) <- cursor.(row) + 1);
-  { off; tgt }
-
-(* Out-rows from the construction hashtable, each row then sorted. *)
-let fwd_rows n tbl =
-  let rows = pack n (fun emit -> Hashtbl.iter (fun src cell -> List.iter (emit src) !cell) tbl) in
-  for node = 0 to n - 1 do
-    let lo = rows.off.(node) and hi = rows.off.(node + 1) in
-    if hi - lo > 1 then begin
-      let row = Array.sub rows.tgt lo (hi - lo) in
-      Array.sort Int.compare row;
-      Array.blit row 0 rows.tgt lo (hi - lo)
-    end
+  for v = 0 to n - 1 do
+    mid.(v) <- off.(v) + mid.(v)
   done;
-  rows
+  let ent = Array.make off.(n) 0 and fill = Array.sub off 0 n and next = Array.sub off 0 n in
+  iter_edges t (fun src label dst ->
+      ent.(fill.(src)) <- (label lsl shift) lor dst;
+      fill.(src) <- fill.(src) + 1);
+  (* [fill] now marks each incoming part, which the first sweep writes; it
+     leaves [next] there and [fill] at the row's end, the bounds the second
+     sweep reads between *)
+  transpose ent labels ~next ~upto:mid ~into:fill ~from:0 ~to_:in_bit;
+  Array.blit off 0 mid 0 n;
+  transpose ent labels ~next ~upto:fill ~into:mid ~from:in_bit ~to_:0;
+  { off; ent }
 
-(* In-rows by transposing out-rows: filling in ascending source order leaves
-   every row sorted. *)
-let transpose n fwd =
-  pack n (fun emit ->
-      for src = 0 to n - 1 do
-        for i = fwd.off.(src) to fwd.off.(src + 1) - 1 do
-          emit fwd.tgt.(i) src
-        done
-      done)
-
-let build t =
-  let n = t.node_count and used = labels t in
-  let slot_of_label = Array.make (Array.length t.label_counts) (-1) in
-  List.iteri (fun slot label -> slot_of_label.(label) <- slot) used;
-  let fwd =
-    Array.of_list (List.map (fun label -> fwd_rows n (Option.get t.adj_out.(label))) used)
-  in
-  { slot_of_label; fwd; bwd = Array.map (transpose n) fwd }
-
-(* The one read path: the index, built on first use.  It and the row
-   helpers below are inlined because every neighbour scan of [Succ] (and
+(* The one read path: the index, built on first use.  It and the slice
+   readers below are inlined because every neighbour scan of [Succ] (and
    every seeding probe) goes through them. *)
 let[@inline] index t =
   match t.csr with
@@ -180,120 +193,122 @@ let[@inline] index t =
     c
 
 let freeze t = ignore (index t)
+let entries t = (index t).ent
 
 let csr_bytes t =
   match t.csr with
   | None -> 0
-  | Some c ->
-    let side rows =
-      Array.fold_left (fun acc r -> acc + Array.length r.off + Array.length r.tgt) 0 rows
-    in
-    Sys.word_size / 8 * (side c.fwd + side c.bwd + Array.length c.slot_of_label)
+  | Some c -> Sys.word_size / 8 * (Array.length c.off + Array.length c.ent)
 
-let empty_rows = { off = [||]; tgt = [||] }
+(* The first position in [lo, hi) whose entry is at least [e], or [hi].
+   [bisect] has no branch on the comparison ([x - e < 0] iff [x < e]).
+   [find] scans a short row; it narrows a long one by doubling steps from
+   [lo], so a label near the start of a hub's row is found in its first
+   cache lines. *)
+let[@inline] bisect ent lo hi e =
+  let base = ref lo and len = ref (hi - lo) in
+  while !len > 1 do
+    let half = !len / 2 in
+    base := !base + (half land ((ent.(!base + half - 1) - e) asr 62));
+    len := !len - half
+  done;
+  if !len = 1 && ent.(!base) < e then !base + 1 else !base
 
-(* The row group of [label] in one direction ([c.fwd] or [c.bwd]);
-   [empty_rows] for a label the index never saw. *)
-let[@inline] rows c side label =
-  let slot =
-    if label >= 0 && label < Array.length c.slot_of_label then c.slot_of_label.(label) else -1
-  in
-  if slot < 0 then empty_rows else side.(slot)
-
-let[@inline] iter_row rows n f =
-  if n + 1 < Array.length rows.off then
-    for i = rows.off.(n) to rows.off.(n + 1) - 1 do
-      f rows.tgt.(i)
-    done
-
-let[@inline] row_length rows n =
-  if n + 1 < Array.length rows.off then rows.off.(n + 1) - rows.off.(n) else 0
+let[@inline] find ent lo hi e =
+  if hi - lo <= 16 then begin
+    let i = ref lo in
+    while !i < hi && ent.(!i) < e do
+      incr i
+    done;
+    !i
+  end
+  else begin
+    let step = ref 1 and lo = ref lo in
+    while !lo + !step < hi && ent.(!lo + !step) < e do
+      lo := !lo + !step;
+      step := 2 * !step
+    done;
+    bisect ent !lo (min hi (!lo + !step)) e
+  end
 
 (* --- reads ----------------------------------------------------------- *)
 
-let iter_neighbors t n label dir f =
+(* The slice of [n]'s row whose entries lie in [[e1, e2)]. *)
+let[@inline] span t n e1 e2 x k =
   let c = index t in
-  match dir with
-  | Out -> iter_row (rows c c.fwd label) n f
-  | In -> iter_row (rows c c.bwd label) n f
-  | Both ->
-    iter_row (rows c c.fwd label) n f;
-    iter_row (rows c c.bwd label) n f
+  let hi = c.off.(n + 1) in
+  let lo = find c.ent c.off.(n) hi e1 in
+  k x c.ent lo (find c.ent lo hi e2)
 
-let row t n label dir x k =
-  let c = index t in
-  let r =
+let[@inline] row t n label dir x k =
+  let key =
     match dir with
-    | Out -> rows c c.fwd label
-    | In -> rows c c.bwd label
+    | Out -> label
+    | In -> label lor in_bit
     | Both -> invalid_arg "Graph.row: one direction only"
   in
-  if n + 1 < Array.length r.off then k x r.tgt r.off.(n) r.off.(n + 1) else k x r.tgt 0 0
+  span t n (key lsl shift) ((key + 1) lsl shift) x k
+
+let[@inline] row_all t n dir x k =
+  match dir with
+  | Out -> span t n 0 (in_bit lsl shift) x k
+  | In -> span t n (in_bit lsl shift) max_int x k
+  | Both ->
+    let c = index t in
+    k x c.ent c.off.(n) c.off.(n + 1)
+
+let[@inline] row_to t n label dst x k =
+  let c = index t in
+  let e = (label lsl shift) lor dst and hi = c.off.(n + 1) in
+  let i = find c.ent c.off.(n) hi e in
+  k x c.ent i (if i < hi && c.ent.(i) = e then i + 1 else i)
+
+let iter_slice f ent lo hi =
+  for i = lo to hi - 1 do
+    f (target ent i)
+  done
+
+let iter_neighbors t n label dir f =
+  match dir with
+  | Out | In -> row t n label dir f iter_slice
+  | Both ->
+    row t n label Out f iter_slice;
+    row t n label In f iter_slice
 
 let neighbors t n label dir =
   let acc = ref [] in
   iter_neighbors t n label dir (fun m -> acc := m :: !acc);
   List.rev !acc
 
-(* Every label: a slot-major sweep of the per-label rows (the merged range
-   scan of Any_dir), outgoing before incoming for [Both]. *)
-let iter_neighbors_all_labels t n dir f =
-  let c = index t in
-  let sweep side = Array.iter (fun rows -> iter_row rows n f) side in
-  match dir with
-  | Out -> sweep c.fwd
-  | In -> sweep c.bwd
-  | Both ->
-    sweep c.fwd;
-    sweep c.bwd
+let iter_neighbors_all_labels t n dir f = row_all t n dir f iter_slice
 
 (* A restricted label set (the RELAX sub-property closure), in the order
    given. *)
 let iter_neighbors_labels t n labels dir f =
   Array.iter (fun label -> iter_neighbors t n label dir f) labels
 
-(* bisect the sorted row *)
-let row_mem rows n dst =
-  let lo = ref rows.off.(n) and hi = ref rows.off.(n + 1) in
-  let found = ref false in
-  while (not !found) && !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    let v = rows.tgt.(mid) in
-    if v = dst then found := true else if v < dst then lo := mid + 1 else hi := mid
-  done;
-  !found
+let slice_length () _ lo hi = hi - lo
+let mem_edge t src label dst = row_to t src label dst () slice_length > 0
+let[@inline] out_degree t n label = row t n label Out () slice_length
+let[@inline] in_degree t n label = row t n label In () slice_length
 
-let mem_edge t src label dst =
-  let c = index t in
-  let r = rows c c.fwd label in
-  src + 1 < Array.length r.off && row_mem r src dst
-
-let out_degree t n label =
-  let c = index t in
-  row_length (rows c c.fwd label) n
-
-let in_degree t n label =
-  let c = index t in
-  row_length (rows c c.bwd label) n
-
-let has_adjacent t n label dir =
+let[@inline] has_adjacent t n label dir =
   match dir with
   | Out -> out_degree t n label > 0
   | In -> in_degree t n label > 0
   | Both -> out_degree t n label > 0 || in_degree t n label > 0
 
+let next_adjacent t n label dir =
+  let n = ref n in
+  while !n < t.node_count && not (has_adjacent t !n label dir) do
+    incr n
+  done;
+  !n
+
 let iter_nodes t f =
   for oid = 0 to t.node_count - 1 do
     f oid
   done
-
-let iter_edges t f =
-  Array.iteri
-    (fun label tbl ->
-      match tbl with
-      | None -> ()
-      | Some tbl -> Hashtbl.iter (fun src cell -> List.iter (fun dst -> f src label dst) !cell) tbl)
-    t.adj_out
 
 type stats = {
   nodes : int;
@@ -303,24 +318,25 @@ type stats = {
   max_in_degree : int;
 }
 
+(* The longest run of one key in any row: the largest single-label
+   degree, per direction. *)
 let stats t =
   let c = index t in
-  let max_deg side =
-    Array.fold_left
-      (fun best rows ->
-        let best = ref best in
-        for n = 0 to t.node_count - 1 do
-          best := max !best (row_length rows n)
-        done;
-        !best)
-      0 side
-  in
+  let max_out = ref 0 and max_in = ref 0 and run = ref 0 in
+  for n = 0 to t.node_count - 1 do
+    for i = c.off.(n) to c.off.(n + 1) - 1 do
+      let key = c.ent.(i) lsr shift in
+      run := if i > c.off.(n) && c.ent.(i - 1) lsr shift = key then !run + 1 else 1;
+      let best = if key land in_bit = 0 then max_out else max_in in
+      best := max !best !run
+    done
+  done;
   {
     nodes = t.node_count;
     edges = t.edge_count;
     distinct_labels = List.length (labels t);
-    max_out_degree = max_deg c.fwd;
-    max_in_degree = max_deg c.bwd;
+    max_out_degree = !max_out;
+    max_in_degree = !max_in;
   }
 
 let pp_stats ppf s =

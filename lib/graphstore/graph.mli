@@ -15,11 +15,12 @@
     Oids are dense integers allocated from 0, so client code can use arrays
     and {!Oid_set} bitmaps keyed by oid.
 
-    Every read is served by one compressed sparse row (CSR) index: per used
-    label and direction, an offsets/targets int-array pair with each node's
-    row sorted ascending, so traversal is a zero-allocation range scan.  The
-    index is built on the first read after a mutation ({!freeze} builds it
-    eagerly); {!add_node} and {!add_edge} drop it. *)
+    Every read is served by one node-major compressed sparse row (CSR)
+    index: node [n]'s row holds every edge at [n], outgoing before incoming,
+    then by label, then by neighbour oid, so each label kind is one slice
+    of the row, read in place.  The index is built on the first read after
+    a mutation ({!freeze} builds it eagerly); {!add_node} and {!add_edge}
+    drop it. *)
 
 type t
 
@@ -76,8 +77,8 @@ val labels : t -> int list
     exist), in interned-id order. *)
 
 val mem_edge : t -> int -> int -> int -> bool
-(** [mem_edge g src label dst] — a bisection of [src]'s sorted [label]
-    row, logarithmic in its out-degree. *)
+(** [mem_edge g src label dst] — a bisection of [src]'s row, logarithmic
+    in its degree. *)
 
 (** {1 Traversal (the Sparksee API surface)} *)
 
@@ -88,15 +89,31 @@ val neighbors : t -> int -> int -> dir -> int list
     which allocates nothing. *)
 
 val iter_neighbors : t -> int -> int -> dir -> (int -> unit) -> unit
-(** Allocation-free variant of {!neighbors}: one offset-range scan per
+(** Allocation-free variant of {!neighbors}: one slice scan per
     direction. *)
 
-val row : t -> int -> int -> dir -> 'a -> ('a -> int array -> int -> int -> 'b) -> 'b
-(** [row g n label dir x k] is [k x tgt lo hi], where
-    [tgt.(lo) .. tgt.(hi - 1)] are the {!iter_neighbors} of [n] in one
-    direction, ascending: the index's own array, not a copy, so it must not
-    be written.  Allocation-free when [k] is a closed function.
+type entries
+(** The index's entries; every slice below is a range of them. *)
+
+val entries : t -> entries
+
+val target : entries -> int -> int
+(** [target e i]: the neighbour oid of entry [i]. *)
+
+val row : t -> int -> int -> dir -> 'a -> ('a -> entries -> int -> int -> 'b) -> 'b
+(** [row g n label dir x k] is [k x e lo hi], where [target e lo ..
+    target e (hi - 1)] are the {!iter_neighbors} of [n] in one direction,
+    ascending: a slice of the index itself, not a copy.  Allocation-free
+    when [k] is a closed function.
     @raise Invalid_argument on [Both]. *)
+
+val row_all : t -> int -> dir -> 'a -> ('a -> entries -> int -> int -> 'b) -> 'b
+(** [row_all g n dir x k]: {!row} under every label, in the order of
+    {!iter_neighbors_all_labels}; [Both] is [n]'s whole row. *)
+
+val row_to : t -> int -> int -> int -> 'a -> ('a -> entries -> int -> int -> 'b) -> 'b
+(** [row_to g n label m x k]: the slice holding one [(n, label, m)]
+    outgoing edge, or an empty one when {!mem_edge} is false. *)
 
 val iter_neighbors_all_labels : t -> int -> dir -> (int -> unit) -> unit
 (** Neighbours of [n] under {e every} label, label by label, outgoing
@@ -112,9 +129,13 @@ val iter_neighbors_labels : t -> int -> int array -> dir -> (int -> unit) -> uni
 
 val has_adjacent : t -> int -> int -> dir -> bool
 (** [has_adjacent g n label dir]: whether [n] carries at least one [label]
-    edge in the given direction — O(1).  Seeding uses this to enumerate
-    start nodes (Sparksee [Tails]/[Heads]) without materialising oid
-    sets. *)
+    edge in the given direction — a search of [n]'s row.  Seeding uses
+    this to enumerate start nodes (Sparksee [Tails]/[Heads]) without
+    materialising oid sets. *)
+
+val next_adjacent : t -> int -> int -> dir -> int
+(** [next_adjacent g n label dir]: the first node from [n] on for which
+    {!has_adjacent} holds, or {!n_nodes}: one scan, not a call per node. *)
 
 val out_degree : t -> int -> int -> int
 (** [out_degree g n label]. *)

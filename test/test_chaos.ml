@@ -325,6 +325,32 @@ let hub_budget_test () =
     Alcotest.failf "ledger peaked at %d bytes: over the %d-byte budget by more than one \
                     expansion (%d bytes)" peak budget expansion
 
+(* A cursor's ledger charge does not depend on its range: the hub's
+   neighbours are walked where they lie in the index, never copied.  So
+   the ledger's peak up to the first answer of an APPROX query from a hub
+   is the same at any hub degree. *)
+let cursor_ledger_test () =
+  let peak_to_first_answer degree =
+    let g = Graph.create ~initial_nodes:(degree + 1) () in
+    let hub = Graph.add_node g "hub" in
+    let p = Graphstore.Interner.intern (Graph.interner g) "p" in
+    for i = 1 to degree do
+      Graph.add_edge g hub p (Graph.add_node g (Printf.sprintf "n%d" i))
+    done;
+    Graph.freeze g;
+    let k = Ontology.create (Graph.interner g) in
+    let q = Q.single ~mode:Q.Approx (Q.Const "hub") (Rpq_regex.Regex.lbl "p") (Q.Var "X") in
+    let st = Engine.open_query ~graph:g ~ontology:k q in
+    if Engine.next st = None then Alcotest.fail "expected an answer";
+    let peak = (Engine.stream_stats st).Core.Exec_stats.mem_bytes_peak in
+    Engine.close st;
+    peak
+  in
+  let small = peak_to_first_answer 1_000 and large = peak_to_first_answer 50_000 in
+  if large > small then
+    Alcotest.failf "ledger peak grew with the hub degree: %d bytes at 1,000, %d at 50,000" small
+      large
+
 (* --- admission control -------------------------------------------------- *)
 
 (* A rejected query must never touch the graph; a generously-admitted query
@@ -732,6 +758,8 @@ let () =
           QCheck_alcotest.to_alcotest memory_distance_aware;
           Alcotest.test_case "hub expansion stays within one expansion of the budget" `Quick
             hub_budget_test;
+          Alcotest.test_case "a cursor's charge does not grow with its range" `Quick
+            cursor_ledger_test;
         ] );
       ("admission", [ QCheck_alcotest.to_alcotest admission_prop ]);
       ("joins", [ QCheck_alcotest.to_alcotest join_prop ]);

@@ -241,14 +241,16 @@ let snd3 (_, y, _) = y
 let thd3 (_, _, z) = z
 
 (* Property: every read agrees with a model built from the generated edge
-   list, in order as well as content: rows ascending ({!Graph.row}'s range
-   included), [Both] outgoing then
-   incoming, label sweeps label by label.  The graph is read after
-   [freeze], after adding a node, and after adding more edges (against the
-   model over all edges), so an index a mutation failed to drop would
-   show. *)
+   list, in order as well as content: rows ascending, [Both] outgoing then
+   incoming, label sweeps label by label.  The slice reads are checked for
+   every label kind: one label in each direction, all labels in [Out],
+   [In] and [Both], a label subset slice by slice, and one-edge membership
+   (the [type] edges among them).  Node 0 is a hub whose row spans every
+   label in both directions.  The graph is read after [freeze], after
+   adding a node, and after adding more edges (against the model over all
+   edges), so an index a mutation failed to drop would show. *)
 let reads_match_model =
-  let edge n = QCheck2.Gen.(triple (int_bound (n - 1)) (int_bound 3) (int_bound (n - 1))) in
+  let edge n = QCheck2.Gen.(triple (int_bound (n - 1)) (int_bound 4) (int_bound (n - 1))) in
   QCheck2.Test.make ~name:"reads = edge-list model" ~count:100
     QCheck2.Gen.(
       pair (list_size (int_range 0 80) (edge 15)) (list_size (int_range 0 20) (edge 16)))
@@ -257,9 +259,14 @@ let reads_match_model =
       for i = 0 to 14 do
         ignore (Graph.add_node g (Printf.sprintf "v%d" i))
       done;
-      let label l = Interner.intern (Graph.interner g) (Printf.sprintf "l%d" l) in
+      let label l =
+        if l = 4 then Graph.type_label g
+        else Interner.intern (Graph.interner g) (Printf.sprintf "l%d" l)
+      in
       let add = List.iter (fun (s, l, d) -> Graph.add_edge g s (label l) d) in
-      let labels = List.init 4 label in
+      let labels = List.sort compare (List.init 5 label) (* id order: [type] first *) in
+      let hub = List.concat (List.init 5 (fun l -> [ (0, l, l + 1); (l + 2, l, 0) ])) in
+      let edges = hub @ edges in
       let collect f =
         let acc = ref [] in
         f (fun m -> acc := m :: !acc);
@@ -283,9 +290,10 @@ let reads_match_model =
           | Graph.Both -> List.concat_map (out n) ls @ List.concat_map (inn n) ls
           | d -> List.concat_map (fun l -> model n l d) ls
         in
-        let row_list n l dir =
-          Graph.row g n l dir () (fun () tgt lo hi -> Array.to_list (Array.sub tgt lo (hi - lo)))
+        let slice read =
+          read () (fun () e lo hi -> List.init (hi - lo) (fun i -> Graph.target e (lo + i)))
         in
+        let row_list n l dir = slice (Graph.row g n l dir) in
         let subset = [ List.nth labels 2; List.nth labels 0 ] in
         let max_deg side =
           List.fold_left
@@ -300,12 +308,19 @@ let reads_match_model =
                List.for_all
                  (fun dir ->
                    collect (Graph.iter_neighbors_all_labels g n dir) = sweep n labels dir
+                   && slice (Graph.row_all g n dir) = sweep n labels dir
                    && collect (Graph.iter_neighbors_labels g n (Array.of_list subset) dir)
                       = List.concat_map (fun l -> model n l dir) subset
+                   && (dir = Graph.Both
+                      || List.concat_map (fun l -> row_list n l dir) subset
+                         = List.concat_map (fun l -> model n l dir) subset)
                    && List.for_all
                         (fun l ->
                           Graph.neighbors g n l dir = model n l dir
-                          && Graph.has_adjacent g n l dir = (model n l dir <> []))
+                          && Graph.has_adjacent g n l dir = (model n l dir <> [])
+                          && Graph.next_adjacent g n l dir
+                             = (List.find_opt (fun m -> m >= n && model m l dir <> []) nodes
+                               |> Option.value ~default:(Graph.n_nodes g)))
                         labels)
                  [ Graph.Out; Graph.In; Graph.Both ]
                && List.for_all
@@ -315,7 +330,10 @@ let reads_match_model =
                       && Graph.out_degree g n l = List.length (out n l)
                       && Graph.in_degree g n l = List.length (inn n l)
                       && List.for_all
-                           (fun m -> Graph.mem_edge g n l m = List.mem m (out n l))
+                           (fun m ->
+                             Graph.mem_edge g n l m = List.mem m (out n l)
+                             && slice (Graph.row_to g n l m)
+                                = if List.mem m (out n l) then [ m ] else [])
                            nodes)
                     labels)
              nodes
