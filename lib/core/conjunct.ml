@@ -139,8 +139,7 @@ let add_slice t arr lo hi =
   t.slices.(i) <- lo;
   t.slices.(i + 1) <- hi;
   t.nslices <- t.nslices + 1;
-  t.stats.edges_scanned <- t.stats.edges_scanned + (hi - lo);
-  t.stats.adjacency_bytes <- t.stats.adjacency_bytes + ((hi - lo) * (Sys.word_size / 8))
+  t.stats.edges_scanned <- t.stats.edges_scanned + (hi - lo)
 
 (* [NeighboursByEdge] (§3.4): make the current range the nodes adjacent to
    [n] under a transition label, observing directionality.  Every label

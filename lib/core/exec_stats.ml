@@ -4,7 +4,6 @@ type t = {
   mutable pops : int;
   mutable succ_calls : int;
   mutable edges_scanned : int;
-  mutable adjacency_bytes : int;
   mutable scan_ns : int;
   mutable batches : int;
   mutable seeds : int;
@@ -34,7 +33,6 @@ let create () =
     pops = 0;
     succ_calls = 0;
     edges_scanned = 0;
-    adjacency_bytes = 0;
     scan_ns = 0;
     batches = 0;
     seeds = 0;
@@ -74,7 +72,6 @@ let fields =
     f "pops" Sum (fun t -> t.pops) (fun t v -> t.pops <- v);
     f "succ_calls" Sum (fun t -> t.succ_calls) (fun t v -> t.succ_calls <- v);
     f "edges_scanned" Sum (fun t -> t.edges_scanned) (fun t v -> t.edges_scanned <- v);
-    f "adjacency_bytes" Sum (fun t -> t.adjacency_bytes) (fun t v -> t.adjacency_bytes <- v);
     f "scan_ns" Sum (fun t -> t.scan_ns) (fun t v -> t.scan_ns <- v);
     f "batches" Sum (fun t -> t.batches) (fun t v -> t.batches <- v);
     f "seeds" Sum (fun t -> t.seeds) (fun t v -> t.seeds <- v);
@@ -118,8 +115,8 @@ let record_into registry t =
   List.iter (fun c -> Obs.Metrics.set (Obs.Metrics.counter registry c.name) (c.get t)) fields
 
 let pp ppf t =
-  Format.fprintf ppf "pushes=%d materialised=%d pops=%d succ=%d edges=%d adj-bytes=%d " t.pushes
-    t.materialised t.pops t.succ_calls t.edges_scanned t.adjacency_bytes;
+  Format.fprintf ppf "pushes=%d materialised=%d pops=%d succ=%d edges=%d " t.pushes t.materialised
+    t.pops t.succ_calls t.edges_scanned;
   (* A silent 0 used to be indistinguishable from "no clock installed"; flag
      the uninstalled case instead of reporting a fake measurement. *)
   if t.scan_ns = 0 && not (Obs.Clock.installed ()) then Format.fprintf ppf "scan-ns=n/a"

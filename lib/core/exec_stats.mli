@@ -25,9 +25,6 @@ type t = {
           cursor members yielded unvisited (at most [pushes]) *)
   mutable succ_calls : int;  (** invocations of [Succ] *)
   mutable edges_scanned : int;  (** neighbours returned across all [Succ] calls *)
-  mutable adjacency_bytes : int;
-      (** adjacency words touched by those scans, in bytes — the memory
-          traffic the CSR layout (see {!Graphstore.Graph.freeze}) compacts *)
   mutable scan_ns : int;
       (** time spent inside neighbour scans, in nanoseconds; 0 unless a
           clock is installed in {!Obs.Clock} *)

@@ -15,18 +15,19 @@ let in_bit = 1 lsl 29 (* keys stay below [1 lsl 30], so entries are positive *)
 
 let[@inline] target (e : entries) i = e.(i) land mask
 
-(* [adj_out] (label id -> source oid -> targets, newest first) is
-   construction-only storage: every read goes through the [csr] index, which
-   {!index} builds from it on first use and every mutation drops.  Its
-   [Hashtbl.iter] order is the order [iter_edges] (and so [Nt.save]) emits
-   edges in, which fixes oid numbering on reload. *)
+(* The edge log is the graph's one edge store: edge [i], in insertion
+   order, runs from [log_src t i], and [log_edge t i] is
+   [label lsl shift lor target], packed as in the index.  The [csr] index,
+   built from it on first read and dropped by every mutation, serves every
+   read; [iter_edges] replays it. *)
 type t = {
   interner : Interner.t;
   type_label : int;
   mutable node_labels : string array;
   mutable node_count : int;
   node_index : (string, int) Hashtbl.t;
-  mutable adj_out : (int, int list ref) Hashtbl.t option array;
+  mutable log_src : int array array; (* blocks of [block] edges *)
+  mutable log_edge : int array array;
   mutable edge_count : int;
   mutable label_counts : int array; (* label id -> number of edges *)
   mutable csr : index option;
@@ -41,7 +42,8 @@ let create ?(initial_nodes = 1024) () =
     node_labels = Array.make (max 1 initial_nodes) "";
     node_count = 0;
     node_index = Hashtbl.create initial_nodes;
-    adj_out = Array.make 16 None;
+    log_src = [||];
+    log_edge = [||];
     edge_count = 0;
     label_counts = Array.make 16 0;
     csr = None;
@@ -67,17 +69,6 @@ let add_node t label =
     Hashtbl.add t.node_index label oid;
     oid
 
-let grow_adj t label =
-  let cap = Array.length t.adj_out in
-  if label >= cap then begin
-    let n = max (2 * cap) (label + 1) in
-    let out = Array.make n None and counts = Array.make n 0 in
-    Array.blit t.adj_out 0 out 0 cap;
-    Array.blit t.label_counts 0 counts 0 cap;
-    t.adj_out <- out;
-    t.label_counts <- counts
-  end
-
 let table_of arr label =
   match arr.(label) with
   | Some tbl -> tbl
@@ -95,13 +86,41 @@ let check_oid t oid ctx =
   if oid < 0 || oid >= t.node_count then
     invalid_arg (Printf.sprintf "Graph.%s: unknown oid %d" ctx oid)
 
+let grow a n x =
+  let b = Array.make n x in
+  Array.blit a 0 b 0 (Array.length a);
+  b
+
+(* The log is kept in blocks of one size, appended as it fills: it never
+   copies, wastes less than a block, and the blocks a dropped graph frees
+   fit the next graph's.  One array grown by copying left the allocator's
+   heap fragmented by its ever larger copies, which a process that loads
+   more than once kept as resident memory. *)
+let block_bits = 14
+let block = 1 lsl block_bits
+let[@inline] log_src t i = t.log_src.(i lsr block_bits).(i land (block - 1))
+let[@inline] log_edge t i = t.log_edge.(i lsr block_bits).(i land (block - 1))
+
 let add_edge t src label dst =
   check_oid t src "add_edge";
   check_oid t dst "add_edge";
+  if label < 0 || label >= in_bit || src > mask || dst > mask then
+    invalid_arg "Graph.add_edge: label or oid beyond the index's packing";
   t.csr <- None;
-  grow_adj t label;
-  push (table_of t.adj_out label) src dst;
-  t.edge_count <- t.edge_count + 1;
+  let i = t.edge_count and b = t.edge_count lsr block_bits in
+  if i land (block - 1) = 0 then begin
+    if b = Array.length t.log_src then begin
+      t.log_src <- grow t.log_src (max 4 (2 * b)) [||];
+      t.log_edge <- grow t.log_edge (max 4 (2 * b)) [||]
+    end;
+    t.log_src.(b) <- Array.make block 0;
+    t.log_edge.(b) <- Array.make block 0
+  end;
+  t.log_src.(b).(i land (block - 1)) <- src;
+  t.log_edge.(b).(i land (block - 1)) <- (label lsl shift) lor dst;
+  t.edge_count <- i + 1;
+  if label >= Array.length t.label_counts then
+    t.label_counts <- grow t.label_counts (max (2 * Array.length t.label_counts) (label + 1)) 0;
   t.label_counts.(label) <- t.label_counts.(label) + 1
 
 let add_edge_s t src label dst = add_edge t src (Interner.intern t.interner label) dst
@@ -122,13 +141,21 @@ let labels t =
   done;
   !acc
 
+(* The save order: the log replayed, in insertion order, into per-label
+   tables (source oid -> targets, newest first), then walked label by label
+   with [Hashtbl.iter].  The tables live for one call; the order they give
+   fixes the oid numbering of a graph reloaded from [Nt.save]'s output. *)
 let iter_edges t f =
+  let tables = Array.make (Array.length t.label_counts) None in
+  for i = 0 to t.edge_count - 1 do
+    push (table_of tables (log_edge t i lsr shift)) (log_src t i) (log_edge t i land mask)
+  done;
   Array.iteri
     (fun label tbl ->
       match tbl with
       | None -> ()
       | Some tbl -> Hashtbl.iter (fun src cell -> List.iter (fun dst -> f src label dst) !cell) tbl)
-    t.adj_out
+    tables
 
 (* --- the CSR index --------------------------------------------------- *)
 
@@ -151,31 +178,42 @@ let transpose ent labels ~next ~upto ~into ~from ~to_ =
     labels
 
 (* Every edge lands in its source's row (outgoing) and its target's
-   (incoming).  The outgoing parts are filled in [iter_edges] order, label
-   by label; the incoming parts are their transpose, and the outgoing parts
-   are rewritten, sorted, as the transpose of those. *)
+   (incoming).  A counting sort of the log by label fills the outgoing
+   parts label by label; the incoming parts are their transpose, and the
+   outgoing parts are rewritten, sorted, as the transpose of those. *)
 let build t =
-  let n = t.node_count and labels = labels t in
-  if n > mask + 1 || Array.length t.label_counts > in_bit then
-    invalid_arg "Graph: too many nodes or labels for the index";
-  let off = Array.make (n + 1) 0 and mid = Array.make n 0 in
-  iter_edges t (fun src _ dst ->
-      mid.(src) <- mid.(src) + 1;
-      off.(src + 1) <- off.(src + 1) + 1;
-      off.(dst + 1) <- off.(dst + 1) + 1);
+  let n = t.node_count and m = t.edge_count and labels = labels t in
+  let off = Array.make (n + 1) 0 in
+  for i = 0 to m - 1 do
+    let src = log_src t i and dst = log_edge t i land mask in
+    off.(src + 1) <- off.(src + 1) + 1;
+    off.(dst + 1) <- off.(dst + 1) + 1
+  done;
   for i = 1 to n do
     off.(i) <- off.(i) + off.(i - 1)
   done;
-  for v = 0 to n - 1 do
-    mid.(v) <- off.(v) + mid.(v)
+  (* [order]: the edges' log positions, label by label *)
+  let start = Array.make (Array.length t.label_counts) 0 in
+  for label = 1 to Array.length start - 1 do
+    start.(label) <- start.(label - 1) + t.label_counts.(label - 1)
+  done;
+  let order = Array.make m 0 in
+  for i = 0 to m - 1 do
+    let label = log_edge t i lsr shift in
+    order.(start.(label)) <- i;
+    start.(label) <- start.(label) + 1
   done;
   let ent = Array.make off.(n) 0 and fill = Array.sub off 0 n and next = Array.sub off 0 n in
-  iter_edges t (fun src label dst ->
-      ent.(fill.(src)) <- (label lsl shift) lor dst;
-      fill.(src) <- fill.(src) + 1);
+  Array.iter
+    (fun i ->
+      let src = log_src t i in
+      ent.(fill.(src)) <- log_edge t i;
+      fill.(src) <- fill.(src) + 1)
+    order;
   (* [fill] now marks each incoming part, which the first sweep writes; it
      leaves [next] there and [fill] at the row's end, the bounds the second
      sweep reads between *)
+  let mid = Array.copy fill in
   transpose ent labels ~next ~upto:mid ~into:fill ~from:0 ~to_:in_bit;
   Array.blit off 0 mid 0 n;
   transpose ent labels ~next ~upto:fill ~into:mid ~from:in_bit ~to_:0;
@@ -292,11 +330,19 @@ let mem_edge t src label dst = row_to t src label dst () slice_length > 0
 let[@inline] out_degree t n label = row t n label Out () slice_length
 let[@inline] in_degree t n label = row t n label In () slice_length
 
+(* Whether [n]'s row holds an entry keyed [key]: one search for the
+   first entry at or above it. *)
+let[@inline] has_key c n key =
+  let hi = c.off.(n + 1) in
+  let i = find c.ent c.off.(n) hi (key lsl shift) in
+  i < hi && c.ent.(i) lsr shift = key
+
 let[@inline] has_adjacent t n label dir =
+  let c = index t in
   match dir with
-  | Out -> out_degree t n label > 0
-  | In -> in_degree t n label > 0
-  | Both -> out_degree t n label > 0 || in_degree t n label > 0
+  | Out -> has_key c n label
+  | In -> has_key c n (label lor in_bit)
+  | Both -> has_key c n label || has_key c n (label lor in_bit)
 
 let next_adjacent t n label dir =
   let n = ref n in

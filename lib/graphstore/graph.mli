@@ -15,12 +15,15 @@
     Oids are dense integers allocated from 0, so client code can use arrays
     and {!Oid_set} bitmaps keyed by oid.
 
-    Every read is served by one node-major compressed sparse row (CSR)
-    index: node [n]'s row holds every edge at [n], outgoing before incoming,
-    then by label, then by neighbour oid, so each label kind is one slice
-    of the row, read in place.  The index is built on the first read after
-    a mutation ({!freeze} builds it eagerly); {!add_node} and {!add_edge}
-    drop it. *)
+    Edges are stored once, in an append-only log in insertion order, and
+    everything else derives from it.  Every read is served by one
+    node-major compressed sparse row (CSR) index built from the log: node
+    [n]'s row holds every edge at [n], outgoing before incoming, then by
+    label, then by neighbour oid, so each label kind is one slice of the
+    row, read in place.  The index is built on the first read after a
+    mutation ({!freeze} builds it eagerly); {!add_node} and {!add_edge}
+    drop it.  {!iter_edges} replays the log in the order serialisation
+    uses. *)
 
 type t
 
@@ -43,8 +46,12 @@ val add_node : t -> string -> int
     label, creating it if needed (idempotent). *)
 
 val add_edge : t -> int -> int -> int -> unit
-(** [add_edge g src label dst] adds a directed edge.  Duplicate edges are
-    stored as given; generators are responsible for dedup. *)
+(** [add_edge g src label dst] appends a directed edge to the log.
+    Duplicate edges are stored as given; generators are responsible for
+    dedup.
+    @raise Invalid_argument on an unallocated oid, a negative label id or
+    one of at least [1 lsl 29], or an oid of at least [1 lsl 32]: the index
+    cannot pack them. *)
 
 val add_edge_s : t -> int -> string -> int -> unit
 (** [add_edge_s g src label dst] interns [label] and adds the edge. *)
@@ -129,7 +136,8 @@ val iter_neighbors_labels : t -> int -> int array -> dir -> (int -> unit) -> uni
 
 val has_adjacent : t -> int -> int -> dir -> bool
 (** [has_adjacent g n label dir]: whether [n] carries at least one [label]
-    edge in the given direction — a search of [n]'s row.  Seeding uses
+    edge in the given direction — one search of [n]'s row per direction,
+    for the first entry at or above the label's key.  Seeding uses
     this to enumerate start nodes (Sparksee [Tails]/[Heads]) without
     materialising oid sets. *)
 
@@ -149,8 +157,12 @@ val iter_nodes : t -> (int -> unit) -> unit
 
 val iter_edges : t -> (int -> int -> int -> unit) -> unit
 (** [iter_edges g f] applies [f src label dst] to every stored edge, in an
-    order fixed by the graph's construction history.  Serialisation follows
-    this order, so it decides the oid numbering of a reloaded graph. *)
+    order fixed by the graph's construction history: the log is replayed,
+    in insertion order, into per-label tables (source to targets, newest
+    first) that live for this call, which are then walked label by label
+    with [Hashtbl.iter].  Serialisation follows this order, so it decides
+    the oid numbering of a reloaded graph.  Each call builds those tables
+    anew, a list cell per edge; queries never call it. *)
 
 (** {1 Statistics} *)
 

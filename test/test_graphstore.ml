@@ -160,11 +160,29 @@ let test_graph_labels_and_type () =
   check Alcotest.string "type label interned" "type"
     (Interner.name (Graph.interner g) (Graph.type_label g))
 
+(* Every logged edge once, duplicates included, also for edges added
+   after the index was built. *)
 let test_graph_iter_edges () =
-  let g, _, _, _ = small_graph () in
-  let n = ref 0 in
-  Graph.iter_edges g (fun _ _ _ -> incr n);
-  check Alcotest.int "edge count" 4 !n
+  let g, a, b, c = small_graph () in
+  let edges () =
+    let acc = ref [] in
+    Graph.iter_edges g (fun s l d -> acc := (s, Interner.name (Graph.interner g) l, d) :: !acc);
+    List.sort compare !acc
+  in
+  check
+    Alcotest.(list (triple int string int))
+    "the edges added"
+    [ (a, "p", b); (a, "q", c); (b, "p", c); (c, "type", a) ]
+    (edges ());
+  Graph.freeze g;
+  Graph.add_edge_s g a "p" b;
+  Graph.add_edge_s g b "r" a;
+  check
+    Alcotest.(list (triple int string int))
+    "after freeze and more edges"
+    [ (a, "p", b); (a, "p", b); (a, "q", c); (b, "p", c); (b, "r", a); (c, "type", a) ]
+    (edges ());
+  check Alcotest.int "n_edges" 6 (Graph.n_edges g)
 
 let test_graph_stats () =
   let g, _, _, _ = small_graph () in
@@ -179,6 +197,19 @@ let test_graph_bad_oid () =
   let g, _, _, _ = small_graph () in
   Alcotest.check_raises "bad oid" (Invalid_argument "Graph.node_label: unknown oid 99") (fun () ->
       ignore (Graph.node_label g 99))
+
+(* A label the index cannot pack is refused when the edge is added, and
+   leaves the graph as it was. *)
+let test_graph_label_bounds () =
+  let g, a, b, _ = small_graph () in
+  List.iter
+    (fun label ->
+      Alcotest.check_raises (Printf.sprintf "label %d" label)
+        (Invalid_argument "Graph.add_edge: label or oid beyond the index's packing") (fun () ->
+          Graph.add_edge g a label b))
+    [ -1; 1 lsl 29 ];
+  check Alcotest.int "n_edges unchanged" 4 (Graph.n_edges g);
+  check Alcotest.int "labels unchanged" 3 (List.length (Graph.labels g))
 
 (* --- frozen (CSR) graphs -------------------------------------------- *)
 
@@ -390,6 +421,7 @@ let () =
           Alcotest.test_case "iter_edges" `Quick test_graph_iter_edges;
           Alcotest.test_case "stats" `Quick test_graph_stats;
           Alcotest.test_case "bad oid" `Quick test_graph_bad_oid;
+          Alcotest.test_case "label bounds" `Quick test_graph_label_bounds;
           QCheck_alcotest.to_alcotest graph_adjacency_symmetry;
         ] );
       ( "frozen graph",

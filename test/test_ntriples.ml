@@ -432,17 +432,34 @@ let test_generated_dataset_roundtrip () =
 
 (* [Nt.save] writes edges in [Graph.iter_edges] order.  That order decides
    the oid numbering of a reloaded graph, and so the tie order behind every
-   stored answer digest; pin the bytes written for two generated datasets. *)
+   stored answer digest; pin the bytes written for two generated datasets,
+   for one of them reloaded and saved again, and for it reloaded, frozen and
+   saturated (the [omega_cli saturate] path, which adds edges after the
+   index is built). *)
 let test_save_order_pinned () =
   let digest (graph, ontology) =
     with_temp_file (fun path ->
         Nt.save path ~graph ~ontology;
         Digest.to_hex (Digest.file path))
   in
-  check Alcotest.string "L4All L1, seed 1404" "aa724735ecca53fe9ead94119b7d3267"
-    (digest (Datagen.L4all.generate_scale ~seed:1404 Datagen.L4all.L1));
+  let reloaded ?(saturate = false) (graph, ontology) =
+    with_temp_file (fun path ->
+        Nt.save path ~graph ~ontology;
+        let graph, ontology = Nt.load path in
+        if saturate then begin
+          Graph.freeze graph;
+          ignore (Rdfs.saturate graph ontology)
+        end;
+        digest (graph, ontology))
+  in
+  let l1 = Datagen.L4all.generate_scale ~seed:1404 Datagen.L4all.L1 in
+  check Alcotest.string "L4All L1, seed 1404" "aa724735ecca53fe9ead94119b7d3267" (digest l1);
   check Alcotest.string "YAGO-sim 0.01, seed 2015" "8eacd31822ed1fa0b2fb73c268a11102"
-    (digest (Datagen.Yago_sim.generate ~params:{ Datagen.Yago_sim.scale = 0.01; seed = 2015 } ()))
+    (digest (Datagen.Yago_sim.generate ~params:{ Datagen.Yago_sim.scale = 0.01; seed = 2015 } ()));
+  check Alcotest.string "L4All L1 saved, reloaded, saved" "fe52905849e63e44ffa6c6018d6384a2"
+    (reloaded l1);
+  check Alcotest.string "L4All L1 reloaded, frozen, saturated" "625f3fbe9a5075abd68c882b8a5fdac0"
+    (reloaded ~saturate:true l1)
 
 let () =
   Alcotest.run "ntriples"

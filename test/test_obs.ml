@@ -25,21 +25,20 @@ open Instance_gen
 (* --- Exec_stats algebra ------------------------------------------------ *)
 
 let set_fields (s : Stats.t) = function
-  | [ a; b; c; d; e; f; g; h; i; j; k; m; n; o ] ->
+  | [ a; b; c; d; e; f; g; h; i; j; k; m; n ] ->
     s.Stats.pushes <- a;
     s.Stats.pops <- b;
     s.Stats.succ_calls <- c;
     s.Stats.edges_scanned <- d;
-    s.Stats.adjacency_bytes <- e;
-    s.Stats.scan_ns <- f;
-    s.Stats.batches <- g;
-    s.Stats.seeds <- h;
-    s.Stats.answers <- i;
-    s.Stats.peak_queue <- j;
-    s.Stats.restarts <- k;
-    s.Stats.pruned <- m;
-    s.Stats.drop_visited <- n;
-    s.Stats.drop_dup <- o
+    s.Stats.scan_ns <- e;
+    s.Stats.batches <- f;
+    s.Stats.seeds <- g;
+    s.Stats.answers <- h;
+    s.Stats.peak_queue <- i;
+    s.Stats.restarts <- j;
+    s.Stats.pruned <- k;
+    s.Stats.drop_visited <- m;
+    s.Stats.drop_dup <- n
   | _ -> assert false
 
 let gen_stats =
@@ -49,7 +48,7 @@ let gen_stats =
         let s = Stats.create () in
         set_fields s fields;
         s)
-      (list_repeat 14 (int_bound 10_000)))
+      (list_repeat 13 (int_bound 10_000)))
 
 let assoc s = Stats.to_assoc s
 
@@ -87,7 +86,7 @@ let peak_queue_max_test () =
 
 let reset_test () =
   let s = Stats.create () in
-  set_fields s [ 1; 2; 3; 4; 5; 6; 7; 8; 9; 10; 11; 12; 13; 14 ];
+  set_fields s [ 1; 2; 3; 4; 5; 6; 7; 8; 9; 10; 11; 12; 13 ];
   Stats.reset s;
   List.iter (fun (k, v) -> Alcotest.(check int) (k ^ " reset to 0") 0 v) (assoc s)
 
@@ -99,7 +98,7 @@ let copy_independent_test () =
   Alcotest.(check int) "copy is a snapshot" 4 snap.Stats.pushes
 
 let field_names_test () =
-  Alcotest.(check int) "26 scalar counters" 26 (List.length Stats.field_names);
+  Alcotest.(check int) "25 scalar counters" 25 (List.length Stats.field_names);
   let s = Stats.create () in
   Alcotest.(check (list string)) "to_assoc follows field_names order" Stats.field_names
     (List.map fst (assoc s))
