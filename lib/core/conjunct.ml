@@ -29,6 +29,7 @@ type t = {
   answers : (int * int, int) Hashtbl.t; (* (v, n) -> first emission distance *)
   suppress : (int * int, int) Hashtbl.t option;
   seeder : Seeder.t;
+  frontier : (int -> unit) option; (* told Seeder.frontier whenever D_R has no distance-0 entry *)
   target : int option; (* final-state annotation: object constant's oid *)
   same_var : bool; (* subject and object are the same variable *)
   swap : bool; (* case 2: the conjunct was reversed *)
@@ -84,7 +85,7 @@ let relax_ancestor_seeds ~graph ~ontology ~beta oid =
       (Ontology.ancestors_by_specificity ontology label_id)
   | _ -> [ (oid, 0) ]
 
-let open_ ~graph ~ontology ~options ?governor ?metrics ?ceiling ?suppress ?seed_filter
+let open_ ~graph ~ontology ~options ?governor ?metrics ?ceiling ?suppress ?seed_filter ?frontier
     (plan : Plan.t) (part : Plan.part) =
   let governor =
     match governor with Some g -> g | None -> Options.governor options
@@ -110,6 +111,7 @@ let open_ ~graph ~ontology ~options ?governor ?metrics ?ceiling ?suppress ?seed_
     answers = Hashtbl.create 64;
     suppress;
     seeder;
+    frontier;
     target = plan.Plan.target;
     same_var = plan.Plan.same_var;
     swap = plan.Plan.reversed;
@@ -288,12 +290,17 @@ let refill_if_needed t =
      that distance-0 seeds always enter D_R ahead of higher-distance pops,
      preserving the non-decreasing answer order.  The poll also breaks the
      loop when the governor trips mid-seeding (the seeder then keeps
-     returning short batches without finishing). *)
+     returning short batches without finishing).
+
+     With no distance-0 entry left, every distance-0 answer of the seeds
+     drawn so far has been returned: [frontier] hears the seeder's frontier
+     then, before each draw and after the loop. *)
   while
     Governor.poll t.governor
     && (not (Seeder.exhausted t.seeder))
     && not (Dr_queue.has_at t.dr 0)
   do
+    (match t.frontier with Some f -> f (Seeder.frontier t.seeder) | None -> ());
     let t0 = !Obs.Clock.now_ns () in
     let batch = Seeder.next_batch t.seeder in
     if batch <> [] then begin
@@ -323,7 +330,10 @@ let refill_if_needed t =
       Obs.Flight.complete ~cat:"seed" ~start_ns:t0
         ~args:[ ("seeds", Obs.Flight.Num (List.length batch)) ]
         "seed.batch"
-  done
+  done;
+  match t.frontier with
+  | Some f when not (Dr_queue.has_at t.dr 0) -> f (Seeder.frontier t.seeder)
+  | _ -> ()
 
 let already_answered t v n =
   Hashtbl.mem t.answers (v, n)

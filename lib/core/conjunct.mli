@@ -56,6 +56,7 @@ val open_ :
   ?ceiling:int ->
   ?suppress:(int * int, int) Hashtbl.t ->
   ?seed_filter:(int -> bool) ->
+  ?frontier:(int -> unit) ->
   Plan.t ->
   Plan.part ->
   t
@@ -88,7 +89,14 @@ val open_ :
     of a conjunct are independent (the [visited] and answer keys both carry
     the seed), a filtered conjunct emits exactly the answers of the full
     conjunct whose [x] (the traversal seed; [y] under case-2 reversal) it
-    accepts, in the same non-decreasing distance order. *)
+    accepts, in the same non-decreasing distance order.
+
+    [frontier] is told {!Seeder.frontier} whenever [D_R] holds no
+    distance-0 entry — before each seed batch is drawn, and when a refill
+    ends: at that point every distance-0 answer whose seed lies below the
+    frontier has been returned.  With a [seed_filter] the seeder walks
+    oids in ascending order, so {!Par} turns these calls into a watermark
+    below which a shard's exact answers are final. *)
 
 val relax_ancestor_seeds :
   graph:Graphstore.Graph.t -> ontology:Ontology.t -> beta:int -> int -> (int * int) list

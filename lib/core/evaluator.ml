@@ -46,11 +46,12 @@ type t = Plain of Conjunct.t | Levelled of levelled | Parallel of parallel
    plan's seam is [Sequential], and the per-shard evaluator when it is not.
    [seed_filter] partitions the seed universe; [parts] narrows the plan's
    parts (a part-shard runs only its own). *)
-let create_seq ~graph ~ontology ~options ~governor ~metrics ?seed_filter ?parts (plan : Plan.t) =
+let create_seq ~graph ~ontology ~options ~governor ~metrics ?seed_filter ?frontier ?parts
+    (plan : Plan.t) =
   match plan.Plan.strategy with
   | Plan.Plain ->
     Plain
-      (Conjunct.open_ ~graph ~ontology ~options ~governor ~metrics ?seed_filter plan
+      (Conjunct.open_ ~graph ~ontology ~options ~governor ~metrics ?seed_filter ?frontier plan
          (List.hd plan.Plan.parts))
   | Plan.Distance_aware | Plan.Decomposed ->
     Levelled
@@ -203,12 +204,14 @@ let of_plan ~graph ~ontology ~options ?governor ?metrics (plan : Plan.t) =
     (* a psi-levelled shard's emission order is only non-decreasing up to
        phi - 1 across level boundaries; a plain shard's is exact *)
     let slack = if plan.Plan.strategy = Plan.Plain then 0 else plan.Plan.phi - 1 in
-    let build ~shard ~governor ~metrics =
+    let build ~shard ~governor ~metrics ~mark =
       let ev =
         if seed_shard then
+          (* a plain shard's seeder frontier is its distance-0 watermark
+             (only a [Plain] plan reads [frontier]) *)
           create_seq ~graph ~ontology ~options ~governor ~metrics
             ~seed_filter:(fun oid -> oid mod domains = shard)
-            plan
+            ~frontier:mark plan
         else
           create_seq ~graph ~ontology ~options ~governor ~metrics
             ~parts:(List.filteri (fun i _ -> i mod domains = shard) plan.Plan.parts)

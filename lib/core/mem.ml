@@ -61,6 +61,10 @@ let seed_entry_bytes = 4 * word
 (* One tuple remembered in a join input's [seen] list. *)
 let join_seen_bytes = 8 * word
 
+(* One cell of a join input's (var, value) index: a bucket cons cell, and
+   the bucket's share of its hashtable binding. *)
+let join_index_bytes = 5 * word
+
 (* One buffered join combination (bindings array + queue cell). *)
 let join_combo_bytes = 12 * word
 

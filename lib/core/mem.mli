@@ -51,6 +51,9 @@ val seed_entry_bytes : int
 val join_seen_bytes : int
 (** One tuple in a join input's [seen] list. *)
 
+val join_index_bytes : int
+(** One cell of a join input's [(var, value)] index. *)
+
 val join_combo_bytes : int
 (** One buffered join combination. *)
 

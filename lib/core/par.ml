@@ -34,7 +34,20 @@
    sealed exactly once and the output is globally non-decreasing in
    distance.  After an incomplete finish the query-wide stop is already
    set, so the consumer never waits on a frozen bound — it unwinds through
-   its next governor poll with the sealed prefix, which is exact. *)
+   its next governor poll with the sealed prefix, which is exact.
+
+   The distance-0 watermark.  A plain seed shard walks its seeds in
+   ascending oid order and draws the next batch only when no distance-0
+   tuple is left in its D_R (GetNext, §3.3), so at each draw every
+   distance-0 answer of its earlier seeds has been delivered: the shard
+   publishes the seeder's frontier as its [mark] ("all my distance-0
+   answers with x < mark are out").  With [slack = 0] and no dedup the
+   consumer stages distance-0 deliveries apart from the buffer, and
+   whenever [W = min mark over shards not done-complete] rises it emits
+   the staged answers with [x < W], sorted by (x, y): a prefix of the
+   sorted distance-0 bucket, released before the bound can pass 0.  The
+   seal takes the rest once the bound passes 0.  A tripped shard's mark
+   freezes, and stays true: its delivered answers are all in. *)
 
 type outcome = {
   o_stats : Exec_stats.t; (* copied by the worker at its end — never shared live *)
@@ -47,6 +60,7 @@ type shard = {
   mutable pending : Conjunct.answer list; (* newest first; drained by the consumer *)
   mutable qlen : int;
   mutable last : int; (* max distance delivered; -1 before the first answer *)
+  mutable mark : int; (* every distance-0 answer with x < mark is delivered *)
   mutable done_ : bool;
   mutable complete : bool;
       (* [done_] with all work delivered: only such shards leave the seal
@@ -73,6 +87,9 @@ type t = {
   shards : shard array;
   mutable handles : unit Domain.t array;
   buffer : Conjunct.answer Dr_queue.t; (* staging: drained but not yet sealed *)
+  watermark : bool; (* slack 0, no dedup: distance 0 is released by marks *)
+  mutable staged : Conjunct.answer list; (* [watermark]: drained distance-0 answers *)
+  mutable mark : int; (* [watermark]: every answer emitted so far has dist 0 and x < mark *)
   mutable ready : Conjunct.answer list; (* sealed, canonically ordered, ready to emit *)
   seen : (int * int, unit) Hashtbl.t option;
       (* part-sharding only: shards have independent emitted-tables, so the
@@ -93,6 +110,20 @@ type t = {
    deadlocking.  Tests pass [~queue_cap:1] to force the park path. *)
 let default_queue_cap = 8192
 
+(* The shard's mark rises under [t.m], after the answers it covers were
+   pushed; only this worker writes [sh.mark], so the unlocked read is its
+   own. *)
+let publish_mark t i x =
+  let sh = t.shards.(i) in
+  if x > sh.mark then begin
+    Mutex.lock t.m;
+    sh.mark <- x;
+    if Obs.Flight.enabled () then
+      Obs.Flight.record ~flow:t.flow ~shard:i (Obs.Flight.Mark { mark = x });
+    Condition.signal t.progress;
+    Mutex.unlock t.m
+  end
+
 let worker t i build =
   let sh = t.shards.(i) in
   let registry = Obs.Metrics.create () in
@@ -105,7 +136,7 @@ let worker t i build =
   sh.seen_ns <- t0;
   if Obs.Flight.enabled () then Obs.Flight.record ~flow:t.flow ~shard:i Obs.Flight.Shard_start;
   (try
-     let pull, stats = build ~shard:i ~governor:sh.gov ~metrics:registry in
+     let pull, stats = build ~shard:i ~governor:sh.gov ~metrics:registry ~mark:(publish_mark t i) in
      stats_fn := stats;
      let rec loop () =
        match pull () with
@@ -186,6 +217,7 @@ let create ~domains ~slack ~governor ~metrics ?(label = "shard") ?(dedup = false
           pending = [];
           qlen = 0;
           last = -1;
+          mark = 0;
           done_ = false;
           complete = false;
           delivered = 0;
@@ -211,6 +243,9 @@ let create ~domains ~slack ~governor ~metrics ?(label = "shard") ?(dedup = false
       shards;
       handles = [||];
       buffer = Dr_queue.create ();
+      watermark = max 0 slack = 0 && not dedup;
+      staged = [];
+      mark = 0;
       ready = [];
       seen = (if dedup then Some (Hashtbl.create 256) else None);
       joined = false;
@@ -245,7 +280,9 @@ let drain_locked t =
       if sh.pending <> [] then begin
         drained := true;
         List.iter
-          (fun (a : Conjunct.answer) -> Dr_queue.push t.buffer ~dist:a.dist ~final:false a)
+          (fun (a : Conjunct.answer) ->
+            if t.watermark && a.dist = 0 then t.staged <- a :: t.staged
+            else Dr_queue.push t.buffer ~dist:a.dist ~final:false a)
           (List.rev sh.pending);
         sh.pending <- [];
         sh.qlen <- 0
@@ -263,8 +300,14 @@ let bound_locked t =
     t.shards;
   !b
 
+(* Everything below [bound]: the staged distance-0 answers too once it
+   passes 0. *)
 let seal_locked t ~bound =
   let batch = ref [] in
+  if bound > 0 then begin
+    batch := t.staged;
+    t.staged <- []
+  end;
   let rec pop () =
     match Dr_queue.min_distance t.buffer with
     | Some d when d < bound -> (
@@ -277,6 +320,21 @@ let seal_locked t ~bound =
   in
   pop ();
   !batch
+
+(* The watermark: the staged answers now below every owing shard's mark,
+   with the consumer's mark raised to it.  Done-complete shards owe
+   nothing, as in the bound. *)
+let release_locked t =
+  let w = ref max_int in
+  Array.iter (fun sh -> if not (sh.done_ && sh.complete) then w := min !w sh.mark) t.shards;
+  if !w <= t.mark then []
+  else begin
+    t.mark <- !w;
+    if Obs.Flight.enabled () then Obs.Flight.record ~flow:t.flow (Obs.Flight.Mark { mark = !w });
+    let below, above = List.partition (fun (a : Conjunct.answer) -> a.x < !w) t.staged in
+    t.staged <- above;
+    below
+  end
 
 (* The consumer-side stall watchdog: a shard silent past the threshold
    (clocked runs with the recorder on) gets one Stall event per episode;
@@ -380,18 +438,21 @@ let next t =
         drain_locked t;
         let bound = bound_locked t in
         (match seal_locked t ~bound with
-        | [] ->
-          if bound = max_int then exhausted := true (* every shard done, buffer flushed *)
-          else if not (Governor.Shared.stopped t.shared) then begin
-            let t0 = if clocked then !Obs.Clock.now_ns () else 0 in
-            Condition.wait t.progress t.m;
-            if clocked then begin
-              Obs.Metrics.observe t.h_merge_wait (!Obs.Clock.now_ns () - t0);
-              if fl then watchdog_locked t
-            end;
-            attempt ()
-          end
-          (* else: stopped — unwind with nothing ready; handled below *)
+        | [] -> (
+          match if t.watermark && bound <= 0 then release_locked t else [] with
+          | _ :: _ as early -> t.ready <- canonicalize t early
+          | [] ->
+            if bound = max_int then exhausted := true (* every shard done, buffer flushed *)
+            else if not (Governor.Shared.stopped t.shared) then begin
+              let t0 = if clocked then !Obs.Clock.now_ns () else 0 in
+              Condition.wait t.progress t.m;
+              if clocked then begin
+                Obs.Metrics.observe t.h_merge_wait (!Obs.Clock.now_ns () - t0);
+                if fl then watchdog_locked t
+              end;
+              attempt ()
+            end
+            (* else: stopped — unwind with nothing ready; handled below *))
         | batch -> (
           if fl then
             Obs.Flight.record ~flow:t.flow

@@ -33,6 +33,7 @@ val create :
     (shard:int ->
     governor:Governor.t ->
     metrics:Obs.Metrics.t ->
+    mark:(int -> unit) ->
     (unit -> Conjunct.answer option) * (unit -> Exec_stats.t)) ->
   unit ->
   t
@@ -42,6 +43,14 @@ val create :
     evaluation state from scratch — sharing mutable structures across
     shards is the caller's bug.  [slack] is the shard streams' emission
     slack (0 for plain conjuncts, [phi - 1] for psi-levelled evaluation).
+
+    [mark x] (on the worker, between pulls) promises that the shard has
+    delivered every distance-0 answer with [x < x]; marks only rise, and
+    a shard that never calls it promises nothing.  With [slack = 0] and no
+    [dedup], the merge emits distance-0 answers below the least mark of
+    the shards still owing answers as soon as it rises (sorted by
+    [(x, y)], a prefix of the sorted distance-0 bucket), instead of
+    waiting for every shard to pass distance 0.
     [dedup] enables cross-shard [(x, y)] deduplication — required for
     part-sharding, where shards keep independent emitted-tables; the first
     (cheapest) occurrence wins.  [governor] gains a {!Governor.Shared}
@@ -56,7 +65,8 @@ val create :
 
     When the flight recorder is on ({!Obs.Flight}), the pool logs its
     scheduling events — shard start/done, deliveries, park/unpark, seals
-    with their per-shard bound inputs, emits, stop — under a fresh flow id,
+    with their per-shard bound inputs, shard and merge marks, emits,
+    stop — under a fresh flow id,
     and a consumer-side watchdog flags shards silent beyond
     [Obs.Flight.stall_threshold_ns] on clocked runs.  With the recorder off
     the only cost is a per-event flag load.

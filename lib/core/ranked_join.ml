@@ -20,9 +20,14 @@ let compatible b1 b2 =
 
 let merge b1 b2 = List.sort_uniq compare (b1 @ b2)
 
+type answer = binding * int * Witness.t list
+
 type input = {
-  pull : unit -> (binding * int * Witness.t list) option;
-  mutable seen : (binding * int * Witness.t list) list;
+  pull : unit -> answer option;
+  mutable seen : answer list; (* newest first *)
+  index : (string * int, answer list) Hashtbl.t;
+      (* (var, value) -> the seen answers binding var to value, newest first *)
+  mutable vars : string list option; (* the variables every seen answer binds *)
   mutable top : int option; (* smallest distance seen *)
   mutable last : int; (* largest distance seen *)
   mutable exhausted : bool;
@@ -30,7 +35,7 @@ type input = {
 
 type t = {
   inputs : input array;
-  buffer : (binding * int * Witness.t list) Dr_queue.t; (* keyed by total distance *)
+  buffer : answer Dr_queue.t; (* keyed by total distance *)
   emitted : (binding, unit) Hashtbl.t;
   governor : Governor.t;
   h_combos : Obs.Metrics.histogram; (* combinations produced per input pull *)
@@ -43,7 +48,16 @@ let create ?(governor = Governor.unlimited ()) ?metrics streams =
     inputs =
       Array.of_list
         (List.map
-           (fun pull -> { pull; seen = []; top = None; last = 0; exhausted = false })
+           (fun pull ->
+             {
+               pull;
+               seen = [];
+               index = Hashtbl.create 64;
+               vars = None;
+               top = None;
+               last = 0;
+               exhausted = false;
+             })
            streams);
     buffer = Dr_queue.create ();
     emitted = Hashtbl.create 64;
@@ -71,9 +85,23 @@ let threshold t =
     t.inputs;
   !bound
 
+(* The seen answers of [input] that can be compatible with [b]: the index
+   bucket of the first variable of [b] that every seen answer binds, or
+   all of them when they share none (a cross product).  A bucket keeps the
+   order of [seen], so filtering it by [compatible] yields the same
+   answers in the same order as filtering [seen]. *)
+let candidates input b =
+  match input.vars with
+  | None -> input.seen
+  | Some vars -> (
+    match List.find_opt (fun (v, _) -> List.mem v vars) b with
+    | Some key -> Option.value (Hashtbl.find_opt input.index key) ~default:[]
+    | None -> input.seen)
+
 (* All join combinations of [fresh] (from input [idx]) with the seen answers
-   of every other input.  Witness lists concatenate: a combined binding's
-   provenance is one witness per participating conjunct answer. *)
+   of every other input, probing each by key: a rank join with an equality
+   predicate.  Witness lists concatenate: a combined binding's provenance
+   is one witness per participating conjunct answer. *)
 let combinations t idx fresh fresh_dist fresh_wits =
   let n = Array.length t.inputs in
   let rec extend j acc_binding acc_dist acc_wits combos =
@@ -85,9 +113,29 @@ let combinations t idx fresh fresh_dist fresh_wits =
           if compatible acc_binding b then
             extend (j + 1) (merge acc_binding b) (acc_dist + d) (acc_wits @ ws) combos
           else combos)
-        combos t.inputs.(j).seen
+        combos
+        (candidates t.inputs.(j) acc_binding)
   in
   extend 0 fresh fresh_dist fresh_wits []
+
+(* Remember a pulled answer: in [seen], and under each of its bindings in
+   the index. *)
+let remember t input ((b, _, _) as a) =
+  input.seen <- a :: input.seen;
+  (* [seen] lists are retained for the life of the join — the quadratic
+     half of its footprint, charged but never released *)
+  Governor.charge_mem t.governor Mem.join_seen_bytes;
+  List.iter
+    (fun key ->
+      let bucket = Option.value (Hashtbl.find_opt input.index key) ~default:[] in
+      Hashtbl.replace input.index key (a :: bucket);
+      Governor.charge_mem t.governor Mem.join_index_bytes)
+    b;
+  input.vars <-
+    Some
+      (match input.vars with
+      | None -> List.map fst b
+      | Some vars -> List.filter (fun v -> List.mem_assoc v b) vars)
 
 let pull_one t idx =
   Failpoints.check Failpoints.Join_pull;
@@ -100,11 +148,8 @@ let pull_one t idx =
       Obs.Flight.complete ~cat:"join" ~start_ns
         ~args:[ ("input", Obs.Flight.Num idx); ("combos", Obs.Flight.Num 0) ]
         "join.pull"
-  | Some (b, d, ws) ->
-    input.seen <- (b, d, ws) :: input.seen;
-    (* [seen] lists are retained for the life of the join — the quadratic
-       half of its footprint, charged but never released *)
-    Governor.charge_mem t.governor Mem.join_seen_bytes;
+  | Some ((b, d, ws) as a) ->
+    remember t input a;
     input.last <- max input.last d;
     (match input.top with Some top when top <= d -> () | _ -> input.top <- Some d);
     let combos = combinations t idx b d ws in

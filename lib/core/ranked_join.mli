@@ -11,7 +11,13 @@
     streams, buffer the combinations, and release a buffered combination
     once its total is at most the threshold
     [min_i (last_i + Σ_{j≠i} top_j)] — a lower bound on the total of any
-    combination not yet formed. *)
+    combination not yet formed.
+
+    Each input indexes what it has pulled by [(variable, value)], so a
+    fresh answer is joined only against the answers of another input that
+    bind a shared variable to the same value (all of them when the inputs
+    share none).  A bucket keeps the pull order, so the combinations, and
+    the stream, are those of comparing against every pulled answer. *)
 
 type binding = (string * int) list
 (** Variable assignments, node oids as values, sorted by variable name. *)

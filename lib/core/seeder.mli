@@ -39,17 +39,28 @@ val of_initial_state :
 (** Seeding for [(?X, R, ?Y)] conjuncts, per the regimes above.  The
     candidate scan polls [governor] (default: unlimited) so a deadline or
     cancellation cuts an up-front ([batch_size = max_int]) sweep of a large
-    graph short instead of pinning the process.  [filter] restricts
-    delivery to candidates whose oid it accepts — the seed partition of
-    parallel evaluation: because seeds are filtered before the
-    delivered-set dedup, a filtered seeder behaves exactly like a
-    sequential seeder over its own subset of the seed universe. *)
+    graph short instead of pinning the process.
+
+    Without [filter] the seeds come in the paper's order: the carriers of
+    each initial transition's label, label by label, then (initial state
+    final with a positive weight) every node.  [filter] restricts delivery
+    to candidates whose oid it accepts — the seed partition of parallel
+    evaluation — and delivers them in ascending oid order instead, lazily:
+    a node is kept when the filter accepts it and either the initial state
+    is final or the node carries a label of an initial transition.  The
+    set is the unfiltered one restricted to the filter; the ascending
+    order is what makes {!frontier} meaningful. *)
 
 val next_batch : t -> (int * int) list
 (** The next batch of fresh seeds; [[]] once exhausted.  Batches respect
     [batch_size] (the last may be shorter, including when the governor
     trips mid-scan).
     @raise Failpoints.Injected when the [Seed_batch] failpoint fires. *)
+
+val frontier : t -> int
+(** The next candidate a filtered seeder has not drawn yet, or [max_int]
+    once exhausted: every seed below it has been delivered.  [0] for the
+    other seeders until they are exhausted (they promise no order). *)
 
 val exhausted : t -> bool
 (** True once no further seeds will be produced ([next_batch] would return

@@ -104,7 +104,12 @@ let[@inline] log_edge t i = t.log_edge.(i lsr block_bits).(i land (block - 1))
 let add_edge t src label dst =
   check_oid t src "add_edge";
   check_oid t dst "add_edge";
-  if label < 0 || label >= in_bit || src > mask || dst > mask then
+  (* an id the interner never issued would also grow [label_counts] *)
+  if
+    label < 0 || label >= in_bit
+    || label >= Interner.cardinal t.interner
+    || src > mask || dst > mask
+  then
     invalid_arg "Graph.add_edge: label or oid beyond the index's packing";
   t.csr <- None;
   let i = t.edge_count and b = t.edge_count lsr block_bits in

@@ -49,9 +49,10 @@ val add_edge : t -> int -> int -> int -> unit
 (** [add_edge g src label dst] appends a directed edge to the log.
     Duplicate edges are stored as given; generators are responsible for
     dedup.
-    @raise Invalid_argument on an unallocated oid, a negative label id or
-    one of at least [1 lsl 29], or an oid of at least [1 lsl 32]: the index
-    cannot pack them. *)
+    @raise Invalid_argument on an unallocated oid, a negative label id, an
+    id the graph's interner never issued (at least its
+    {!Interner.cardinal}) or one of at least [1 lsl 29], or an oid of at
+    least [1 lsl 32]: the graph is left unchanged. *)
 
 val add_edge_s : t -> int -> string -> int -> unit
 (** [add_edge_s g src label dst] interns [label] and adds the edge. *)

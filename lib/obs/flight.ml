@@ -18,6 +18,7 @@ type kind =
   | Shard_done of { complete : bool; answers : int }
   | Seal of { bound : int; batch : int; inputs : input list }
   | Emit of { dist : int; x : int; y : int }
+  | Mark of { mark : int }
   | Stall of { silent_ns : int }
   | Stop
   | Trip of { reason : string; tuples : int; answers : int }
@@ -40,6 +41,7 @@ let kind_tag = function
   | Shard_done _ -> "shard_done"
   | Seal _ -> "seal"
   | Emit _ -> "emit"
+  | Mark _ -> "mark"
   | Stall _ -> "stall"
   | Stop -> "stop"
   | Trip _ -> "trip"
@@ -56,6 +58,7 @@ let all_tags =
     "shard_done";
     "seal";
     "emit";
+    "mark";
     "stall";
     "stop";
     "trip";
@@ -92,6 +95,9 @@ let pp_kind ppf = function
                 (match i.i_state with 0 -> "" | 1 -> "/done" | _ -> "/tripped"))
             inputs))
   | Emit { dist; x; y } -> Format.fprintf ppf "emit dist=%d x=%d y=%d" dist x y
+  | Mark { mark } ->
+    if mark = max_int then Format.pp_print_string ppf "mark inf"
+    else Format.fprintf ppf "mark %d" mark
   | Stall { silent_ns } -> Format.fprintf ppf "stall silent_ns=%d" silent_ns
   | Stop -> Format.pp_print_string ppf "stop"
   | Trip { reason; tuples; answers } ->
@@ -241,6 +247,7 @@ let to_json ev =
         ("inputs", Json.List (List.map input_json inputs));
       ]
     | Emit { dist; x; y } -> [ ("dist", Json.Int dist); ("x", Json.Int x); ("y", Json.Int y) ]
+    | Mark { mark } -> [ ("mark", Json.Int mark) ]
     | Stall { silent_ns } -> [ ("silent_ns", Json.Int silent_ns) ]
     | Trip { reason; tuples; answers } ->
       [ ("reason", Json.String reason); ("tuples", Json.Int tuples); ("answers", Json.Int answers) ]
@@ -307,6 +314,9 @@ let kind_of_json tag j =
     let* x = int_field "x" j in
     let* y = int_field "y" j in
     Ok (Emit { dist; x; y })
+  | "mark" ->
+    let* mark = int_field "mark" j in
+    Ok (Mark { mark })
   | "stall" ->
     let* silent_ns = int_field "silent_ns" j in
     Ok (Stall { silent_ns })
@@ -368,14 +378,24 @@ let of_json j =
      anywhere at or above it;
    - late-delivery: no delivery lands below an already-sealed bound
      (a sealed bucket is complete);
+   - mark-overrun: the consumer's distance-0 watermark never exceeds the
+     least mark of a live or tripped shard (a shard's [Mark] says every
+     distance-0 answer it owes below the mark is delivered; a tripped
+     shard's mark freezes and stays in the min, like its seal term);
    - emit-unsealed: every emitted answer's bucket is below the sealed
-     bound (together with seal monotonicity this is "every bucket is
-     sealed exactly once, and emitted only from sealed buckets");
+     bound, or it is a distance-0 answer below the consumer's watermark
+     (together with seal monotonicity this is "every bucket is sealed
+     exactly once, and emitted only from sealed buckets");
    - emit-order: emits are non-decreasing in the canonical (dist, x, y)
-     order. *)
+     order.
+
+   A wrapped dump may have lost a shard's [Mark] events (each domain's
+   ring wraps on its own), which would understate the marks the checker
+   knows; a checker made with [~wrapped:true] therefore takes the
+   consumer's marks on trust and skips mark-overrun. *)
 
 module Check = struct
-  type shard_state = { mutable c_last : int; mutable c_phase : int }
+  type shard_state = { mutable c_last : int; mutable c_phase : int; mutable c_mark : int }
   (* c_phase: 0 live, 1 done-complete, 2 done-incomplete *)
 
   type flow_state = {
@@ -384,27 +404,35 @@ module Check = struct
     mutable f_sealed : int; (* highest sealed bound; min_int before any seal *)
     mutable f_stopped : bool;
     mutable f_emit : (int * int * int) option;
+    mutable f_mark : int; (* the consumer's watermark; 0 before any *)
   }
 
-  type state = (int, flow_state) Hashtbl.t
+  type state = { flows : (int, flow_state) Hashtbl.t; wrapped : bool }
 
-  let init () : state = Hashtbl.create 4
+  let init ?(wrapped = false) () = { flows = Hashtbl.create 4; wrapped }
 
   let flow st f =
-    match Hashtbl.find_opt st f with
+    match Hashtbl.find_opt st.flows f with
     | Some fs -> fs
     | None ->
       let fs =
-        { f_slack = 0; f_shards = Hashtbl.create 8; f_sealed = min_int; f_stopped = false; f_emit = None }
+        {
+          f_slack = 0;
+          f_shards = Hashtbl.create 8;
+          f_sealed = min_int;
+          f_stopped = false;
+          f_emit = None;
+          f_mark = 0;
+        }
       in
-      Hashtbl.add st f fs;
+      Hashtbl.add st.flows f fs;
       fs
 
   let shard fs i =
     match Hashtbl.find_opt fs.f_shards i with
     | Some ss -> ss
     | None ->
-      let ss = { c_last = -1; c_phase = 0 } in
+      let ss = { c_last = -1; c_phase = 0; c_mark = 0 } in
       Hashtbl.add fs.f_shards i ss;
       ss
 
@@ -413,8 +441,13 @@ module Check = struct
       (fun _ ss acc -> if ss.c_phase = 1 then acc else min acc (ss.c_last - fs.f_slack))
       fs.f_shards max_int
 
+  let safe_mark fs =
+    Hashtbl.fold
+      (fun _ ss acc -> if ss.c_phase = 1 then acc else min acc ss.c_mark)
+      fs.f_shards max_int
+
   (* step returns [Some (rule, detail)] on the first violated invariant. *)
-  let step (st : state) (ev : event) : (string * string) option =
+  let step st (ev : event) : (string * string) option =
     if ev.flow < 0 then None
     else
       let fs = flow st ev.flow in
@@ -477,12 +510,32 @@ module Check = struct
             fs.f_sealed <- bound;
             None
           end
+      | Mark { mark } when ev.shard >= 0 ->
+        let ss = shard fs ev.shard in
+        if mark > ss.c_mark then ss.c_mark <- mark;
+        None
+      | Mark { mark } ->
+        let safe = safe_mark fs in
+        if mark > safe && not st.wrapped then
+          Some
+            ( "mark-overrun",
+              Printf.sprintf
+                "watermark %s exceeds the least live or tripped shard mark %s: a shard could \
+                 still deliver a distance-0 answer below it"
+                (if mark = max_int then "inf" else string_of_int mark)
+                (if safe = max_int then "inf" else string_of_int safe) )
+        else begin
+          if mark > fs.f_mark then fs.f_mark <- mark;
+          None
+        end
       | Emit { dist; x; y } ->
-        if dist >= fs.f_sealed then
+        if dist >= fs.f_sealed && not (dist = 0 && x < fs.f_mark) then
           Some
             ( "emit-unsealed",
-              Printf.sprintf "emitted dist=%d at or above the sealed bound %s" dist
-                (if fs.f_sealed = min_int then "-inf" else string_of_int fs.f_sealed) )
+              Printf.sprintf "emitted dist=%d x=%d at or above the sealed bound %s and the mark %d"
+                dist x
+                (if fs.f_sealed = min_int then "-inf" else string_of_int fs.f_sealed)
+                fs.f_mark )
         else (
           match fs.f_emit with
           | Some prev when compare (dist, x, y) prev < 0 ->

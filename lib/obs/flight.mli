@@ -49,6 +49,11 @@ type kind =
   | Shard_done of { complete : bool; answers : int }
   | Seal of { bound : int; batch : int; inputs : input list }
   | Emit of { dist : int; x : int; y : int }
+  | Mark of { mark : int }
+      (** the distance-0 watermark: from a shard ([shard >= 0]), every
+          distance-0 answer it owes with [x < mark] is delivered; from the
+          consumer, every staged distance-0 answer below [mark] is
+          released *)
   | Stall of { silent_ns : int }
   | Stop
   | Trip of { reason : string; tuples : int; answers : int }
@@ -174,13 +179,19 @@ val args_json : args -> Json.t
 module Check : sig
   type state
 
-  val init : unit -> state
+  val init : ?wrapped:bool -> unit -> state
+  (** [wrapped] (default [false]): the events come from a wrapped dump,
+      which may have lost shard [Mark]s — the consumer's marks are then
+      taken on trust and [mark-overrun] is not checked. *)
 
   val step : state -> event -> (string * string) option
   (** Feed one event in interleaving order; returns [Some (rule, detail)]
       on the first violated invariant. Rules: [shard-regression],
       [seal-regression], [seal-overrun], [late-delivery],
-      [emit-unsealed], [emit-order]. *)
+      [mark-overrun] (the consumer's distance-0 watermark stays at or
+      below the least mark of a live or tripped shard), [emit-unsealed]
+      (an emit lies below the sealed bound, or has distance 0 and [x]
+      below the consumer's watermark), [emit-order]. *)
 end
 
 type violation = {

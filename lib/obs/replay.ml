@@ -21,8 +21,8 @@ type t = {
 let sort_events evs =
   List.sort (fun (a : Flight.event) b -> compare (a.seq, a.ts_ns) (b.seq, b.ts_ns)) evs
 
-let recheck evs =
-  let st = Flight.Check.init () in
+let recheck ~wrapped evs =
+  let st = Flight.Check.init ~wrapped () in
   let rec go = function
     | [] -> None
     | (ev : Flight.event) :: rest -> (
@@ -120,7 +120,7 @@ let of_events ?(stall_ns = !Flight.stall_threshold_ns) ~path ~meta ~skipped evs 
     kinds = kind_counts evs;
     seq_gaps = seq_gaps all;
     stalls = find_stalls ~threshold_ns:stall_ns evs;
-    violation = recheck (checkable ~wrapped:(wrapped meta) evs);
+    violation = recheck ~wrapped:(wrapped meta) (checkable ~wrapped:(wrapped meta) evs);
   }
 
 let load ?stall_ns path =

@@ -16,7 +16,13 @@ let saturate ?(subclass = true) ?(subproperty = true) ?(domain_range = true) g k
   let interner = Graph.interner g in
   let type_l = Graph.type_label g in
   let seen = Hashtbl.create 1024 in
-  Graph.iter_edges g (fun s l d -> Hashtbl.replace seen (s, l, d) ());
+  (* the original edges, snapshot in the same walk: rules apply to the
+     asserted graph, the closures supply the rest *)
+  let original = ref [] in
+  Graph.iter_edges g (fun s l d ->
+      let e = (s, l, d) in
+      Hashtbl.replace seen e ();
+      original := e :: !original);
   let type_added = ref 0 and prop_added = ref 0 in
   let add counter src l dst =
     if not (Hashtbl.mem seen (src, l, dst)) then begin
@@ -26,10 +32,6 @@ let saturate ?(subclass = true) ?(subproperty = true) ?(domain_range = true) g k
     end
   in
   let class_node c = Graph.add_node g (Interner.name interner c) in
-  (* snapshot the original edges: rules apply to the asserted graph, the
-     closures supply the rest *)
-  let original = ref [] in
-  Graph.iter_edges g (fun s l d -> original := (s, l, d) :: !original);
   if subproperty || domain_range then
     List.iter
       (fun (src, l, dst) ->

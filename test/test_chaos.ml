@@ -624,7 +624,7 @@ let answer dist x = { Core.Conjunct.x; y = 0; dist; witness = None }
 let trip_window_iteration () =
   let governor = Options.governor Options.default in
   let metrics = Obs.Metrics.create () in
-  let build ~shard ~governor ~metrics:_ =
+  let build ~shard ~governor ~metrics:_ ~mark:_ =
     if shard = 0 then begin
       (* deliver up to distance 2, then trip *while the consumer is parked
          in the merge wait*: done but *incomplete*, frontier frozen at 2 *)

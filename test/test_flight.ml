@@ -126,10 +126,11 @@ let sample_events =
              ];
          });
     mk 8 (Flight.Emit { dist = 3; x = 17; y = 42 });
-    mk 9 (Flight.Stall { silent_ns = 300_000_000 });
-    mk 10 Flight.Stop;
-    mk 11 (Flight.Trip { reason = "deadline"; tuples = 310; answers = 4 });
-    mk 12
+    mk 9 (Flight.Mark { mark = 40 });
+    mk 10 (Flight.Stall { silent_ns = 300_000_000 });
+    mk 11 Flight.Stop;
+    mk 12 (Flight.Trip { reason = "deadline"; tuples = 310; answers = 4 });
+    mk 13
       (Flight.Span
          { ph = Flight.Complete 1500; name = "seed.batch"; cat = "seed"; args = [ ("seeds", Flight.Num 3) ] });
   ]
@@ -274,8 +275,8 @@ let strict_errors_test () =
 
 (* Feed a synthetic interleaving to [Check.step]; return the first
    violation. *)
-let run_check evs =
-  let st = Flight.Check.init () in
+let run_check ?wrapped evs =
+  let st = Flight.Check.init ?wrapped () in
   let rec go i = function
     | [] -> None
     | kindspec :: rest -> (
@@ -290,6 +291,8 @@ let deliver s d = (s, Flight.Deliver { dist = d })
 let done_ s complete = (s, Flight.Shard_done { complete; answers = 0 })
 let seal b = (-1, Flight.Seal { bound = b; batch = 1; inputs = [] })
 let emit d = (-1, Flight.Emit { dist = d; x = 0; y = d })
+let emit0 x = (-1, Flight.Emit { dist = 0; x; y = 0 })
+let mark s m = (s, Flight.Mark { mark = m })
 
 let check_rules_test () =
   let cases =
@@ -324,12 +327,31 @@ let check_rules_test () =
       ( "emit-order: the canonical (dist, x, y) order",
         [ open2; deliver 0 9; deliver 1 9; seal 8; emit 5; emit 3 ],
         Some "emit-order" );
+      (* the distance-0 watermark: shard marks bound the consumer's *)
+      ( "distance-0 emits below the watermark pass",
+        [ open2; mark 0 5; mark 1 3; mark (-1) 3; emit0 0; emit0 2 ],
+        None );
+      ( "a complete shard leaves the watermark",
+        [ open2; mark 0 5; mark 1 3; done_ 1 true; mark (-1) 5; emit0 4 ],
+        None );
+      ( "mark-overrun: watermark past a live shard's mark",
+        [ open2; mark 0 5; mark 1 3; mark (-1) 4 ],
+        Some "mark-overrun" );
+      ( "mark-overrun: a tripped shard's mark stays in the min",
+        [ open2; mark 0 5; mark 1 3; done_ 1 false; mark (-1) 5 ],
+        Some "mark-overrun" );
+      ( "emit-unsealed: a distance-0 emit at the watermark",
+        [ open2; mark 0 5; mark 1 5; mark (-1) 5; emit0 5 ],
+        Some "emit-unsealed" );
     ]
   in
   List.iter
     (fun (name, evs, expect) ->
       Alcotest.(check (option string)) name expect (run_check evs))
-    cases
+    cases;
+  (* a wrapped dump may have lost shard marks: the consumer's are trusted *)
+  Alcotest.(check (option string)) "wrapped: mark-overrun not checked" None
+    (run_check ~wrapped:true [ open2; mark 0 5; mark (-1) 5; emit0 4 ])
 
 (* slack shifts both the monotonicity tolerance and the safe bound *)
 let check_slack_test () =

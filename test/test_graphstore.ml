@@ -207,7 +207,7 @@ let test_graph_label_bounds () =
       Alcotest.check_raises (Printf.sprintf "label %d" label)
         (Invalid_argument "Graph.add_edge: label or oid beyond the index's packing") (fun () ->
           Graph.add_edge g a label b))
-    [ -1; 1 lsl 29 ];
+    [ -1; 1 lsl 29; (1 lsl 29) - 1; Graphstore.Interner.cardinal (Graph.interner g) ];
   check Alcotest.int "n_edges unchanged" 4 (Graph.n_edges g);
   check Alcotest.int "labels unchanged" 3 (List.length (Graph.labels g))
 

@@ -137,6 +137,182 @@ let join_matches_brute_force =
            (fun (ok, last) (_, t) -> (ok && t >= last, t))
            (true, 0) incremental))
 
+(* --- the keyed probe against the nested loop ------------------------------ *)
+
+(* The join as it was before each input indexed its pulled answers by
+   (var, value): every fresh answer is compared with every answer already
+   pulled from the other inputs.  Kept as the reference the keyed probe
+   must reproduce exactly — same bindings, totals and witness lists, in the
+   same order. *)
+module Nested_loop = struct
+  type answer = RJ.binding * int * Core.Witness.t list
+
+  type input = {
+    pull : unit -> answer option;
+    mutable seen : answer list;
+    mutable top : int option;
+    mutable last : int;
+    mutable exhausted : bool;
+  }
+
+  type t = {
+    inputs : input array;
+    buffer : answer Core.Dr_queue.t;
+    emitted : (RJ.binding, unit) Hashtbl.t;
+  }
+
+  let create streams =
+    {
+      inputs =
+        Array.of_list
+          (List.map (fun pull -> { pull; seen = []; top = None; last = 0; exhausted = false }) streams);
+      buffer = Core.Dr_queue.create ();
+      emitted = Hashtbl.create 64;
+    }
+
+  let threshold t =
+    let bound = ref max_int in
+    Array.iteri
+      (fun i input ->
+        if not input.exhausted then begin
+          let others_ok = ref true and others_sum = ref 0 in
+          Array.iteri
+            (fun j other ->
+              if i <> j then
+                match other.top with Some d -> others_sum := !others_sum + d | None -> others_ok := false)
+            t.inputs;
+          if !others_ok && input.last + !others_sum < !bound then bound := input.last + !others_sum
+        end)
+      t.inputs;
+    !bound
+
+  let combinations t idx fresh fresh_dist fresh_wits =
+    let n = Array.length t.inputs in
+    let rec extend j acc_binding acc_dist acc_wits combos =
+      if j = n then (acc_binding, acc_dist, acc_wits) :: combos
+      else if j = idx then extend (j + 1) acc_binding acc_dist acc_wits combos
+      else
+        List.fold_left
+          (fun combos (b, d, ws) ->
+            if RJ.compatible acc_binding b then
+              extend (j + 1) (RJ.merge acc_binding b) (acc_dist + d) (acc_wits @ ws) combos
+            else combos)
+          combos t.inputs.(j).seen
+    in
+    extend 0 fresh fresh_dist fresh_wits []
+
+  let pull_one t idx =
+    let input = t.inputs.(idx) in
+    match input.pull () with
+    | None -> input.exhausted <- true
+    | Some (b, d, ws) ->
+      input.seen <- (b, d, ws) :: input.seen;
+      input.last <- max input.last d;
+      (match input.top with Some top when top <= d -> () | _ -> input.top <- Some d);
+      List.iter
+        (fun ((_, total, _) as c) -> Core.Dr_queue.push t.buffer ~dist:total ~final:false c)
+        (combinations t idx b d ws)
+
+  let next_source t =
+    let best = ref (-1) in
+    Array.iteri
+      (fun i input ->
+        if not input.exhausted then
+          match !best with
+          | -1 -> best := i
+          | b ->
+            let weight j = if t.inputs.(j).top = None then min_int else t.inputs.(j).last in
+            if weight i < weight b then best := i)
+      t.inputs;
+    !best
+
+  let rec next t =
+    match Core.Dr_queue.min_distance t.buffer with
+    | Some d when d <= threshold t -> (
+      match Core.Dr_queue.pop t.buffer with
+      | Some (((binding, _, _) as c), _, _) ->
+        if Hashtbl.mem t.emitted binding then next t
+        else begin
+          Hashtbl.add t.emitted binding ();
+          Some c
+        end
+      | None -> None)
+    | _ -> (
+      match next_source t with
+      | -1 -> None
+      | idx ->
+        pull_one t idx;
+        next t)
+end
+
+(* A conjunct's answer stream: [vars] are its variable positions (a
+   repeated name is a conjunct like (?X, R, ?X), binding one variable; no
+   name at all is a constant-only conjunct), values in a small domain so
+   that joins match, distances non-decreasing, and a witness per answer
+   that names it, so the comparison sees which answers each combination
+   concatenated. *)
+let gen_conjunct ~tag vars =
+  QCheck2.Gen.(
+    map
+      (fun l ->
+        List.sort (fun (_, a) (_, b) -> compare a b) l
+        |> List.mapi (fun i (vals, d) ->
+               (* a repeated variable binds one value: the answers of
+                  (?X, R, ?X) have x = y *)
+               let vals = List.filteri (fun k _ -> k < List.length vars) vals in
+               let pairs = List.map2 (fun v x -> (v, x)) vars vals in
+               let bind = RJ.binding_of (List.map (fun (v, _) -> (v, List.assoc v pairs)) pairs) in
+               let w = { Core.Witness.source = tag; target = i; dist = d; hops = [] } in
+               (bind, d, [ w ])))
+      (list_size (int_bound 14) (pair (list_repeat 2 (int_bound 3)) (int_bound 5))))
+
+(* The variable positions of 2- and 3-conjunct queries: shared and
+   disjoint variables, both variables shared, a repeated variable, and a
+   constant-only conjunct. *)
+let shapes =
+  [
+    [ [ "x"; "y" ]; [ "y"; "z" ] ];
+    [ [ "x"; "y" ]; [ "x"; "y" ] ];
+    [ [ "x"; "y" ]; [ "y"; "x" ] ];
+    [ [ "x" ]; [ "z" ] ];
+    [ [ "x"; "x" ]; [ "x"; "y" ] ];
+    [ [ "x"; "y" ]; [] ];
+    [ [ "x"; "y" ]; [ "y"; "z" ]; [ "z"; "w" ] ];
+    [ [ "x"; "y" ]; [ "y"; "z" ]; [ "x"; "z" ] ];
+    [ [ "x"; "y" ]; [ "w" ]; [ "y"; "y" ] ];
+    [ [ "x" ]; [ "x"; "y" ]; [ "x"; "y" ] ];
+  ]
+
+let gen_query =
+  QCheck2.Gen.(
+    oneofl shapes >>= fun shape ->
+    let rec conjuncts i = function
+      | [] -> return []
+      | vars :: rest ->
+        gen_conjunct ~tag:i vars >>= fun c -> map (fun cs -> c :: cs) (conjuncts (i + 1) rest)
+    in
+    conjuncts 0 shape)
+
+let keyed_matches_nested_loop =
+  QCheck2.Test.make ~name:"keyed probe = nested loop (bindings, totals, witnesses)" ~count:300
+    gen_query (fun conjuncts ->
+      let pulls () =
+        List.map
+          (fun l ->
+            let rest = ref l in
+            fun () ->
+              match !rest with
+              | [] -> None
+              | a :: tl ->
+                rest := tl;
+                Some a)
+          conjuncts
+      in
+      let rec drain next acc = match next () with None -> List.rev acc | Some a -> drain next (a :: acc) in
+      let keyed = RJ.create (pulls ()) in
+      let reference = Nested_loop.create (pulls ()) in
+      drain (fun () -> RJ.next keyed) [] = drain (fun () -> Nested_loop.next reference) [])
+
 let () =
   Alcotest.run "ranked_join"
     [
@@ -153,5 +329,6 @@ let () =
           Alcotest.test_case "three-way" `Quick test_three_way_join;
           Alcotest.test_case "duplicate combination" `Quick test_duplicate_combination_emitted_once;
           QCheck_alcotest.to_alcotest join_matches_brute_force;
+          QCheck_alcotest.to_alcotest keyed_matches_nested_loop;
         ] );
     ]

@@ -289,7 +289,7 @@ let park_unpark () =
   let per_shard = 200 in
   let merged ?queue_cap () =
     let produced = Array.init 2 (fun _ -> Atomic.make 0) in
-    let build ~shard ~governor:_ ~metrics:_ =
+    let build ~shard ~governor:_ ~metrics:_ ~mark:_ =
       let k = ref 0 in
       let pull () =
         if !k >= per_shard then None
@@ -340,6 +340,246 @@ let park_unpark () =
   Alcotest.(check bool) "workers parked" true (parks > 0);
   Alcotest.(check bool) "same merged stream as the default cap" true (capped = default)
 
+(* --- the distance-0 watermark -------------------------------------------- *)
+
+let events_of_kind pred =
+  List.filter (fun (e : Obs.Flight.event) -> pred e.Obs.Flight.kind) (Obs.Flight.events ())
+
+(* Run [f] with the recorder at the detail level and the online monitor
+   on (every mark, seal and emit is checked as it is recorded). *)
+let monitored f =
+  Obs.Flight.enable ~capacity:65536 ~detail:true ();
+  Obs.Flight.Monitor.enable ();
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.Flight.Monitor.disable ();
+      Obs.Flight.disable ();
+      Obs.Flight.clear ())
+    (fun () ->
+      let r = f () in
+      Obs.Flight.Monitor.assert_ok ();
+      r)
+
+let drain_par par =
+  let rec go acc =
+    match Core.Par.next par with
+    | Some (a : Core.Conjunct.answer) -> go ((a.dist, a.x, a.y) :: acc)
+    | None -> List.rev acc
+  in
+  go []
+
+(* A ring n0 -p-> n1 -p-> ... -> n0: every node is a seed with one exact
+   answer and one more per extra hop of [p+]. *)
+let ring n =
+  let g = Graphstore.Graph.create () in
+  for i = 0 to n - 1 do
+    ignore (Graphstore.Graph.add_node g (Printf.sprintf "n%d" i))
+  done;
+  for i = 0 to n - 1 do
+    Graphstore.Graph.add_edge_s g i "p" ((i + 1) mod n)
+  done;
+  Graphstore.Graph.freeze g;
+  (g, Ontology.create (Graphstore.Graph.interner g))
+
+(* Exact [(?X, p.p, ?Y)] over the ring, seed-sharded by hand so that the
+   pending lists can be capped at 1: the shards park after every answer,
+   so none can finish before the consumer has drained nearly all of its
+   answers — and the merge must not wait for a shard to finish before it
+   emits an exact answer.  The shards also pull in step (neither runs more
+   than 4 answers ahead of the other, for at most 5 s), so that a shard
+   whose domain starts late cannot let the other finish first. *)
+let first_emit_before_done () =
+  let g, k = ring 200 in
+  let options = { O.default with O.batch_size = 4 } in
+  let conjunct = List.hd (Core.Query_parser.parse "(?X, ?Y) <- (?X, p.p, ?Y)").Q.conjuncts in
+  let plan = Core.Plan.make ~graph:g ~ontology:k ~options conjunct in
+  let pulled = Array.init 2 (fun _ -> Atomic.make 0) in
+  let build ~shard ~governor ~metrics ~mark =
+    let c =
+      Core.Conjunct.open_ ~graph:g ~ontology:k ~options ~governor ~metrics
+        ~seed_filter:(fun oid -> oid mod 2 = shard)
+        ~frontier:mark plan (List.hd plan.Core.Plan.parts)
+    in
+    let pull () =
+      let mine = Atomic.fetch_and_add pulled.(shard) 1 and t0 = Unix.gettimeofday () in
+      while Atomic.get pulled.(1 - shard) < mine - 4 && Unix.gettimeofday () -. t0 < 5. do
+        Domain.cpu_relax ()
+      done;
+      Core.Conjunct.get_next c
+    in
+    (pull, fun () -> Core.Conjunct.stats c)
+  in
+  let got, first_emit, first_done =
+    monitored (fun () ->
+        let par =
+          Core.Par.create ~domains:2 ~slack:0 ~governor:(Core.Governor.unlimited ())
+            ~metrics:(Obs.Metrics.create ()) ~queue_cap:1 ~build ()
+        in
+        let got = drain_par par in
+        let seq_of pred =
+          List.fold_left
+            (fun m (e : Obs.Flight.event) -> min m e.Obs.Flight.seq)
+            max_int (events_of_kind pred)
+        in
+        ( got,
+          seq_of (function Obs.Flight.Emit _ -> true | _ -> false),
+          seq_of (function Obs.Flight.Shard_done _ -> true | _ -> false) ))
+  in
+  Alcotest.(check (list (triple int int int))) "the canonical stream"
+    (List.init 200 (fun i -> (0, i, (i + 2) mod 200)))
+    got;
+  Alcotest.(check bool) "first emit before any shard is done" true (first_emit < first_done)
+
+(* A shard that publishes a mark but no answers below it must not hold the
+   other shard's answers below that mark back: shard 0 marks 50 and then
+   waits (for at most 5 s) until the consumer has emitted every answer of
+   shard 1 below 50; only then does it deliver its own.  Without the
+   watermark the merge would wait for shard 0's first delivery, and
+   nothing would come out before shard 0 gave up waiting. *)
+let quiet_shard_does_not_block () =
+  let released = Atomic.make false and proceeded = Atomic.make false in
+  let build ~shard ~governor:_ ~metrics:_ ~mark =
+    let pull =
+      if shard = 0 then begin
+        let k = ref 50 in
+        fun () ->
+          if !k = 50 then begin
+            mark 50;
+            let t0 = Unix.gettimeofday () in
+            while (not (Atomic.get released)) && Unix.gettimeofday () -. t0 < 5. do
+              Unix.sleepf 0.001
+            done;
+            Atomic.set proceeded true
+          end;
+          if !k >= 100 then (mark max_int; None)
+          else begin
+            mark !k;
+            let a = { Core.Conjunct.x = !k; y = 0; dist = 0; witness = None } in
+            k := !k + 2;
+            Some a
+          end
+      end
+      else begin
+        let k = ref 1 in
+        fun () ->
+          if !k >= 100 then (mark max_int; None)
+          else begin
+            mark !k;
+            let a = { Core.Conjunct.x = !k; y = 0; dist = 0; witness = None } in
+            k := !k + 2;
+            Some a
+          end
+      end
+    in
+    (pull, Core.Exec_stats.create)
+  in
+  let early = ref [] in
+  let got =
+    monitored (fun () ->
+        let par =
+          Core.Par.create ~domains:2 ~slack:0 ~governor:(Core.Governor.unlimited ())
+            ~metrics:(Obs.Metrics.create ()) ~build ()
+        in
+        let rec go acc =
+          match Core.Par.next par with
+          | Some (a : Core.Conjunct.answer) ->
+            if not (Atomic.get proceeded) then early := a.x :: !early;
+            if a.x = 49 then Atomic.set released true;
+            go ((a.dist, a.x, a.y) :: acc)
+          | None -> List.rev acc
+        in
+        go [])
+  in
+  Alcotest.(check (list (triple int int int))) "the canonical stream"
+    (List.sort compare
+       (List.init 50 (fun i -> (0, (2 * i) + 1, 0)) @ List.init 25 (fun i -> (0, 50 + (2 * i), 0))))
+    got;
+  Alcotest.(check (list int)) "shard 1's answers below the quiet shard's mark came first"
+    (List.init 25 (fun i -> (2 * i) + 1))
+    (List.rev !early)
+
+(* A shard that trips freezes its mark: shard 0 marks 20, delivers its
+   answers below it and trips with more owed; shard 1 runs to the end.
+   The merge may release the distance-0 answers below 20, which are
+   exact, and nothing at or above it.  The monitor's mark-overrun rule
+   checks every watermark against the frozen mark; the race it guards is
+   timing-dependent, so the run repeats. *)
+let tripped_mark_frozen_once () =
+  let governor = O.governor O.default in
+  let build ~shard ~governor ~metrics:_ ~mark =
+    let k = ref shard in
+    let pull () =
+      if shard = 0 && !k >= 20 then begin
+        Core.Governor.fault governor "tripped-mark";
+        None
+      end
+      else if !k >= 100 then (mark max_int; None)
+      else begin
+        mark !k;
+        let a = { Core.Conjunct.x = !k; y = 0; dist = 0; witness = None } in
+        k := !k + 2;
+        Some a
+      end
+    in
+    (pull, Core.Exec_stats.create)
+  in
+  let got, marks =
+    monitored (fun () ->
+        let par =
+          Core.Par.create ~domains:2 ~slack:0 ~governor ~metrics:(Obs.Metrics.create ()) ~build ()
+        in
+        let got = Fun.protect ~finally:(fun () -> Core.Par.close par) (fun () -> drain_par par) in
+        ( got,
+          List.filter_map
+            (fun (e : Obs.Flight.event) ->
+              match e.Obs.Flight.kind with
+              | Obs.Flight.Mark { mark } when e.Obs.Flight.shard = 0 -> Some mark
+              | _ -> None)
+            (Obs.Flight.events ()) ))
+  in
+  Alcotest.(check bool) "shard 0's mark froze below 20" true (List.for_all (fun m -> m < 20) marks);
+  let full = List.init 100 (fun x -> (0, x, 0)) in
+  Alcotest.(check bool) "the emitted prefix is exact" true
+    (got = List.filteri (fun i _ -> i < List.length got) full);
+  Alcotest.(check bool) "nothing at or above the frozen mark" true
+    (List.for_all (fun (_, x, _) -> x < 20) got)
+
+let tripped_mark_frozen () =
+  for _ = 1 to 30 do
+    tripped_mark_frozen_once ()
+  done
+
+(* Top-k through the watermark: a [limit k] stream is the first [k]
+   answers of the drained 2-domain stream, at 2, 3 and 4 domains. *)
+let limit_prefix_prop =
+  QCheck2.Test.make ~name:"limit k = prefix of the drained stream" ~count:40
+    QCheck2.Gen.(pair (gen_instance ~mode:Q.Exact) (int_range 1 30))
+    (fun (inst, k) ->
+      let inst = { inst with subj = `Var; obj = `Fresh } in
+      let g, onto = build inst in
+      let conjunct = conjunct_of inst in
+      let drained = stream ~domains:2 ~provenance:false O.default g onto conjunct in
+      let expected = List.filteri (fun i _ -> i < k) drained in
+      List.for_all
+        (fun domains ->
+          let ev =
+            Core.Evaluator.create ~graph:g ~ontology:onto ~options:{ O.default with O.domains } conjunct
+          in
+          let rec take n acc =
+            if n = 0 then List.rev acc
+            else
+              match Core.Evaluator.next ev with
+              | Some (a : Core.Conjunct.answer) -> take (n - 1) ((a.dist, a.x, a.y) :: acc)
+              | None -> List.rev acc
+          in
+          let got = take k [] in
+          Core.Evaluator.close ev;
+          if got <> expected then
+            QCheck2.Test.fail_reportf "domains=%d limit=%d: %d answers differ from the drained prefix"
+              domains k (List.length got)
+          else true)
+        [ 2; 3; 4 ])
+
 let () =
   Alcotest.run "par"
     [
@@ -365,6 +605,14 @@ let () =
             fresh_labels_intern_once;
         ] );
       ("merge", [ Alcotest.test_case "queue cap 1: park/unpark, same stream" `Quick park_unpark ]);
+      ( "watermark",
+        [
+          Alcotest.test_case "exact top answer before any shard is done" `Quick first_emit_before_done;
+          Alcotest.test_case "a quiet shard's mark releases the other's" `Quick
+            quiet_shard_does_not_block;
+          Alcotest.test_case "a tripped shard's mark stays frozen" `Quick tripped_mark_frozen;
+          QCheck_alcotest.to_alcotest limit_prefix_prop;
+        ] );
       ( "domains",
         [
           Alcotest.test_case "40 conjuncts at 2: 32 sharded" `Quick

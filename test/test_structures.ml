@@ -224,6 +224,47 @@ let test_seeder_dedup_across_labels () =
   let seeds = List.map fst (drain s) in
   check Alcotest.(list int) "distinct" (List.sort_uniq compare seeds) (List.sort compare seeds)
 
+(* A filtered (shard) seeder walks oids in ascending order: the same seeds
+   as the unfiltered one restricted to the filter, and [frontier] is the
+   next one not drawn yet. *)
+let test_seeder_filtered_walk () =
+  let g = Graph.create () in
+  for i = 0 to 39 do
+    ignore (Graph.add_node g (string_of_int i))
+  done;
+  (* p-sources at multiples of 3, q-targets at multiples of 5 *)
+  for i = 0 to 38 do
+    if i mod 3 = 0 then Graph.add_edge_s g i "p" (i + 1);
+    if i mod 5 = 0 && i > 0 then Graph.add_edge_s g (i - 1) "q" i
+  done;
+  let interner = Graph.interner g in
+  let p = Graphstore.Interner.intern interner "p" and q = Graphstore.Interner.intern interner "q" in
+  let nfa =
+    make_start_nfa ~final_weight:None
+      [ Automaton.Nfa.Sym (Automaton.Nfa.Fwd, p); Automaton.Nfa.Sym (Automaton.Nfa.Bwd, q) ]
+  in
+  let even oid = oid mod 2 = 0 in
+  let expected =
+    List.sort compare
+      (List.filter even
+         (List.map fst (drain (Seeder.of_initial_state ~graph:g ~nfa ~batch_size:10 ()))))
+  in
+  let s = Seeder.of_initial_state ~filter:even ~graph:g ~nfa ~batch_size:3 () in
+  check Alcotest.int "frontier before any draw" (List.hd expected) (Seeder.frontier s);
+  let rec go acc =
+    match Seeder.next_batch s with
+    | [] -> List.rev acc
+    | batch ->
+      let acc = List.rev_append (List.map fst batch) acc in
+      let drawn = List.length acc in
+      check Alcotest.int "frontier: the next seed not drawn"
+        (if drawn < List.length expected then List.nth expected drawn else max_int)
+        (Seeder.frontier s);
+      go acc
+  in
+  check Alcotest.(list int) "ascending, the unfiltered seeds restricted to the filter" expected (go []);
+  check Alcotest.bool "exhausted" true (Seeder.exhausted s)
+
 (* --- Options ----------------------------------------------------------- *)
 
 let test_phi () =
@@ -275,6 +316,7 @@ let () =
             test_seeder_start_then_rest_when_final_weighted;
           Alcotest.test_case "batching" `Quick test_seeder_batching;
           Alcotest.test_case "dedup across labels" `Quick test_seeder_dedup_across_labels;
+          Alcotest.test_case "filtered walk and frontier" `Quick test_seeder_filtered_walk;
         ] );
       ("options", [ Alcotest.test_case "phi" `Quick test_phi ]);
       ("exec_stats", [ Alcotest.test_case "merge/reset" `Quick test_stats_merge ]);
