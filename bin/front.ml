@@ -54,12 +54,12 @@ let options =
       & info [ "domains" ] ~docv:"N"
           ~doc:
             "Evaluate parallelisable conjuncts on N OCaml domains (default 1, or \
-             \\$OMEGA_DOMAINS).  $(b,(?X, R, ?Y)) conjuncts partition their seed vertices across \
-             the pool; constant-seeded decomposed conjuncts partition their alternation \
-             sub-automata.  A query's conjuncts share at most 64 domains, in body order.  With \
-             N=1 the sequential code path runs unchanged; with N>1 the answer stream is the same \
-             answer set in non-decreasing distance with a deterministic tie-break, identical at \
-             any domain count.")
+             \\$OMEGA_DOMAINS).  Plain $(b,(?X, R, ?Y)) conjuncts partition their seed \
+             vertices across the pool; constant-seeded, distance-aware and decomposed conjuncts \
+             run sequentially.  A query's conjuncts share at most 64 domains, in body order.  \
+             With N=1 the sequential code path runs unchanged; with N>1 the answer stream is the \
+             same answer set in non-decreasing distance with a deterministic tie-break, identical \
+             at any domain count.")
   in
   let max_tuples =
     Arg.(

@@ -95,9 +95,9 @@ let open_ ~graph ~ontology ~options ?governor ?metrics ?ceiling ?suppress ?seed_
   let seeder =
     match plan.Plan.seeding with
     | Plan.Empty _ -> Seeder.of_list []
-    | Plan.Constant { oid; _ } -> Seeder.of_list ?filter:seed_filter [ (oid, 0) ]
+    | Plan.Constant { oid; _ } -> Seeder.of_list [ (oid, 0) ]
     | Plan.Ancestors { oid; _ } ->
-      Seeder.of_list ?filter:seed_filter
+      Seeder.of_list
         (relax_ancestor_seeds ~graph ~ontology ~beta:options.Options.costs.beta oid)
     | Plan.Variable { batch_size } ->
       Seeder.of_initial_state ~governor ?filter:seed_filter ~graph ~nfa ~batch_size ()

@@ -84,12 +84,12 @@ val open_ :
     across distance-aware restarts: matching pairs are neither re-emitted nor
     re-counted. It is updated in place as answers are emitted.
 
-    [seed_filter] restricts seeding to oids it accepts — the seed-partition
-    seam of parallel evaluation ({!Par}): because the per-seed explorations
-    of a conjunct are independent (the [visited] and answer keys both carry
-    the seed), a filtered conjunct emits exactly the answers of the full
-    conjunct whose [x] (the traversal seed; [y] under case-2 reversal) it
-    accepts, in the same non-decreasing distance order.
+    [seed_filter] restricts a [Variable] plan's seeds to oids it accepts
+    (fixed seeds ignore it) — the seed partition of parallel evaluation
+    ({!Par}): because the per-seed explorations of a conjunct are
+    independent (the [visited] and answer keys both carry the seed), a
+    filtered conjunct emits exactly the answers of the full conjunct whose
+    [x] it accepts, in the same non-decreasing distance order.
 
     [frontier] is told {!Seeder.frontier} whenever [D_R] holds no
     distance-0 entry — before each seed batch is drawn, and when a refill

@@ -17,9 +17,10 @@ type termination =
 let pp_termination ppf = function
   | Completed -> Format.fprintf ppf "completed"
   | Exhausted { reason; elapsed_ns; tuples; answers } ->
-    Format.fprintf ppf "exhausted (%s) after %d answer(s), %d tuple(s), %.2f ms"
-      (Governor.reason_string reason) answers tuples
-      (float_of_int elapsed_ns /. 1e6)
+    Format.fprintf ppf "exhausted (%s) after %d answer(s), %d tuple(s)"
+      (Governor.reason_string reason) answers tuples;
+    (* without a clock the elapsed time was never measured: print none *)
+    if Obs.Clock.installed () then Format.fprintf ppf ", %.2f ms" (float_of_int elapsed_ns /. 1e6)
   | Rejected r -> Format.fprintf ppf "rejected: %a" Admission.pp_rejection r
 
 let exit_code = function

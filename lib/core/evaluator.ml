@@ -16,7 +16,6 @@ type levelled = {
   options : Options.t;
   governor : Governor.t;
   metrics : Obs.Metrics.t; (* shared with every part this evaluator opens *)
-  seed_filter : (int -> bool) option; (* shard partition, threaded to every part open *)
   plan : Plan.t;
   emitted : (int * int, int) Hashtbl.t;
   mutable psi : int;
@@ -31,50 +30,14 @@ type levelled = {
   agg : Exec_stats.t; (* reused aggregate returned by [stats] *)
 }
 
-(* A parallel conjunct: a [Par] domain pool whose shards each run an
-   ordinary sequential evaluator ([create_seq]) over a partition of the
-   work — of the seed vertices for [(?X, R, ?Y)] conjuncts, of the
-   top-level alternation parts for constant-seeded decomposed ones. *)
+(* A parallel conjunct: a [Par] domain pool whose shards each run a plain
+   [Conjunct] over a partition of the seed vertices. *)
 type parallel = {
   par : Par.t;
   p_agg : Exec_stats.t; (* reused aggregate returned by [stats] *)
 }
 
 type t = Plain of Conjunct.t | Levelled of levelled | Parallel of parallel
-
-(* The sequential strategies (Plain/Levelled) — the whole story when the
-   plan's seam is [Sequential], and the per-shard evaluator when it is not.
-   [seed_filter] partitions the seed universe; [parts] narrows the plan's
-   parts (a part-shard runs only its own). *)
-let create_seq ~graph ~ontology ~options ~governor ~metrics ?seed_filter ?frontier ?parts
-    (plan : Plan.t) =
-  match plan.Plan.strategy with
-  | Plan.Plain ->
-    Plain
-      (Conjunct.open_ ~graph ~ontology ~options ~governor ~metrics ?seed_filter ?frontier plan
-         (List.hd plan.Plan.parts))
-  | Plan.Distance_aware | Plan.Decomposed ->
-    Levelled
-      {
-        graph;
-        ontology;
-        options;
-        governor;
-        metrics;
-        seed_filter;
-        plan;
-        emitted = Hashtbl.create 64;
-        psi = 0;
-        remaining = Option.value parts ~default:plan.Plan.parts;
-        current = None;
-        current_count = 0;
-        part_start_ns = 0;
-        counts = [];
-        level_complete = true;
-        exhausted = false;
-        stats = Exec_stats.create ();
-        agg = Exec_stats.create ();
-      }
 
 let finish_part lev eval part =
   Exec_stats.merge_into lev.stats (Conjunct.stats eval);
@@ -120,7 +83,7 @@ let rec next_levelled lev =
           Some
             ( Conjunct.open_ ~graph:lev.graph ~ontology:lev.ontology ~options:lev.options
                 ~governor:lev.governor ~metrics:lev.metrics ~ceiling:lev.psi
-                ~suppress:lev.emitted ?seed_filter:lev.seed_filter lev.plan part,
+                ~suppress:lev.emitted lev.plan part,
               part );
         next_levelled lev
       | [] ->
@@ -181,52 +144,57 @@ let shard_report = function
   | Plain _ | Levelled _ -> []
   | Parallel p -> Par.shard_report p.par
 
-(* The parallel dispatch, on the plan's seam:
-   - seed-sharding, for [(?X, R, ?Y)] conjuncts: seeds split [oid mod n]
-     across shards.  Per-seed explorations are independent (the visited and
-     answer keys both carry the seed vertex), so a shard emits exactly the
-     full conjunct's answers whose [x] it owns and no cross-shard
-     deduplication is needed;
-   - part-sharding, for constant-seeded decomposed conjuncts: alternation
-     parts split [index mod n] across shards, each shard levelling its own
-     parts with its own emitted-table — so the merge deduplicates [(x, y)]
-     across shards, keeping the first (cheapest) sealed occurrence.
-   Shards open the plan's parts on their own domains but share its
-   automata, which are read-only: a worker compiles and interns nothing. *)
+(* A plan with [domains > 1] is a plain [(?X, R, ?Y)] conjunct: seeds split
+   [oid mod domains] across shards.  Per-seed explorations are independent
+   (the visited and answer keys both carry the seed vertex), so a shard
+   emits exactly the full conjunct's answers whose [x] it owns, and its
+   seeder frontier is its distance-0 watermark.  Shards open the plan's
+   part on their own domains but share its automaton, which is read-only:
+   a worker compiles and interns nothing.  Every other plan runs here, on
+   the calling domain. *)
 let of_plan ~graph ~ontology ~options ?governor ?metrics (plan : Plan.t) =
   let governor = match governor with Some g -> g | None -> Options.governor options in
   let metrics = match metrics with Some m -> m | None -> Obs.Metrics.create () in
-  match plan.Plan.seam with
-  | Plan.Sequential -> create_seq ~graph ~ontology ~options ~governor ~metrics plan
-  | Plan.Seed_shard | Plan.Part_shard ->
-    let domains = plan.Plan.domains in
-    let seed_shard = plan.Plan.seam = Plan.Seed_shard in
-    (* a psi-levelled shard's emission order is only non-decreasing up to
-       phi - 1 across level boundaries; a plain shard's is exact *)
-    let slack = if plan.Plan.strategy = Plan.Plain then 0 else plan.Plan.phi - 1 in
+  let domains = plan.Plan.domains in
+  if domains > 1 then
     let build ~shard ~governor ~metrics ~mark =
-      let ev =
-        if seed_shard then
-          (* a plain shard's seeder frontier is its distance-0 watermark
-             (only a [Plain] plan reads [frontier]) *)
-          create_seq ~graph ~ontology ~options ~governor ~metrics
-            ~seed_filter:(fun oid -> oid mod domains = shard)
-            ~frontier:mark plan
-        else
-          create_seq ~graph ~ontology ~options ~governor ~metrics
-            ~parts:(List.filteri (fun i _ -> i mod domains = shard) plan.Plan.parts)
-            plan
+      let c =
+        Conjunct.open_ ~graph ~ontology ~options ~governor ~metrics
+          ~seed_filter:(fun oid -> oid mod domains = shard)
+          ~frontier:mark plan (List.hd plan.Plan.parts)
       in
-      ((fun () -> next ev), fun () -> stats ev)
+      ((fun () -> Conjunct.get_next c), fun () -> Conjunct.stats c)
     in
     Parallel
       {
-        par =
-          Par.create ~domains ~slack ~governor ~metrics
-            ~label:(if seed_shard then "seed-shard" else "part-shard")
-            ~dedup:(not seed_shard) ~build ();
+        par = Par.create ~domains ~governor ~metrics ~label:"seed-shard" ~build ();
         p_agg = Exec_stats.create ();
       }
+  else
+    match plan.Plan.strategy with
+    | Plan.Plain ->
+      Plain (Conjunct.open_ ~graph ~ontology ~options ~governor ~metrics plan (List.hd plan.Plan.parts))
+    | Plan.Distance_aware | Plan.Decomposed ->
+      Levelled
+        {
+          graph;
+          ontology;
+          options;
+          governor;
+          metrics;
+          plan;
+          emitted = Hashtbl.create 64;
+          psi = 0;
+          remaining = plan.Plan.parts;
+          current = None;
+          current_count = 0;
+          part_start_ns = 0;
+          counts = [];
+          level_complete = true;
+          exhausted = false;
+          stats = Exec_stats.create ();
+          agg = Exec_stats.create ();
+        }
 
 let create ~graph ~ontology ~options ?governor ?metrics conjunct =
   of_plan ~graph ~ontology ~options ?governor ?metrics (Plan.make ~graph ~ontology ~options conjunct)

@@ -23,20 +23,18 @@
 
     The evaluator decides none of this: it runs the conjunct's {!Plan},
     which fixed the strategy, the parts and their compiled automata, and
-    the parallel seam.  Restarts and shards reopen the plan's parts and
+    the domain count.  Restarts and shards reopen the plan's parts and
     never recompile.
 
-    {b Parallel} ([options.domains > 1]) — where the conjunct offers a
-    sound partition, the strategies above run sharded on a {!Par} domain
-    pool: [(?X, R, ?Y)] conjuncts partition their seed vertices
-    ([oid mod domains]); constant-seeded decomposed conjuncts partition
-    their alternation parts.  The merged stream is the sequential answer
-    set in non-decreasing distance with the canonical ascending [(x, y)]
-    order within each distance — deterministic at any domain count [>= 2].
-    Conjuncts with no such seam (constant-seeded, undecomposed) stay
-    sequential regardless of [options.domains].  The shards share the
-    plan's automata read-only, so a shard's domain compiles nothing and
-    never touches the graph's interner. *)
+    {b Parallel} ([options.domains > 1]) — a plain [(?X, R, ?Y)] conjunct
+    runs sharded on a {!Par} domain pool: its seed vertices split
+    [oid mod domains].  The merged stream is the sequential answer set in
+    non-decreasing distance with the canonical ascending [(x, y)] order
+    within each distance — deterministic at any domain count [>= 2].
+    Every other conjunct — constant-seeded, distance-aware or decomposed —
+    runs the sequential evaluator regardless of [options.domains].  The
+    shards share the plan's automaton read-only, so a shard's domain
+    compiles nothing and never touches the graph's interner. *)
 
 type t
 

@@ -77,9 +77,9 @@ type t = {
   domains : int;
       (** evaluate parallelisable conjuncts on this many OCaml domains
           (default 1 — the sequential code path, literally unchanged).
-          [(?X, R, ?Y)] conjuncts partition their seed vertices across the
-          pool; constant-seeded decomposed conjuncts partition their
-          alternation sub-automata.  Shard streams are recombined by the
+          Plain [(?X, R, ?Y)] conjuncts partition their seed vertices
+          across the pool; constant-seeded, distance-aware and decomposed
+          conjuncts run sequentially.  Shard streams are recombined by the
           deterministic ranked merge of {!Par}, so with [domains > 1] the
           answer stream is the sequential answer set in non-decreasing
           distance with the documented [(x, y)] tie-break, identical at any

@@ -1,53 +1,51 @@
 (* Domain-pool evaluation with a deterministic ranked merge (DESIGN.md
    "Parallel evaluation").
 
-   Each shard runs an ordinary sequential evaluator over its own partition
-   of the work (seed vertices, or alternation parts) on its own OCaml
-   domain, with its own governor ([Governor.shard_of]) and its own private
-   metrics registry — nothing on a worker's hot path is shared except the
-   query-wide atomics of [Governor.Shared].  Workers deliver answers into
-   per-shard pending lists under one mutex; the consuming domain drains
-   them into a distance-bucketed staging queue and releases ("seals") a
-   bucket only once no shard can still produce an answer for it.
+   Each shard runs a plain sequential conjunct over its own partition of
+   the seed vertices on its own OCaml domain, with its own governor
+   ([Governor.shard_of]) and its own private metrics registry — nothing on
+   a worker's hot path is shared except the query-wide atomics of
+   [Governor.Shared].  Workers deliver answers into per-shard pending lists
+   under one mutex; the consuming domain drains them into a
+   distance-bucketed staging queue and releases ("seals") a bucket only
+   once no shard can still produce an answer for it.
 
-   The sealing rule.  A shard's stream is non-decreasing in distance up to
-   [slack] (0 for plain conjuncts; [phi - 1] for psi-levelled evaluators,
-   whose emission order is only non-decreasing across levels): after a
-   shard has delivered an answer at distance [last], everything it delivers
-   later is >= [last - slack].  So bucket [d] is complete once every shard
-   that might still owe answers satisfies [last - slack > d].  A shard that
+   The sealing rule.  A shard's stream is non-decreasing in distance:
+   after a shard has delivered an answer at distance [last], everything it
+   delivers later is >= [last].  So bucket [d] is complete once every
+   shard that might still owe answers satisfies [last > d].  A shard that
    finished by exhausting its work ([complete]) owes nothing and drops out
    of the bound; a shard that finished for any other reason — its governor
    tripped, or it observed the query-wide stop — may have died holding
-   undelivered answers at any distance >= [last - slack], so its term stays
-   in the min forever and the bound freezes at its frontier.  (The
-   recorder's postmortems for ROADMAP open item 5 caught the previous rule
-   — dropping *every* finished shard — emitting a bucket that was missing
-   a tripped shard's undelivered answers when the consumer lost the wake
-   race after a trip.)  Sealed buckets are sorted ascending [(x, y)] before
-   release — the documented tie-break that makes the merged stream
-   identical at any domain count >= 2.
+   undelivered answers at any distance >= [last], so its term stays in the
+   min forever and the bound freezes at its frontier.  (The recorder's
+   postmortems for ROADMAP open item 5 caught the previous rule — dropping
+   *every* finished shard — emitting a bucket that was missing a tripped
+   shard's undelivered answers when the consumer lost the wake race after
+   a trip.)  Sealed buckets are sorted ascending [(x, y)] before release —
+   the documented tie-break that makes the merged stream identical at any
+   domain count >= 2.
 
-   The bound [min over owing shards of (last - slack)] is monotone
-   (per-shard [last] never decreases; a shard completing only removes a
-   term from the min; an incomplete shard's term freezes), so buckets are
-   sealed exactly once and the output is globally non-decreasing in
-   distance.  After an incomplete finish the query-wide stop is already
-   set, so the consumer never waits on a frozen bound — it unwinds through
-   its next governor poll with the sealed prefix, which is exact.
+   The bound [min over owing shards of last] is monotone (per-shard [last]
+   never decreases; a shard completing only removes a term from the min;
+   an incomplete shard's term freezes), so buckets are sealed exactly once
+   and the output is globally non-decreasing in distance.  After an
+   incomplete finish the query-wide stop is already set, so the consumer
+   never waits on a frozen bound — it unwinds through its next governor
+   poll with the sealed prefix, which is exact.
 
-   The distance-0 watermark.  A plain seed shard walks its seeds in
-   ascending oid order and draws the next batch only when no distance-0
-   tuple is left in its D_R (GetNext, §3.3), so at each draw every
-   distance-0 answer of its earlier seeds has been delivered: the shard
-   publishes the seeder's frontier as its [mark] ("all my distance-0
-   answers with x < mark are out").  With [slack = 0] and no dedup the
-   consumer stages distance-0 deliveries apart from the buffer, and
-   whenever [W = min mark over shards not done-complete] rises it emits
-   the staged answers with [x < W], sorted by (x, y): a prefix of the
-   sorted distance-0 bucket, released before the bound can pass 0.  The
-   seal takes the rest once the bound passes 0.  A tripped shard's mark
-   freezes, and stays true: its delivered answers are all in. *)
+   The distance-0 watermark.  A seed shard walks its seeds in ascending
+   oid order and draws the next batch only when no distance-0 tuple is
+   left in its D_R (GetNext, §3.3), so at each draw every distance-0
+   answer of its earlier seeds has been delivered: the shard publishes the
+   seeder's frontier as its [mark] ("all my distance-0 answers with
+   x < mark are out").  The consumer stages distance-0 deliveries apart
+   from the buffer, and whenever [W = min mark over shards not
+   done-complete] rises it emits the staged answers with [x < W], sorted
+   by (x, y): a prefix of the sorted distance-0 bucket, released before
+   the bound can pass 0.  The seal takes the rest once the bound passes 0.
+   A tripped shard's mark freezes, and stays true: its delivered answers
+   are all in. *)
 
 type outcome = {
   o_stats : Exec_stats.t; (* copied by the worker at its end — never shared live *)
@@ -75,7 +73,6 @@ type shard = {
 type t = {
   n : int;
   label : string; (* trace-lane prefix: workers name themselves "<label> <i>" *)
-  slack : int;
   flow : int; (* flight-recorder flow id for this merge instance *)
   queue_cap : int;
   governor : Governor.t; (* the query's governor (consumer side) *)
@@ -87,16 +84,9 @@ type t = {
   shards : shard array;
   mutable handles : unit Domain.t array;
   buffer : Conjunct.answer Dr_queue.t; (* staging: drained but not yet sealed *)
-  watermark : bool; (* slack 0, no dedup: distance 0 is released by marks *)
-  mutable staged : Conjunct.answer list; (* [watermark]: drained distance-0 answers *)
-  mutable mark : int; (* [watermark]: every answer emitted so far has dist 0 and x < mark *)
+  mutable staged : Conjunct.answer list; (* drained distance-0 answers *)
+  mutable mark : int; (* every answer emitted so far has dist 0 and x < mark *)
   mutable ready : Conjunct.answer list; (* sealed, canonically ordered, ready to emit *)
-  seen : (int * int, unit) Hashtbl.t option;
-      (* part-sharding only: shards have independent emitted-tables, so the
-         same (x, y) can arrive from several shards; the first sealed
-         occurrence is the cheapest (buckets seal in ascending distance) and
-         later ones are dropped here.  [None] for seed-sharding, where the
-         partition key is x itself and cross-shard duplicates cannot occur. *)
   mutable joined : bool;
   h_merge_wait : Obs.Metrics.histogram;
   h_shard_answers : Obs.Metrics.histogram;
@@ -206,8 +196,8 @@ let worker t i build =
   Condition.broadcast t.progress;
   Mutex.unlock t.m
 
-let create ~domains ~slack ~governor ~metrics ?(label = "shard") ?(dedup = false)
-    ?(queue_cap = default_queue_cap) ~build () =
+let create ~domains ~governor ~metrics ?(label = "shard") ?(queue_cap = default_queue_cap) ~build
+    () =
   let n = max 1 domains in
   let shared = Governor.share governor in
   let shards =
@@ -231,7 +221,6 @@ let create ~domains ~slack ~governor ~metrics ?(label = "shard") ?(dedup = false
     {
       n;
       label;
-      slack = max 0 slack;
       flow = Obs.Flight.new_flow ();
       queue_cap = max 1 queue_cap;
       governor;
@@ -243,19 +232,19 @@ let create ~domains ~slack ~governor ~metrics ?(label = "shard") ?(dedup = false
       shards;
       handles = [||];
       buffer = Dr_queue.create ();
-      watermark = max 0 slack = 0 && not dedup;
       staged = [];
       mark = 0;
       ready = [];
-      seen = (if dedup then Some (Hashtbl.create 256) else None);
       joined = false;
       h_merge_wait = Obs.Metrics.histogram metrics "par_merge_wait_ns";
       h_shard_answers = Obs.Metrics.histogram metrics "par_shard_answers";
       h_shard_busy = Obs.Metrics.histogram metrics "par_shard_busy_ns";
     }
   in
+  (* a plain shard's stream has no slack; the schema keeps the field so
+     dumps recorded with ψ-levelled shards still load and check *)
   if Obs.Flight.enabled () then
-    Obs.Flight.record ~flow:t.flow (Obs.Flight.Flow_open { shards = n; slack = t.slack; label });
+    Obs.Flight.record ~flow:t.flow (Obs.Flight.Flow_open { shards = n; slack = 0; label });
   (* A trip (or close) raised anywhere must wake workers parked on [space]
      and a consumer parked on [progress]; the hook takes [t.m], so no
      caller of trip/close may hold it — [Par] itself only trips through
@@ -281,7 +270,7 @@ let drain_locked t =
         drained := true;
         List.iter
           (fun (a : Conjunct.answer) ->
-            if t.watermark && a.dist = 0 then t.staged <- a :: t.staged
+            if a.dist = 0 then t.staged <- a :: t.staged
             else Dr_queue.push t.buffer ~dist:a.dist ~final:false a)
           (List.rev sh.pending);
         sh.pending <- [];
@@ -296,7 +285,7 @@ let drain_locked t =
 let bound_locked t =
   let b = ref max_int in
   Array.iter
-    (fun sh -> if not (sh.done_ && sh.complete) then b := min !b (sh.last - t.slack))
+    (fun sh -> if not (sh.done_ && sh.complete) then b := min !b sh.last)
     t.shards;
   !b
 
@@ -359,28 +348,15 @@ let watchdog_locked t =
    min-distance-first but LIFO within a bucket, so the sort both fixes the
    in-bucket order and interleaves the (already ascending) buckets of a
    multi-bucket batch correctly. *)
-let canonicalize t batch =
-  let sorted =
-    List.sort
-      (fun (a : Conjunct.answer) (b : Conjunct.answer) ->
-        let c = compare a.dist b.dist in
-        if c <> 0 then c
-        else
-          let c = compare a.x b.x in
-          if c <> 0 then c else compare a.y b.y)
-      batch
-  in
-  match t.seen with
-  | None -> sorted
-  | Some tbl ->
-    List.filter
-      (fun (a : Conjunct.answer) ->
-        if Hashtbl.mem tbl (a.x, a.y) then false
-        else begin
-          Hashtbl.add tbl (a.x, a.y) ();
-          true
-        end)
-      sorted
+let canonicalize batch =
+  List.sort
+    (fun (a : Conjunct.answer) (b : Conjunct.answer) ->
+      let c = compare a.dist b.dist in
+      if c <> 0 then c
+      else
+        let c = compare a.x b.x in
+        if c <> 0 then c else compare a.y b.y)
+    batch
 
 let join_and_rollup t =
   if not t.joined then begin
@@ -439,8 +415,8 @@ let next t =
         let bound = bound_locked t in
         (match seal_locked t ~bound with
         | [] -> (
-          match if t.watermark && bound <= 0 then release_locked t else [] with
-          | _ :: _ as early -> t.ready <- canonicalize t early
+          match if bound <= 0 then release_locked t else [] with
+          | _ :: _ as early -> t.ready <- canonicalize early
           | [] ->
             if bound = max_int then exhausted := true (* every shard done, buffer flushed *)
             else if not (Governor.Shared.stopped t.shared) then begin
@@ -453,7 +429,7 @@ let next t =
               attempt ()
             end
             (* else: stopped — unwind with nothing ready; handled below *))
-        | batch -> (
+        | batch ->
           if fl then
             Obs.Flight.record ~flow:t.flow
               (Obs.Flight.Seal
@@ -471,9 +447,7 @@ let next t =
                             })
                           t.shards);
                  });
-          (* a part-sharded batch can dedup away entirely: keep merging
-             rather than falling through to the stopped/exhausted exit *)
-          match canonicalize t batch with [] -> attempt () | ready -> t.ready <- ready))
+          t.ready <- canonicalize batch)
       in
       attempt ();
       Mutex.unlock t.m;

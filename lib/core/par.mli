@@ -1,12 +1,12 @@
 (** Domain-pool evaluation with a deterministic ranked merge — the parallel
     seam behind [Options.domains] (see DESIGN.md "Parallel evaluation").
 
-    A [Par.t] runs [domains] copies of a sequential shard evaluator, each on
-    its own OCaml domain with its own {!Governor.shard_of} governor and its
-    own private metrics registry, and recombines their answer streams on the
+    A [Par.t] runs [domains] plain seed-shard conjuncts, each on its own
+    OCaml domain with its own {!Governor.shard_of} governor and its own
+    private metrics registry, and recombines their answer streams on the
     consuming domain.  Buckets of the staging queue are released only when
     no live shard can still contribute to them (per-shard streams are
-    non-decreasing in distance up to [slack]), and each released bucket is
+    non-decreasing in distance), and each released bucket is
     sorted by the documented tie-break — ascending [(x, y)] within a
     distance — so the merged stream is {e deterministic}: the same answers
     in the same order at any domain count [>= 2], independent of
@@ -23,11 +23,9 @@ type t
 
 val create :
   domains:int ->
-  slack:int ->
   governor:Governor.t ->
   metrics:Obs.Metrics.t ->
   ?label:string ->
-  ?dedup:bool ->
   ?queue_cap:int ->
   build:
     (shard:int ->
@@ -41,19 +39,16 @@ val create :
     worker's domain} and returns the shard's pull function and a stats
     thunk (sampled once, after the shard's last pull); it must construct
     evaluation state from scratch — sharing mutable structures across
-    shards is the caller's bug.  [slack] is the shard streams' emission
-    slack (0 for plain conjuncts, [phi - 1] for psi-levelled evaluation).
+    shards is the caller's bug.  Each pull stream must be non-decreasing
+    in distance, and no [(x, y)] may come from two shards.
 
     [mark x] (on the worker, between pulls) promises that the shard has
     delivered every distance-0 answer with [x < x]; marks only rise, and
-    a shard that never calls it promises nothing.  With [slack = 0] and no
-    [dedup], the merge emits distance-0 answers below the least mark of
-    the shards still owing answers as soon as it rises (sorted by
-    [(x, y)], a prefix of the sorted distance-0 bucket), instead of
-    waiting for every shard to pass distance 0.
-    [dedup] enables cross-shard [(x, y)] deduplication — required for
-    part-sharding, where shards keep independent emitted-tables; the first
-    (cheapest) occurrence wins.  [governor] gains a {!Governor.Shared}
+    a shard that never calls it promises nothing.  The merge emits
+    distance-0 answers below the least mark of the shards still owing
+    answers as soon as it rises (sorted by [(x, y)], a prefix of the
+    sorted distance-0 bucket), instead of waiting for every shard to pass
+    distance 0.  [governor] gains a {!Governor.Shared}
     block; its [Governor.Shared.set_on_trip] hook is pointed at the pool's
     wake-up broadcast.
 

@@ -8,7 +8,6 @@ type seeding =
   | Variable of { batch_size : int }
 
 type strategy = Plain | Distance_aware | Decomposed
-type seam = Sequential | Seed_shard | Part_shard
 type part = { source : Regex.t; nfa : Automaton.Nfa.t }
 
 type t = {
@@ -21,7 +20,6 @@ type t = {
   phi : int;
   strategy : strategy;
   parts : part list;
-  seam : seam;
   domains : int;
 }
 
@@ -61,15 +59,14 @@ let build ~spare ~graph ~ontology ~options (conjunct : Query.conjunct) =
     if decomposed then List.map (fun source -> { source; nfa = compile source }) alternatives
     else [ { source = conjunct.regex; nfa = automaton } ]
   in
-  (* The parallel seams: seed-sharding for (?X, R, ?Y), part-sharding for
-     constant-seeded decomposed conjuncts; a single-source Dijkstra offers
-     no other partition with the merge's guarantees. *)
-  let offered = min options.Options.domains spare in
-  let seam, domains =
+  (* The one parallel seam: a plain (?X, R, ?Y) conjunct splits its seeds
+     across domains.  A single-source Dijkstra offers no partition with the
+     merge's guarantees, and the ψ-levelled strategies are sequential
+     optimisations (§4.3) that run on one domain. *)
+  let domains =
     match subj with
-    | Query.Var _ when offered > 1 -> (Seed_shard, offered)
-    | Query.Const _ when decomposed && offered > 1 -> (Part_shard, min offered (List.length parts))
-    | _ -> (Sequential, 1)
+    | Query.Var _ when strategy = Plain -> max 1 (min options.Options.domains spare)
+    | _ -> 1
   in
   {
     conjunct;
@@ -81,7 +78,6 @@ let build ~spare ~graph ~ontology ~options (conjunct : Query.conjunct) =
     phi = Options.phi options conjunct.cmode;
     strategy;
     parts;
-    seam;
     domains;
   }
 
@@ -95,5 +91,5 @@ let of_query ~graph ~ontology ~options (q : Query.t) =
     (List.fold_left_map
        (fun spare c ->
          let p = build ~spare ~graph ~ontology ~options c in
-         ((if p.seam = Sequential then spare else spare - p.domains), p))
+         ((if p.domains > 1 then spare - p.domains else spare), p))
        Options.max_domains q.Query.conjuncts)

@@ -4,7 +4,7 @@
     [Engine.open_query] (and [Engine.explain]) build one plan per conjunct
     on the calling domain.  A plan fixes everything [Open] decides: the
     case-2 reversal, the seeding regime, the object target, the compiled
-    automaton of every part, the §4.3 strategy and the parallel seam.  The
+    automaton of every part, the §4.3 strategy and the domain count.  The
     consumers — {!Admission}, {!Evaluator}, {!Conjunct}, EXPLAIN and the
     audit record — read the plan and never work the decision out again.
 
@@ -27,11 +27,6 @@ type strategy =
   | Distance_aware  (** ψ-levelled, one part *)
   | Decomposed  (** ψ-levelled, one part per top-level alternative *)
 
-type seam =
-  | Sequential
-  | Seed_shard  (** [(?X, R, ?Y)]: seeds split [oid mod domains] *)
-  | Part_shard  (** constant-seeded decomposed: parts split [index mod domains] *)
-
 type part = {
   source : Rpq_regex.Regex.t;  (** the part's regex as written (before reversal) *)
   nfa : Automaton.Nfa.t;  (** compiled from the evaluated orientation *)
@@ -48,8 +43,9 @@ type t = {
   strategy : strategy;
   parts : part list;
       (** one per alternative under [Decomposed], else the whole conjunct *)
-  seam : seam;
-  domains : int;  (** effective domain count: 1 iff [seam = Sequential] *)
+  domains : int;
+      (** effective domain count; above 1 only for a [(?X, R, ?Y)] conjunct
+          with the [Plain] strategy, whose seeds split [oid mod domains] *)
 }
 
 val make :
@@ -64,6 +60,6 @@ val of_query :
 (** One plan per conjunct, in body order.  The parallel plans share one
     budget of {!Options.max_domains} worker domains, handed out in body
     order: a conjunct gets [min options.domains spare] of what the earlier
-    ones left, and runs [Sequential] when that is below 2.  So the domains
+    ones left, and runs on one domain when that is below 2.  So the domains
     a query spawns at open never exceed the bound, however many conjuncts
     it has.  Spawns nothing itself. *)

@@ -21,11 +21,7 @@ type t = {
 let make ?(governor = Governor.unlimited ()) ~batch_size source =
   { source; delivered = Oid_set.create (); batch_size; finished = false; governor }
 
-let of_list ?filter seeds =
-  let seeds =
-    match filter with None -> seeds | Some f -> List.filter (fun (oid, _) -> f oid) seeds
-  in
-  make ~batch_size:max_int (Fixed seeds)
+let of_list seeds = make ~batch_size:max_int (Fixed seeds)
 
 let all_nodes graph : int Seq.t = Seq.init (Graph.n_nodes graph) (fun oid -> oid)
 let dir_of : Nfa.dir -> Graph.dir = function Fwd -> Graph.Out | Bwd -> Graph.In

@@ -22,11 +22,9 @@
 
 type t
 
-val of_list : ?filter:(int -> bool) -> (int * int) list -> t
+val of_list : (int * int) list -> t
 (** Fixed seeds — conjuncts whose subject is a constant (cases 1–2 of
-    [Open]).  Delivered as a single batch, in the given order.  [filter]
-    restricts the seeds to those whose oid it accepts (the shard partition
-    of parallel evaluation; default: keep all). *)
+    [Open]).  Delivered as a single batch, in the given order. *)
 
 val of_initial_state :
   ?governor:Governor.t ->

@@ -323,13 +323,6 @@ let neighbors t n label dir =
   iter_neighbors t n label dir (fun m -> acc := m :: !acc);
   List.rev !acc
 
-let iter_neighbors_all_labels t n dir f = row_all t n dir f iter_slice
-
-(* A restricted label set (the RELAX sub-property closure), in the order
-   given. *)
-let iter_neighbors_labels t n labels dir f =
-  Array.iter (fun label -> iter_neighbors t n label dir f) labels
-
 let slice_length () _ lo hi = hi - lo
 let mem_edge t src label dst = row_to t src label dst () slice_length > 0
 let[@inline] out_degree t n label = row t n label Out () slice_length

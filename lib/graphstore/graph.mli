@@ -116,24 +116,16 @@ val row : t -> int -> int -> dir -> 'a -> ('a -> entries -> int -> int -> 'b) ->
     @raise Invalid_argument on [Both]. *)
 
 val row_all : t -> int -> dir -> 'a -> ('a -> entries -> int -> int -> 'b) -> 'b
-(** [row_all g n dir x k]: {!row} under every label, in the order of
-    {!iter_neighbors_all_labels}; [Both] is [n]'s whole row. *)
+(** [row_all g n dir x k]: {!row} under every label, label by label, in
+    one slice; [Both] is [n]'s whole row, outgoing before incoming.  One
+    direction is the APPROX [Any_dir] transition; [Both] is the APPROX
+    wildcard [*] (the paper issues [Neighbors] over the generic ['edge']
+    type plus [type], in both directions).  Nodes reachable via several
+    labels appear once per connecting edge. *)
 
 val row_to : t -> int -> int -> int -> 'a -> ('a -> entries -> int -> int -> 'b) -> 'b
 (** [row_to g n label m x k]: the slice holding one [(n, label, m)]
     outgoing edge, or an empty one when {!mem_edge} is false. *)
-
-val iter_neighbors_all_labels : t -> int -> dir -> (int -> unit) -> unit
-(** Neighbours of [n] under {e every} label, label by label, outgoing
-    before incoming for [Both].  One direction is the APPROX [Any_dir]
-    transition; [Both] is the APPROX wildcard [*] (the paper issues
-    [Neighbors] over the generic ['edge'] type plus [type], in both
-    directions).  Nodes reachable via several labels are visited once per
-    connecting edge. *)
-
-val iter_neighbors_labels : t -> int -> int array -> dir -> (int -> unit) -> unit
-(** Neighbours of [n] under a restricted label set (the RELAX sub-property
-    closure), visiting the labels' ranges in the order given. *)
 
 val has_adjacent : t -> int -> int -> dir -> bool
 (** [has_adjacent g n label dir]: whether [n] carries at least one [label]

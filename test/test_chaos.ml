@@ -608,7 +608,7 @@ let par_taxonomy_prop =
 (* Drives [Par.create] directly through the exact interleaving that made
    the parallel chaos properties flake on loaded 1-core hosts: shard 0
    delivers answers up to distance 2 and then trips (holding, in the real
-   engine, undelivered answers at or above [last - slack]); shard 1 keeps
+   engine, undelivered answers at or above [last]); shard 1 keeps
    delivering *higher* distances around the trip broadcast, tempting the
    consumer — woken inside its merge wait — to recompute the seal bound
    without shard 0 and release buckets the tripped shard still owed.
@@ -660,9 +660,7 @@ let trip_window_iteration () =
       (pull, Core.Exec_stats.create)
     end
   in
-  let p =
-    Core.Par.create ~domains:2 ~slack:0 ~governor ~metrics ~label:"trip-window" ~build ()
-  in
+  let p = Core.Par.create ~domains:2 ~governor ~metrics ~label:"trip-window" ~build () in
   let rec drain acc =
     match Core.Par.next p with Some a -> drain (a :: acc) | None -> List.rev acc
   in

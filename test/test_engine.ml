@@ -353,6 +353,23 @@ let test_answer_limit_termination () =
   | Engine.Exhausted { reason = Core.Governor.Answer_limit; answers = 1; _ } -> ()
   | t -> Alcotest.failf "expected Answer_limit, got %a" Core.Engine.pp_termination t
 
+(* A trip's elapsed time is printed only when a clock measured it: with
+   none installed every [elapsed_ns] reads 0, and "0.00 ms" would be made
+   up. *)
+let test_termination_time_needs_clock () =
+  let t =
+    Engine.Exhausted
+      { reason = Core.Governor.Answer_limit; elapsed_ns = 1_500_000; tuples = 7; answers = 1 }
+  in
+  let show () = Format.asprintf "%a" Engine.pp_termination t in
+  Obs.Clock.uninstall ();
+  check Alcotest.string "no clock: no time" "exhausted (answer-limit) after 1 answer(s), 7 tuple(s)"
+    (show ());
+  Fun.protect ~finally:Obs.Clock.uninstall (fun () ->
+      Obs.Clock.install (fun () -> 0);
+      check Alcotest.string "clock installed: the time"
+        "exhausted (answer-limit) after 1 answer(s), 7 tuple(s), 1.50 ms" (show ()))
+
 (* --- edge cases ----------------------------------------------------- *)
 
 let test_const_const () =
@@ -622,5 +639,7 @@ let () =
           Alcotest.test_case "budget is cumulative across restarts" `Quick
             test_budget_cumulative_across_restarts;
           Alcotest.test_case "limit reports Answer_limit" `Quick test_answer_limit_termination;
+          Alcotest.test_case "termination prints no time without a clock" `Quick
+            test_termination_time_needs_clock;
         ] );
     ]

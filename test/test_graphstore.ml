@@ -125,12 +125,13 @@ let test_graph_neighbors () =
   check Alcotest.(list int) "both" [ c; a ] (Graph.neighbors g b p Graph.Both);
   check Alcotest.(list int) "none" [] (Graph.neighbors g c p Graph.Out)
 
+(* The targets of an index slice, in order. *)
+let slice read = read () (fun () e lo hi -> List.init (hi - lo) (fun i -> Graph.target e (lo + i)))
+
 let test_graph_neighbors_any () =
   let g, a, _, _ = small_graph () in
-  let acc = ref [] in
-  Graph.iter_neighbors_all_labels g a Graph.Both (fun m -> acc := m :: !acc);
   (* a: out p->b, out q->c, in type<-c *)
-  check Alcotest.int "three incident edges" 3 (List.length !acc)
+  check Alcotest.int "three incident edges" 3 (List.length (slice (Graph.row_all g a Graph.Both)))
 
 (* Sparksee's Tails/Heads, as seeding enumerates them: the nodes that
    [has_adjacent] accepts. *)
@@ -251,21 +252,13 @@ let test_frozen_label_sweeps () =
   let g, a, _, c = small_graph () in
   Graph.freeze g;
   let intern = Interner.intern (Graph.interner g) in
-  let collect f =
-    let acc = ref [] in
-    f (fun m -> acc := m :: !acc);
-    List.sort compare !acc
-  in
   (* a: out p->b, out q->c, in type<-c *)
-  check Alcotest.int "any: all incident edges" 3
-    (List.length (collect (Graph.iter_neighbors_all_labels g a Graph.Both)));
-  check Alcotest.int "all labels, out only" 2
-    (List.length (collect (Graph.iter_neighbors_all_labels g a Graph.Out)));
+  check Alcotest.int "any: all incident edges" 3 (List.length (slice (Graph.row_all g a Graph.Both)));
+  check Alcotest.int "all labels, out only" 2 (List.length (slice (Graph.row_all g a Graph.Out)));
   check Alcotest.(list int) "label subset" [ c ]
-    (collect (Graph.iter_neighbors_labels g a [| intern "q"; intern "type" |] Graph.Out));
+    (List.concat_map (fun l -> slice (Graph.row g a (intern l) Graph.Out)) [ "q"; "type" ]);
   (* a label the index never saw is simply empty *)
-  check Alcotest.(list int) "unused label" []
-    (collect (fun f -> Graph.iter_neighbors g a (intern "ghost") Graph.Out f))
+  check Alcotest.(list int) "unused label" [] (slice (Graph.row g a (intern "ghost") Graph.Out))
 
 let fst3 (x, _, _) = x
 let snd3 (_, y, _) = y
@@ -275,7 +268,8 @@ let thd3 (_, _, z) = z
    list, in order as well as content: rows ascending, [Both] outgoing then
    incoming, label sweeps label by label.  The slice reads are checked for
    every label kind: one label in each direction, all labels in [Out],
-   [In] and [Both], a label subset slice by slice, and one-edge membership
+   [In] and [Both], a label subset slice by slice (outgoing then
+   incoming for [Both]), and one-edge membership
    (the [type] edges among them).  Node 0 is a hub whose row spans every
    label in both directions.  The graph is read after [freeze], after
    adding a node, and after adding more edges (against the model over all
@@ -298,11 +292,6 @@ let reads_match_model =
       let labels = List.sort compare (List.init 5 label) (* id order: [type] first *) in
       let hub = List.concat (List.init 5 (fun l -> [ (0, l, l + 1); (l + 2, l, 0) ])) in
       let edges = hub @ edges in
-      let collect f =
-        let acc = ref [] in
-        f (fun m -> acc := m :: !acc);
-        List.rev !acc
-      in
       let agrees edges =
         let edges = List.map (fun (s, l, d) -> (s, label l, d)) edges in
         let nodes = List.init (Graph.n_nodes g) Fun.id in
@@ -321,10 +310,10 @@ let reads_match_model =
           | Graph.Both -> List.concat_map (out n) ls @ List.concat_map (inn n) ls
           | d -> List.concat_map (fun l -> model n l d) ls
         in
-        let slice read =
-          read () (fun () e lo hi -> List.init (hi - lo) (fun i -> Graph.target e (lo + i)))
+        let row_list n l = function
+          | Graph.Both -> slice (Graph.row g n l Graph.Out) @ slice (Graph.row g n l Graph.In)
+          | dir -> slice (Graph.row g n l dir)
         in
-        let row_list n l dir = slice (Graph.row g n l dir) in
         let subset = [ List.nth labels 2; List.nth labels 0 ] in
         let max_deg side =
           List.fold_left
@@ -338,13 +327,9 @@ let reads_match_model =
              (fun n ->
                List.for_all
                  (fun dir ->
-                   collect (Graph.iter_neighbors_all_labels g n dir) = sweep n labels dir
-                   && slice (Graph.row_all g n dir) = sweep n labels dir
-                   && collect (Graph.iter_neighbors_labels g n (Array.of_list subset) dir)
+                   slice (Graph.row_all g n dir) = sweep n labels dir
+                   && List.concat_map (fun l -> row_list n l dir) subset
                       = List.concat_map (fun l -> model n l dir) subset
-                   && (dir = Graph.Both
-                      || List.concat_map (fun l -> row_list n l dir) subset
-                         = List.concat_map (fun l -> model n l dir) subset)
                    && List.for_all
                         (fun l ->
                           Graph.neighbors g n l dir = model n l dir

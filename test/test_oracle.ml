@@ -67,8 +67,10 @@ let hetero_costs =
 
 (* No duplicate (x, y) pair in the whole stream, and distances never drop
    below the running maximum by more than [slack].  Swept over the domain
-   counts: a parallel stream's canonical order is stricter than any slack,
-   but the dup-pair ban is exactly the merge-dedup contract. *)
+   counts: a levelled stream is sequential at any count, so [slack] and the
+   dup-pair ban hold there as they do on one domain; a seed-sharded plain
+   stream's canonical order is stricter than [slack = 0], and no pair can
+   come from two shards, since each shard owns its seeds' x. *)
 let well_ordered options inst =
   let g, k = build inst in
   let conjunct = conjunct_of inst in

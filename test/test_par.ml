@@ -15,16 +15,15 @@
    for every N >= 2 — which transitively also proves any two parallel
    counts produce byte-identical streams, and that the parallel emission
    order is already canonical (no post-hoc sorting on the test side of the
-   parallel stream).  Conjuncts the dispatcher cannot shard (constant-
-   seeded, non-decomposed) run the literally unchanged sequential path at
-   any [domains], so for those the expectation is the sequential stream
-   itself, emission order included.
+   parallel stream).  Conjuncts the plan does not shard (constant-seeded,
+   distance-aware or decomposed) run the literally unchanged sequential
+   path at any [domains], so for those the expectation is the sequential
+   stream itself, emission order included.
 
-   Coverage: exact / APPROX / RELAX, the distance-aware (levelled, slack
-   phi-1) strategy, decomposed alternations (part-sharding instead of
-   seed-sharding, with merge-level dedup), case-2 reversal (constant
-   object), and witness provenance (per-answer hop costs must sum to the
-   distance on every domain count).
+   Coverage: exact / APPROX / RELAX, the distance-aware (levelled) and
+   decomposed strategies (sequential at any domain count), case-2
+   reversal (constant object), and witness provenance (per-answer hop
+   costs must sum to the distance on every domain count).
 
    A final non-property group is the reentrancy regression for the
    per-domain failpoint RNG and the mutex-guarded tracer: two engine runs
@@ -55,13 +54,14 @@ let stream ~domains ~provenance options g k conjunct =
   in
   drain []
 
-(* Mirrors [Evaluator.create]'s dispatch: only variable/variable conjuncts
-   seed-shard, and only decomposed alternations part-shard — anything else
-   runs the literally unchanged sequential path at any [domains], so its
-   emission order is the sequential one, not the canonical sort. *)
+(* Mirrors [Plan.build]: only variable/variable conjuncts with the plain
+   strategy seed-shard — anything else runs the literally unchanged
+   sequential path at any [domains], so its emission order is the
+   sequential one, not the canonical sort. *)
 let parallelisable options (c : Q.conjunct) =
   (match (c.Q.subj, c.Q.obj) with Q.Var _, Q.Var _ -> true | _ -> false)
-  || (options.O.decompose && List.length (R.top_level_alternatives c.Q.regex) > 1)
+  && (not options.O.distance_aware)
+  && not (options.O.decompose && List.length (R.top_level_alternatives c.Q.regex) > 1)
 
 let deterministic ?(provenance = false) ?(par_counts = [ 2; 4 ]) options inst =
   let g, k = build inst in
@@ -101,9 +101,9 @@ let relax_da_prop =
   det_prop "parallel = sequential (distance-aware RELAX, hetero costs)" ~count:25 ~mode:Q.Relax
     { O.default with O.distance_aware = true; costs = hetero_costs }
 
-(* Decomposed alternations exercise the other partition seam: a
-   constant-subject conjunct splits its top-level alternatives across the
-   pool, so the merge must also dedup (x, y) pairs across shards. *)
+(* A decomposed alternation runs its parts level by level on one domain,
+   whatever the subject: at every domain count the stream is the
+   sequential one, emission order included. *)
 let decomposed_prop =
   QCheck2.Test.make ~name:"parallel = sequential (decomposed APPROX alternation)" ~count:40
     (QCheck2.Gen.pair (gen_instance ~mode:Q.Approx) gen_regex)
@@ -270,15 +270,42 @@ let domain_budget ~domains ~sharded () =
   let options = { O.default with O.domains } in
   let got =
     List.map
-      (fun (p : Core.Plan.t) -> (p.seam = Core.Plan.Seed_shard, p.domains))
+      (fun (p : Core.Plan.t) -> p.domains)
       (Core.Plan.of_query ~graph:l4_graph ~ontology:l4_ontology ~options q)
   in
-  let expected =
-    List.init n (fun i -> if i < List.length sharded then (true, List.nth sharded i) else (false, 1))
-  in
-  Alcotest.(check (list (pair bool int))) "seam and domains per conjunct, in body order" expected got;
-  let spawned = List.fold_left (fun acc (par, d) -> if par then acc + d else acc) 0 got in
+  let expected = List.init n (fun i -> if i < List.length sharded then List.nth sharded i else 1) in
+  Alcotest.(check (list int)) "domains per conjunct, in body order" expected got;
+  let spawned = List.fold_left (fun acc d -> if d > 1 then acc + d else acc) 0 got in
   Alcotest.(check bool) "within the bound" true (spawned <= O.max_domains)
+
+(* Only a plain (?X, R, ?Y) conjunct shards: at 4 domains every
+   distance-aware or decomposed shape, and every constant-seeded one,
+   plans 1 domain.  [--decompose] without a top-level alternation falls
+   back to the plain strategy, so it shards. *)
+let seam_table () =
+  let da = { O.default with O.domains = 4; distance_aware = true }
+  and dec = { O.default with O.domains = 4; decompose = true } in
+  let plain = { O.default with O.domains = 4 } in
+  List.iter
+    (fun (options, text, expected) ->
+      let c = List.hd (Core.Query_parser.parse text).Q.conjuncts in
+      let p = Core.Plan.make ~graph:l4_graph ~ontology:l4_ontology ~options c in
+      Alcotest.(check int) text expected p.Core.Plan.domains)
+    [
+      (plain, "(?X, ?Y) <- (?X, next+, ?Y)", 4);
+      (plain, "(?X, ?Y) <- APPROX (?X, next+|(prereq+.next), ?Y)", 4);
+      (plain, "(?X) <- APPROX (Librarians, type-.job-|next, ?X)", 1);
+      (plain, "(?X) <- (?X, type, Librarians)", 1);
+      (da, "(?X, ?Y) <- (?X, job.type, ?Y)", 1);
+      (da, "(?X, ?Y) <- APPROX (?X, prereq+, ?Y)", 1);
+      (da, "(?X) <- RELAX (Librarians, type-, ?X)", 1);
+      (dec, "(?X, ?Y) <- APPROX (?X, next+|(prereq+.next), ?Y)", 1);
+      (dec, "(?X, ?Y) <- (?X, next+|(prereq+.next), ?Y)", 1);
+      (dec, "(?X) <- APPROX (Librarians, type-.job-|next, ?X)", 1);
+      (dec, "(?X) <- APPROX (Librarians, type-.job-.next|next, ?X)", 1);
+      (dec, "(?X, ?Y) <- (?X, next+, ?Y)", 4);
+      ({ dec with O.distance_aware = true }, "(?X, ?Y) <- (?X, next+, ?Y)", 1);
+    ]
 
 (* --- the merge's park/unpark path -------------------------------------- *)
 
@@ -303,7 +330,7 @@ let park_unpark () =
       (pull, Core.Exec_stats.create)
     in
     let par =
-      Core.Par.create ~domains:2 ~slack:0 ~governor:(Core.Governor.unlimited ())
+      Core.Par.create ~domains:2 ~governor:(Core.Governor.unlimited ())
         ~metrics:(Obs.Metrics.create ()) ?queue_cap ~build ()
     in
     (* let both workers reach their second answer before the first drain *)
@@ -412,7 +439,7 @@ let first_emit_before_done () =
   let got, first_emit, first_done =
     monitored (fun () ->
         let par =
-          Core.Par.create ~domains:2 ~slack:0 ~governor:(Core.Governor.unlimited ())
+          Core.Par.create ~domains:2 ~governor:(Core.Governor.unlimited ())
             ~metrics:(Obs.Metrics.create ()) ~queue_cap:1 ~build ()
         in
         let got = drain_par par in
@@ -477,7 +504,7 @@ let quiet_shard_does_not_block () =
   let got =
     monitored (fun () ->
         let par =
-          Core.Par.create ~domains:2 ~slack:0 ~governor:(Core.Governor.unlimited ())
+          Core.Par.create ~domains:2 ~governor:(Core.Governor.unlimited ())
             ~metrics:(Obs.Metrics.create ()) ~build ()
         in
         let rec go acc =
@@ -526,7 +553,7 @@ let tripped_mark_frozen_once () =
   let got, marks =
     monitored (fun () ->
         let par =
-          Core.Par.create ~domains:2 ~slack:0 ~governor ~metrics:(Obs.Metrics.create ()) ~build ()
+          Core.Par.create ~domains:2 ~governor ~metrics:(Obs.Metrics.create ()) ~build ()
         in
         let got = Fun.protect ~finally:(fun () -> Core.Par.close par) (fun () -> drain_par par) in
         ( got,
@@ -619,5 +646,6 @@ let () =
             (domain_budget ~domains:2 ~sharded:(List.init 32 (fun _ -> 2)));
           Alcotest.test_case "40 conjuncts at 1000: one gets 64" `Quick
             (domain_budget ~domains:1000 ~sharded:[ 64 ]);
+          Alcotest.test_case "at 4: only plain (?X, R, ?Y) shards" `Quick seam_table;
         ] );
     ]
