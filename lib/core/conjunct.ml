@@ -10,15 +10,22 @@ type tup = { v : int; n : int; s : int; fin : bool; prov : int }
    final/non-final distinction.  [prov] is the tuple's provenance-arena
    index, [Provenance.no_parent] whenever provenance is off. *)
 
-(* A D_R entry: a tuple, or a cursor — the successors of a popped [parent]
-   under one transition [tr] that [GetNext] has not reached yet, the
-   neighbours [Graph.target arr lo .. Graph.target arr (hi - 1)], a slice
-   of the index.  A cursor on top of its bucket's stack yields its last
-   remaining neighbour and stays there until it yields its last; its
-   ledger charge, [Mem.cursor_bytes], is released then. *)
+(* A D_R entry: a tuple, or a cursor — the successors of a popped parent
+   tuple at one cost that [GetNext] has not reached yet.  The cursor keeps
+   the parent's seed [v], state [s] and arena entry [prov], not the parent
+   itself.  [segs] holds the successors' segments in push order, three
+   ints each: the index of the transition in [outs.(s)] and a range
+   [lo, hi) of the index [ent], the neighbours [Graph.target ent lo ..
+   Graph.target ent (hi - 1)] (a lone successor is a range of one).  A
+   cursor on top of its bucket's stack yields segment [top]'s member
+   [hi - 1], the last remaining, and stays there until it yields its first
+   segment's first member; its ledger charge, {!entry_bytes}, is released
+   then. *)
 type entry =
   | Tup of tup
-  | Cur of { parent : tup; tr : Nfa.transition; arr : Graph.entries; lo : int; mutable hi : int }
+  | Cur of { v : int; s : int; prov : int; segs : int array; mutable top : int; mutable hi : int }
+
+let entry_bytes segs = Mem.cursor_bytes + (Array.length segs / 3 * Mem.segment_bytes)
 
 type t = {
   graph : Graph.t;
@@ -38,14 +45,30 @@ type t = {
   governor : Governor.t;
   mutable was_pruned : bool;
   opts : Options.t;
+  ent : Graph.entries; (* the index: every slice is a range of it *)
+  (* [Succ]'s automaton, read once at open: each state's out-transitions
+     ([outs], sorted by label) and its runs of consecutive transitions with
+     one label, run [r] of state [s] from [runs.(s).(r)] to
+     [runs.(s).(r + 1) - 1]. *)
+  outs : Nfa.transition array array;
+  runs : int array array;
   (* The U-cache of §3.4: the neighbour range of the expanding node under
-     label [rlbl] ([Eps]: none yet), shared by consecutive transitions with
-     that label: [nslices] slices of the index [rarr], slice [i] from
-     [slices.(2i)] to [slices.(2i + 1)] (one per label of a [Sub_closure]). *)
-  mutable rlbl : Nfa.tlabel;
-  mutable rarr : Graph.entries;
-  mutable slices : int array;
+     the current run's label, [nslices] slices of [ent], slice [i] from
+     [slices.(2i)] to [slices.(2i + 1)] (one per label of a
+     [Sub_closure]). *)
+  slices : int array;
   mutable nslices : int;
+  (* The counting scan's buffers, sized at open so that an expansion
+     allocates nothing but its entries: the index [live.(q)] of the run's
+     [q]th unpruned transition; per (transition, slice) cell
+     [q * nslices + k], the members not yet visited [count] and the index
+     of the last of them [last]; and the expansion's segments so far,
+     [nsegs] triples [(transition, lo, hi)] in [segs]. *)
+  live : int array;
+  count : int array;
+  last : int array;
+  segs : int array;
+  mutable nsegs : int;
   (* Distribution metrics, handles resolved once at open time so recording
      is an array increment (kept unconditional — cheaper than a branch that
      would misrepresent the run when observability is on). *)
@@ -85,6 +108,16 @@ let relax_ancestor_seeds ~graph ~ontology ~beta oid =
       (Ontology.ancestors_by_specificity ontology label_id)
   | _ -> [ (oid, 0) ]
 
+(* The starts of [trs]'s runs of consecutive transitions with one label,
+   then its length. *)
+let runs_of (trs : Nfa.transition array) =
+  let n = Array.length trs in
+  let starts = ref [ n ] in
+  for j = n - 1 downto 0 do
+    if j = 0 || trs.(j).lbl <> trs.(j - 1).lbl then starts := j :: !starts
+  done;
+  Array.of_list !starts
+
 let open_ ~graph ~ontology ~options ?governor ?metrics ?ceiling ?suppress ?seed_filter ?frontier
     (plan : Plan.t) (part : Plan.part) =
   let governor =
@@ -102,12 +135,30 @@ let open_ ~graph ~ontology ~options ?governor ?metrics ?ceiling ?suppress ?seed_
     | Plan.Variable { batch_size } ->
       Seeder.of_initial_state ~governor ?filter:seed_filter ~graph ~nfa ~batch_size ()
   in
+  let outs = Array.init (Nfa.n_states nfa) (fun s -> Array.of_list (Nfa.out nfa s)) in
+  let runs = Array.map runs_of outs in
+  (* the buffers' sizes: the longest run, the most slices, the most
+     (transition, slice) cells of one run and of one expansion *)
+  let slices_of : Nfa.tlabel -> int = function Nfa.Sub_closure (_, ls) -> Array.length ls | _ -> 1 in
+  let max_run = ref 1 and max_slices = ref 1 and max_cells = ref 1 and max_segs = ref 1 in
+  Array.iteri
+    (fun s (trs : Nfa.transition array) ->
+      let total = ref 0 in
+      for r = 0 to Array.length runs.(s) - 2 do
+        let len = runs.(s).(r + 1) - runs.(s).(r) and ns = slices_of trs.(runs.(s).(r)).lbl in
+        max_run := max !max_run len;
+        max_slices := max !max_slices ns;
+        max_cells := max !max_cells (len * ns);
+        total := !total + (len * ns)
+      done;
+      max_segs := max !max_segs !total)
+    outs;
   {
     graph;
     nfa;
     dr = Dr_queue.create ();
     dr_bytes = 0;
-    visited = Triple_set.create 1024;
+    visited = Triple_set.create ~states:(Nfa.n_states nfa) 1024;
     answers = Hashtbl.create 64;
     suppress;
     seeder;
@@ -120,10 +171,16 @@ let open_ ~graph ~ontology ~options ?governor ?metrics ?ceiling ?suppress ?seed_
     governor;
     was_pruned = false;
     opts = options;
-    rlbl = Nfa.Eps;
-    rarr = Graph.entries graph;
-    slices = [| 0; 0 |];
+    ent = Graph.entries graph;
+    outs;
+    runs;
+    slices = Array.make (2 * !max_slices) 0;
     nslices = 0;
+    live = Array.make !max_run 0;
+    count = Array.make !max_cells 0;
+    last = Array.make !max_cells 0;
+    segs = Array.make (3 * !max_segs) 0;
+    nsegs = 0;
     h_pop_distance = Obs.Metrics.histogram metrics "pop_distance";
     h_ops_insert = Obs.Metrics.histogram metrics "ops_insert";
     h_ops_delete = Obs.Metrics.histogram metrics "ops_delete";
@@ -135,9 +192,8 @@ let open_ ~graph ~ontology ~options ?governor ?metrics ?ceiling ?suppress ?seed_
   }
 
 (* Append a slice to the current range (the callback of the slice reads). *)
-let add_slice t arr lo hi =
+let add_slice t _ lo hi =
   let i = 2 * t.nslices in
-  t.rarr <- arr;
   t.slices.(i) <- lo;
   t.slices.(i + 1) <- hi;
   t.nslices <- t.nslices + 1;
@@ -160,12 +216,8 @@ let fill_range t n (lbl : Nfa.tlabel) =
   | Nfa.Sym (d, a) -> Graph.row t.graph n a (dir_of d) t add_slice
   | Nfa.Any -> Graph.row_all t.graph n Graph.Both t add_slice
   | Nfa.Any_dir d -> Graph.row_all t.graph n (dir_of d) t add_slice
-  | Nfa.Sub_closure (d, ls) ->
-    if 2 * Array.length ls > Array.length t.slices then
-      t.slices <- Array.make (2 * Array.length ls) 0;
-    Array.iter (fun l -> Graph.row t.graph n l (dir_of d) t add_slice) ls
+  | Nfa.Sub_closure (d, ls) -> Array.iter (fun l -> Graph.row t.graph n l (dir_of d) t add_slice) ls
   | Nfa.Type_to c -> Graph.row_to t.graph n (Graph.type_label t.graph) c t add_slice);
-  t.rlbl <- lbl;
   t.stats.scan_ns <- t.stats.scan_ns + (!Obs.Clock.now_ns () - t0)
 
 let enqueue t ~dist ~final entry bytes =
@@ -212,64 +264,141 @@ let prov_arena t =
     None
   | some -> some
 
-(* The arena entry of [parent]'s successor [m] under [tr] (the one
-   provenance branch on the hot path: off, it is the shared [no_parent]
-   sentinel and nothing is allocated). *)
-let step t (parent : tup) tr m =
+(* The arena entry of the successor [m] under [tr] of the tuple whose
+   entry is [parent] (the one provenance branch on the hot path: off, it is
+   the shared [no_parent] sentinel and nothing is allocated). *)
+let step t parent tr m =
   match prov_arena t with
   | None -> Provenance.no_parent
   | Some arena ->
     Governor.charge_mem t.governor Mem.prov_entry_bytes;
-    Provenance.add arena ~parent:parent.prov ~node:m (Provenance.Step tr)
+    Provenance.add arena ~parent ~node:m (Provenance.Step tr)
 
-(* [parent]'s successors under [tr], at [dist]: the members of the current
-   range not yet visited in state [tr.dst].  They are exactly the tuples an
-   eager expansion would queue, so one allocation-free scan counts them
-   into [pushes] and the tuple budget now; they are built only when
-   [GetNext] reaches them.  Per slice, in range order, a lone member is
-   pushed as a plain tuple, two or more as one cursor over the slice. *)
-let offer t (parent : tup) (tr : Nfa.transition) dist =
-  let s' = tr.Nfa.dst and v = parent.v in
-  for k = 0 to t.nslices - 1 do
-    let lo = t.slices.(2 * k) and hi = t.slices.((2 * k) + 1) in
-    let count = ref 0 and last = ref 0 in
-    for i = lo to hi - 1 do
-      let m = Graph.target t.rarr i in
-      if not (Triple_set.mem t.visited v m s') then begin
-        incr count;
-        last := m
+(* The counting scan of one run of state [s], whose [nlive] unpruned
+   transitions are in [live]: for each (transition, slice) cell, the
+   members of the current range not yet visited in the transition's
+   destination state.  Each member is looked up in [visited] once.  A
+   member with no visited state counts in every cell of its slice, which is
+   added once per slice; otherwise each transition tests its state's bit. *)
+let count_run t v s nlive =
+  let ns = t.nslices and outs = t.outs.(s) in
+  for c = 0 to (nlive * ns) - 1 do
+    t.count.(c) <- 0
+  done;
+  for k = 0 to ns - 1 do
+    let fresh = ref 0 and last_fresh = ref (-1) in
+    for i = t.slices.(2 * k) to t.slices.((2 * k) + 1) - 1 do
+      let slot = Triple_set.find t.visited v (Graph.target t.ent i) in
+      if slot < 0 then begin
+        incr fresh;
+        last_fresh := i
+      end
+      else begin
+        for q = 0 to nlive - 1 do
+          if not (Triple_set.slot_mem t.visited slot outs.(t.live.(q)).Nfa.dst) then begin
+            let c = (q * ns) + k in
+            t.count.(c) <- t.count.(c) + 1;
+            t.last.(c) <- i
+          end
+        done
       end
     done;
-    if !count = 1 then
-      push t ~dist ~final:false { v; n = !last; s = s'; fin = false; prov = step t parent tr !last }
-    else if !count > 1 then begin
-      enqueue t ~dist ~final:false (Cur { parent; tr; arr = t.rarr; lo; hi }) Mem.cursor_bytes;
-      t.stats.pushes <- t.stats.pushes + !count;
-      Governor.tick_tuples t.governor !count
+    for q = 0 to nlive - 1 do
+      let c = (q * ns) + k in
+      if !fresh > 0 && (t.count.(c) = 0 || !last_fresh > t.last.(c)) then t.last.(c) <- !last_fresh;
+      t.count.(c) <- t.count.(c) + !fresh
+    done
+  done
+
+(* Append the run's segments, transition by transition and slice by slice
+   within one: a cell's unvisited members are exactly the tuples an eager
+   expansion would queue, so they count into [pushes] and the tuple budget
+   now, and are built only when [GetNext] reaches them.  A segment ends at
+   its cell's last unvisited member; a lone member is a segment of one. *)
+let add_segments t nlive =
+  let ns = t.nslices in
+  for q = 0 to nlive - 1 do
+    for k = 0 to ns - 1 do
+      let c = (q * ns) + k in
+      let n = t.count.(c) in
+      if n > 0 then begin
+        let i = 3 * t.nsegs and last = t.last.(c) in
+        t.segs.(i) <- t.live.(q);
+        t.segs.(i + 1) <- (if n = 1 then last else t.slices.(2 * k));
+        t.segs.(i + 2) <- last + 1;
+        t.nsegs <- t.nsegs + 1;
+        t.stats.pushes <- t.stats.pushes + n;
+        Governor.tick_tuples t.governor n
+      end
+    done
+  done
+
+(* Queue the expansion's segments: one cursor per distinct cost, holding
+   that cost's segments in push order.  A segment's transition is marked
+   [-1] once it is copied into its cursor. *)
+let queue_segments t (parent : tup) dist =
+  let outs = t.outs.(parent.s) and segs = t.segs in
+  for i = 0 to t.nsegs - 1 do
+    if segs.(3 * i) >= 0 then begin
+      let cost = outs.(segs.(3 * i)).Nfa.cost in
+      let n = ref 0 in
+      for i' = i to t.nsegs - 1 do
+        if segs.(3 * i') >= 0 && outs.(segs.(3 * i')).Nfa.cost = cost then incr n
+      done;
+      (* one segment, the usual case, is an array literal: no C call *)
+      let mine =
+        if !n = 1 then [| segs.(3 * i); segs.((3 * i) + 1); segs.((3 * i) + 2) |]
+        else Array.make (3 * !n) 0
+      in
+      let n = ref 0 in
+      for i' = i to t.nsegs - 1 do
+        let j = 3 * i' in
+        if segs.(j) >= 0 && outs.(segs.(j)).Nfa.cost = cost then begin
+          mine.(3 * !n) <- segs.(j);
+          mine.((3 * !n) + 1) <- segs.(j + 1);
+          mine.((3 * !n) + 2) <- segs.(j + 2);
+          segs.(j) <- -1;
+          incr n
+        end
+      done;
+      let top = !n - 1 in
+      enqueue t ~dist:(dist + cost) ~final:false
+        (Cur { v = parent.v; s = parent.s; prov = parent.prov; segs = mine; top; hi = mine.((3 * top) + 2) })
+        (entry_bytes mine)
     end
   done
 
-(* [Succ (s, n)] for a popped [tup]: one {!offer} per transition leaving
-   (s, n) in the product automaton H_R.  Out-transitions are sorted by
-   label (Nfa.normalize), so consecutive identical labels share the range
-   of the previous scan (§3.4).
+(* [Succ (s, n)] for a popped [tup]: the transitions leaving (s, n) in the
+   product automaton H_R, one run of same-label transitions at a time
+   (Nfa.normalize sorts them by label).  A run's transitions share one
+   range (the U-cache of §3.4) and one counting scan of it.
 
    Distance-aware retrieval prunes here, before the neighbour lookup: a
    transition that would exceed the ψ ceiling never touches the graph store —
    this is where the §4.3 optimisation saves its work. *)
 let iter_succ t tup ~dist =
   t.stats.succ_calls <- t.stats.succ_calls + 1;
-  t.rlbl <- Nfa.Eps;
-  List.iter
-    (fun (tr : Nfa.transition) ->
+  let outs = t.outs.(tup.s) and runs = t.runs.(tup.s) in
+  t.nsegs <- 0;
+  for r = 0 to Array.length runs - 2 do
+    let nlive = ref 0 in
+    for j = runs.(r) to runs.(r + 1) - 1 do
+      let tr = outs.(j) in
       match t.ceiling with
       | Some psi when dist + tr.cost > psi ->
         t.was_pruned <- true;
         t.stats.pruned <- t.stats.pruned + 1
       | _ ->
-        if tr.lbl <> t.rlbl then fill_range t tup.n tr.lbl;
-        offer t tup tr (dist + tr.cost))
-    (Nfa.out t.nfa tup.s)
+        t.live.(!nlive) <- j;
+        incr nlive
+    done;
+    if !nlive > 0 then begin
+      fill_range t tup.n outs.(runs.(r)).lbl;
+      count_run t tup.v tup.s !nlive;
+      add_segments t !nlive
+    end
+  done;
+  queue_segments t tup dist
 
 (* Release a discarded evaluation's charges (levelled parts are opened and
    dropped once per psi level).  The [suppress] table is owned by the
@@ -413,16 +542,24 @@ let rec get_next t =
   match Dr_queue.peek t.dr with
   | None -> None (* seeder exhausted too, or everything pruned *)
   | Some (Cur c, dist, _) ->
-    (* the cursor yields its last member, leaving D_R with it, before
-       that member's successors land on top *)
+    (* the cursor yields its last member, leaving D_R with its first
+       segment's first, before that member's successors land on top *)
+    let seg = 3 * c.top in
+    let tr = t.outs.(c.s).(c.segs.(seg)) in
     c.hi <- c.hi - 1;
-    let m = Graph.target c.arr c.hi in
-    if c.hi = c.lo then unqueue t Mem.cursor_bytes;
-    let v = c.parent.v and s = c.tr.Nfa.dst in
+    let m = Graph.target t.ent c.hi in
+    if c.hi = c.segs.(seg + 1) then begin
+      if c.top = 0 then unqueue t (entry_bytes c.segs)
+      else begin
+        c.top <- c.top - 1;
+        c.hi <- c.segs.(seg - 1)
+      end
+    end;
+    let v = c.v and s = tr.Nfa.dst in
     if Triple_set.add t.visited v m s then begin
       popped t dist;
       t.stats.materialised <- t.stats.materialised + 1;
-      expand t { v; n = m; s; fin = false; prov = step t c.parent c.tr m } dist
+      expand t { v; n = m; s; fin = false; prov = step t c.prov tr m } dist
     end
     else t.stats.drop_visited <- t.stats.drop_visited + 1;
     get_next t

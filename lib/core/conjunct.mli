@@ -17,16 +17,20 @@
     Implementation notes mirroring §3.4:
     - [D_R] pops minimum distance with final-tuple priority;
     - [Succ] is lazy: expanding a tuple queues one {e cursor} per
-      transition — the neighbour range it leads to, a slice of the CSR
-      index (one per label of a RELAX sub-property closure) — and
-      [GetNext] yields a cursor's neighbours one at a time, last first,
-      while it is on top of its bucket's stack.  The pop sequence is
-      exactly that of queueing every successor tuple at once, without
+      distinct cost among its transitions, holding that cost's segments in
+      push order — per transition, the neighbour ranges it leads to,
+      slices of the CSR index (one per label of a RELAX sub-property
+      closure), or a lone neighbour — and [GetNext] yields a cursor's
+      neighbours one at a time, last segment first and each segment last
+      first, while it is on top of its bucket's stack.  The pop sequence
+      is exactly that of queueing every successor tuple at once, without
       building the tuples [GetNext] never reaches;
     - a hashed [visited] set guarantees no [(v, n, s)] triple is processed
-      twice (tuples re-surfacing at higher distance are skipped);
-    - [Succ] groups the automaton's out-transitions by label and shares the
-      neighbour range between consecutive identical labels;
+      twice (tuples re-surfacing at higher distance are skipped); it is
+      keyed by [(v, n)] with a bit per state;
+    - [Succ] groups the automaton's out-transitions by label: consecutive
+      identical labels share one neighbour range and one counting scan of
+      it, which looks each neighbour up in [visited] once;
     - seeds are pushed {e non-final} even when the initial state is final
       with weight 0; the final-state re-queue of [GetNext] (line 13)
       immediately surfaces the answer at the same distance while keeping the

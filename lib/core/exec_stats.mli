@@ -12,17 +12,20 @@
 
 type t = {
   mutable pushes : int;
-      (** tuples added to [D_R], counted logically: a cursor (one
-          transition's pending successors of a popped tuple) counts the
-          neighbours it holds that were not yet visited when it was made —
-          the tuples an eager expansion would have queued *)
+      (** tuples added to [D_R], counted logically: a cursor (a popped
+          tuple's pending successors at one cost) counts, per transition,
+          the neighbours it holds that were not yet visited in that
+          transition's destination state when it was made — the tuples an
+          eager expansion would have queued *)
   mutable materialised : int;
-      (** tuples actually built: plain [D_R] pushes (seeds, final tuples, a
-          transition's lone unvisited successor) and the cursor members
-          [GetNext] reached unvisited *)
+      (** tuples actually built: plain [D_R] pushes (seeds and final
+          tuples) and the cursor members [GetNext] reached unvisited, lone
+          successors included — these are built at their yield, not when
+          their cursor is queued *)
   mutable pops : int;
       (** tuples [GetNext] took up: plain tuples popped from [D_R] and
-          cursor members yielded unvisited (at most [pushes]) *)
+          cursor members yielded unvisited, lone successors included (at
+          most [pushes]) *)
   mutable succ_calls : int;  (** invocations of [Succ] *)
   mutable edges_scanned : int;  (** neighbours returned across all [Succ] calls *)
   mutable scan_ns : int;
@@ -32,8 +35,9 @@ type t = {
   mutable seeds : int;  (** initial nodes added *)
   mutable answers : int;  (** answers emitted *)
   mutable peak_queue : int;
-      (** high-water mark of [D_R] in entries: a cursor counts once, however
-          many neighbours it holds *)
+      (** high-water mark of [D_R] in entries: one per plain tuple, and one
+          per cursor — an expansion queues one cursor per distinct cost,
+          however many transitions and neighbours it holds *)
   mutable restarts : int;  (** distance-aware re-evaluations *)
   mutable pruned : int;  (** pushes suppressed by the ψ ceiling *)
   mutable drop_visited : int;

@@ -42,13 +42,20 @@ let word = 8
    queue-entry box around it and its bucket cons cell. *)
 let tuple_bytes = 11 * word
 
-(* A queued D_R cursor, its whole charge: its (parent, transition, index
-   array, lo, hi) entry block + its bucket cons cell; its range is a slice
-   of the graph's index, never a copy. *)
-let cursor_bytes = 9 * word
+(* A queued D_R cursor — one expansion's successors at one cost — less
+   its segments: its (seed, state, arena entry, segments, top, hi) entry
+   block, the segments array's header and its bucket cons cell. *)
+let cursor_bytes = 11 * word
 
-(* One visited-set key (three int slots at load 1/4 to 1/2) or one answers
-   hashtable binding (bucket cons + boxed key pair). *)
+(* One segment of a cursor, three ints: a transition and a range of the
+   graph's index (never a copy), or a lone successor's one index. *)
+let segment_bytes = 3 * word
+
+(* One visited triple or one answers hashtable binding (bucket cons +
+   boxed key pair).  The visited set keeps a slot per (seed, node) pair
+   with a bit per state, so a triple's real share is at most a pair slot
+   (two ints and the state words, at load 1/4 to 1/2); the charge stays
+   per triple, so the budget trips where it always did. *)
 let visited_entry_bytes = 8 * word
 
 (* One provenance arena entry: a slot in each of the three parallel int

@@ -36,11 +36,17 @@ val tuple_bytes : int
     cell. *)
 
 val cursor_bytes : int
-(** One queued D_R cursor (one transition's pending neighbour range), its
-    whole charge: the range is a slice of the CSR index, never a copy. *)
+(** One queued D_R cursor (one expansion's pending successors at one cost),
+    less its segments; with them its charge is [cursor_bytes + segments *
+    segment_bytes], whatever the ranges' lengths. *)
+
+val segment_bytes : int
+(** One segment of a cursor: a transition and a range of the CSR index
+    (never a copy), or one lone successor. *)
 
 val visited_entry_bytes : int
-(** One visited-set key or answers hashtable binding. *)
+(** One visited triple (charged per triple, though the set stores a slot
+    per (seed, node) pair) or answers hashtable binding. *)
 
 val prov_entry_bytes : int
 (** One provenance-arena entry (three parallel int array slots). *)

@@ -146,6 +146,8 @@ let labels t =
   done;
   !acc
 
+let walk_table f label tbl = Hashtbl.iter (fun src cell -> List.iter (fun dst -> f src label dst) !cell) tbl
+
 (* The save order: the log replayed, in insertion order, into per-label
    tables (source oid -> targets, newest first), then walked label by label
    with [Hashtbl.iter].  The tables live for one call; the order they give
@@ -155,12 +157,17 @@ let iter_edges t f =
   for i = 0 to t.edge_count - 1 do
     push (table_of tables (log_edge t i lsr shift)) (log_src t i) (log_edge t i land mask)
   done;
-  Array.iteri
-    (fun label tbl ->
-      match tbl with
-      | None -> ()
-      | Some tbl -> Hashtbl.iter (fun src cell -> List.iter (fun dst -> f src label dst) !cell) tbl)
-    tables
+  Array.iteri (fun label tbl -> Option.iter (walk_table f label) tbl) tables
+
+(* One label's table alone: it is filled by the same log entries in the
+   same order, so it is walked in the same order. *)
+let iter_label_edges t label f =
+  let tbl = Hashtbl.create 64 in
+  for i = 0 to t.edge_count - 1 do
+    let e = log_edge t i in
+    if e lsr shift = label then push tbl (log_src t i) (e land mask)
+  done;
+  walk_table f label tbl
 
 (* --- the CSR index --------------------------------------------------- *)
 

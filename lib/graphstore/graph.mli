@@ -157,6 +157,11 @@ val iter_edges : t -> (int -> int -> int -> unit) -> unit
     the oid numbering of a reloaded graph.  Each call builds those tables
     anew, a list cell per edge; queries never call it. *)
 
+val iter_label_edges : t -> int -> (int -> int -> int -> unit) -> unit
+(** [iter_label_edges g label f]: {!iter_edges} restricted to [label]'s
+    edges, in the same order, replaying only that label's log entries
+    into the one table. *)
+
 (** {1 Statistics} *)
 
 type stats = {

@@ -53,7 +53,7 @@ let saturate ?(subclass = true) ?(subproperty = true) ?(domain_range = true) g k
   if subclass then begin
     (* include the type edges added by dom/range above *)
     let type_edges = ref [] in
-    Graph.iter_edges g (fun s l d -> if l = type_l then type_edges := (s, d) :: !type_edges);
+    Graph.iter_label_edges g type_l (fun s _ d -> type_edges := (s, d) :: !type_edges);
     List.iter
       (fun (x, c) ->
         let c_label = Interner.intern interner (Graph.node_label g c) in

@@ -125,3 +125,38 @@ let conjunct_of inst =
     | `Ghost -> Q.Const "absent"
   in
   Q.conjunct ~mode:inst.mode subj inst.regex obj
+
+(* Instances whose regex compiles to at least 64 states, so that a visited
+   slot's state bitset spans more than one word: a concatenation of 64 to
+   100 atoms, mostly the wildcard [_] so that exact paths still run deep
+   into the automaton on a small graph.  APPROX instances start from a
+   constant, to keep the oracle's product small.  The generator builds
+   each instance's graph and checks the compiled automaton's size under
+   the instance's mode. *)
+let min_long_states = 64
+
+let gen_long_regex =
+  QCheck2.Gen.(
+    let leaf =
+      oneofl [ R.lbl "p"; R.lbl "q"; R.lbl "r"; R.inv "p"; R.inv "q"; R.lbl "type"; R.inv "type" ]
+    in
+    let atom = frequency [ (4, return R.any); (1, leaf); (1, map R.star leaf) ] in
+    let* n = int_range 64 100 in
+    let* atoms = list_repeat n atom in
+    return (List.fold_left R.seq (List.hd atoms) (List.tl atoms)))
+
+let gen_long_instance ~mode =
+  QCheck2.Gen.(
+    let* inst = gen_instance ~mode in
+    let* regex = gen_long_regex in
+    let* node = int_bound (inst.n_base + n_classes - 1) in
+    let subj = if mode = Q.Exact then inst.subj else `Node node in
+    let inst = { inst with regex; subj } in
+    let g, k = build inst in
+    let nfa =
+      Automaton.Compile.conjunct_automaton ~graph:g ~ontology:k
+        ~mode:(Core.Options.compile_mode Core.Options.default mode)
+        regex
+    in
+    assert (Automaton.Nfa.n_states nfa >= min_long_states);
+    return inst)

@@ -464,6 +464,53 @@ let test_binding_order_follows_head () =
     check (Alcotest.list Alcotest.string) "head order" [ "Y"; "X" ] (List.map fst a.Engine.bindings)
   | [] -> Alcotest.fail "expected answers"
 
+(* One expansion's successors at one cost are one queue entry; it must
+   yield them in the eager order.  Expanding [s] under [(a|b).c*] meets two
+   cost-0 transitions on different labels: [a] reaches the lone [x1], [b]
+   the range [y1 y2 y3].  The eager code queued x1, y1, y2, y3 in that
+   order on one LIFO stack, so it popped y3 first — and each [yi]'s [c]
+   successor [zi] before [y(i-1)] — and x1 last.  Yielding the entry's
+   first segment first would answer x1 first. *)
+let test_eager_order_one_entry () =
+  let g = Graph.create () in
+  let n = Graph.add_node g in
+  let s = n "s" and x1 = n "x1" in
+  let ys = List.map n [ "y1"; "y2"; "y3" ] and zs = List.map n [ "z1"; "z2"; "z3" ] in
+  Graph.add_edge_s g s "a" x1;
+  List.iter (fun y -> Graph.add_edge_s g s "b" y) ys;
+  List.iter2 (fun y z -> Graph.add_edge_s g y "c" z) ys zs;
+  Graph.freeze g;
+  let k = Ontology.create (Graph.interner g) in
+  let node = Graph.node_label g and label = Graphstore.Interner.name (Graph.interner g) in
+  let expected =
+    [
+      ("y3", "s --b--> y3");
+      ("z3", "s --b--> y3 --c--> z3");
+      ("y2", "s --b--> y2");
+      ("z2", "s --b--> y2 --c--> z2");
+      ("y1", "s --b--> y1");
+      ("z1", "s --b--> y1 --c--> z1");
+      ("x1", "s --a--> x1");
+    ]
+  in
+  List.iter
+    (fun final_priority ->
+      let options = { Options.default with Options.provenance = true; final_priority } in
+      let o = run ~options g k "(?X) <- (s, (a|b).c*, ?X)" in
+      let got =
+        List.map
+          (fun (a : Engine.answer) ->
+            ( List.assoc "X" a.bindings,
+              String.concat "; "
+                (List.map (Format.asprintf "%a" (Core.Witness.pp_path ~node ~label)) a.witnesses) ))
+          o.Engine.answers
+      in
+      check
+        Alcotest.(list (pair string string))
+        (Printf.sprintf "eager order, final_priority=%b" final_priority)
+        expected got)
+    [ true; false ]
+
 let test_stats_populated () =
   let g, k = fixture () in
   let o = run g k "(?X) <- (alice, gradFrom.locatedIn, ?X)" in
@@ -623,6 +670,8 @@ let () =
           Alcotest.test_case "invalid query rejected" `Quick test_invalid_query_rejected;
           Alcotest.test_case "binding order follows head" `Quick test_binding_order_follows_head;
           Alcotest.test_case "stats populated" `Quick test_stats_populated;
+          Alcotest.test_case "one entry per cost keeps the eager order" `Quick
+            test_eager_order_one_entry;
           Alcotest.test_case "unknown object terminates" `Quick test_unknown_object_terminates;
           Alcotest.test_case "unknown object in queries" `Quick test_unknown_object_in_queries;
         ] );

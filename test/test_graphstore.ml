@@ -183,7 +183,18 @@ let test_graph_iter_edges () =
     "after freeze and more edges"
     [ (a, "p", b); (a, "p", b); (a, "q", c); (b, "p", c); (b, "r", a); (c, "type", a) ]
     (edges ());
-  check Alcotest.int "n_edges" 6 (Graph.n_edges g)
+  check Alcotest.int "n_edges" 6 (Graph.n_edges g);
+  (* one label's edges alone come in the order the full walk gives them *)
+  let walk iter =
+    let acc = ref [] in
+    iter (fun s l d -> acc := (s, l, d) :: !acc);
+    List.rev !acc
+  in
+  let p = Interner.intern (Graph.interner g) "p" in
+  check
+    Alcotest.(list (triple int int int))
+    "iter_label_edges" (List.filter (fun (_, l, _) -> l = p) (walk (Graph.iter_edges g)))
+    (walk (Graph.iter_label_edges g p))
 
 let test_graph_stats () =
   let g, _, _, _ = small_graph () in

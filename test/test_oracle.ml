@@ -60,6 +60,14 @@ let decomposed_prop =
       let inst = { inst with regex = R.Alt (inst.regex, extra) } in
       agree ~options:{ Core.Options.default with Core.Options.decompose = true } inst)
 
+(* Automata of 64 states and more: the visited set's state bitsets span
+   two words or more. *)
+let long_prop name ~count ~mode =
+  QCheck2.Test.make ~name ~count (gen_long_instance ~mode) (fun inst -> agree inst)
+
+let long_exact_prop = long_prop "frozen engine = oracle (exact, >= 64 states)" ~count:40 ~mode:Q.Exact
+let long_approx_prop = long_prop "frozen engine = oracle (APPROX, >= 64 states)" ~count:10 ~mode:Q.Approx
+
 (* --- emission order ---------------------------------------------------- *)
 
 let hetero_costs =
@@ -139,6 +147,8 @@ let () =
           QCheck_alcotest.to_alcotest relax_da_prop;
           QCheck_alcotest.to_alcotest decomposed_prop;
           QCheck_alcotest.to_alcotest unbatched_prop;
+          QCheck_alcotest.to_alcotest long_exact_prop;
+          QCheck_alcotest.to_alcotest long_approx_prop;
         ] );
       ( "emission order",
         [

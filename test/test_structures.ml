@@ -105,28 +105,34 @@ let dr_peek_is_next_pop =
 
 (* --- Triple_set --------------------------------------------------------- *)
 
-(* Property: the open-addressing set answers [add] and [mem] exactly as a
-   [Hashtbl] keyed by the triple does.  Keys come from a small cube so that
-   probes collide, and sequences are long enough to grow the table
-   several times. *)
+(* Property: the (seed, node)-keyed set answers [add] and [mem] exactly as
+   a [Hashtbl] keyed by the triple does, and so does one [find] of the pair
+   followed by [slot_mem].  Pairs come from a small square so
+   that probes collide, sequences are long enough to grow the table
+   several times, and automata run up to 140 states, so a slot's bitset
+   spans up to three words.  [length] counts triples, not pairs. *)
 let triple_set_model =
   QCheck2.Test.make ~name:"agrees with a Hashtbl model" ~count:200
     QCheck2.Gen.(
-      list_size (int_range 1 3000)
-        (pair bool (triple (int_bound 40) (int_bound 40) (int_bound 4))))
-    (fun ops ->
-      let set = Core.Triple_set.create 1 and model = Hashtbl.create 16 in
+      int_range 1 140 >>= fun states ->
+      pair (return states)
+        (list_size (int_range 1 3000)
+           (pair bool (triple (int_bound 40) (int_bound 40) (int_bound (states - 1))))))
+    (fun (states, ops) ->
+      let module S = Core.Triple_set in
+      let set = S.create ~states 1 and model = Hashtbl.create 16 in
       List.for_all
         (fun (insert, (a, b, c)) ->
           let expected = Hashtbl.mem model (a, b, c) in
           let agrees =
             if insert then begin
               Hashtbl.replace model (a, b, c) ();
-              Core.Triple_set.add set a b c = not expected
+              S.add set a b c = not expected
             end
-            else Core.Triple_set.mem set a b c = expected
+            else
+              S.mem set a b c = expected && S.slot_mem set (S.find set a b) c = expected
           in
-          agrees && Core.Triple_set.length set = Hashtbl.length model)
+          agrees && S.length set = Hashtbl.length model)
         ops)
 
 (* --- Seeder ----------------------------------------------------------- *)
