@@ -23,7 +23,8 @@ module Graph = Graphstore.Graph
 (* ------------------------------------------------------------------ *)
 
 let all_sections =
-  [ "fig2"; "fig3"; "fig5"; "fig6"; "fig7"; "fig8"; "yago-stats"; "fig10"; "fig11"; "opt1"; "opt2"; "abl"; "abl-sat"; "par"; "flight"; "micro" ]
+  [ "fig2"; "fig3"; "fig5"; "fig6"; "fig7"; "fig8"; "yago-stats"; "fig10"; "fig11"; "opt1"; "opt2";
+    "abl"; "abl-sat"; "flight"; "micro" ]
 
 let sections = ref all_sections
 let scales = ref L4.all_scales
@@ -637,76 +638,18 @@ let relax_vs_saturation () =
     \ small count difference.)\n"
 
 (* ------------------------------------------------------------------ *)
-(* PAR: parallel evaluation speedup vs domains                         *)
-(* ------------------------------------------------------------------ *)
-
-(* The speedup-vs-cores curve of the parallel evaluator (lib/core/par.ml):
-   the (?X, R, ?Y) queries of the Fig. 4 set — the shapes that seed-shard —
-   run to completion at 1/2/4/8 domains on the largest configured scale.
-   Determinism is asserted as a side effect: the answer count at every
-   domain count must equal the sequential one.  On a single-core host the
-   curve measures the merge/pool overhead, not parallelism — [host_cores]
-   is recorded in the JSON so a consumer can tell the two apart. *)
-let par_domains = [ 1; 2; 4; 8 ]
-
-let par () =
-  header "[PAR] parallel evaluation: speedup vs OCaml domains";
-  let cores = Domain.recommended_domain_count () in
-  Printf.printf
-    "exact (?X, R, ?Y) queries run to completion; speedup = mean(domains=1) / mean(domains=N)\n\
-     host reports %d usable core(s) — speedups above 1.0 require real hardware parallelism\n"
-    cores;
-  let scale = List.nth !scales (List.length !scales - 1) in
-  let gk = l4_graph scale in
-  let measure qtext domains =
-    measure_exact ~options:{ Options.default with Options.domains } gk qtext
-  in
-  Printf.printf "%-5s %8s %12s %9s %10s %10s\n" "Q" "domains" "mean (ms)" "speedup" "answers"
-    "tuples";
-  let rows = ref [] in
-  List.iter
-    (fun id ->
-      let qname = Printf.sprintf "Q%d" id in
-      let qtext = L4.query_text id Core.Query.Exact in
-      let base = measure qtext 1 in
-      List.iter
-        (fun domains ->
-          let m = if domains = 1 then base else measure qtext domains in
-          if m.count <> base.count then
-            Printf.printf "(warning: %s answer count differs at domains=%d: %d vs %d)\n%!" qname
-              domains m.count base.count;
-          let speedup = if m.time_ms > 0. then base.time_ms /. m.time_ms else 1. in
-          (match marker_of m.termination with
-          | Some mark ->
-            Printf.printf "%-5s %8d %12s %9s %10d %10d\n%!" qname domains mark "-" m.count
-              m.tuples
-          | None ->
-            Printf.printf "%-5s %8d %12.2f %8.2fx %10d %10d\n%!" qname domains m.time_ms speedup
-              m.count m.tuples);
-          rows :=
-            json_row ~dataset:"l4all" ~scale:(L4.scale_name scale) ~query:qname
-              ~mode:Core.Query.Exact
-              ~extra:[ ("domains", Obs.Json.Int domains); ("speedup", Obs.Json.Float speedup) ]
-              m
-            :: !rows)
-        par_domains)
-    [ 4; 5; 6; 7 ];
-  write_json ~section:"par"
-    ~extra:[ ("host_cores", Obs.Json.Int cores) ]
-    (List.rev !rows)
-
-(* ------------------------------------------------------------------ *)
 (* FLIGHT: flight recorder overhead                                    *)
 (* ------------------------------------------------------------------ *)
 
 (* Two measurements of lib/obs/flight.ml:
 
    1. the raw recorder in isolation — a tight loop of [record] calls with
-      the recorder off (the single-load fast path every Par hot-path call
-      site pays unconditionally) and on (sequence fetch, slot write,
-      publication store);
+      the recorder off (the single-load fast path every call site pays
+      unconditionally) and on (sequence fetch, slot write, publication
+      store);
 
-   2. the answer path end to end — the parallel exact queries, in
+   2. the answer path end to end — the exact Q4-Q7 queries at domains 2
+      (the canonical order, which records spans only), in
       [flight_pairs] pairs of passes: a pair runs every query with the
       recorder off and on back to back, the side that goes first swapping
       every pair, and each side's times sum to its pass.  With [--json]
@@ -953,7 +896,6 @@ let () =
   if enabled "opt2" then opt2 ();
   if enabled "abl" then ablations ();
   if enabled "abl-sat" then relax_vs_saturation ();
-  if enabled "par" then par ();
   if enabled "flight" then flight ();
   if enabled "micro" then micro ();
   Printf.printf "\ndone.\n"

@@ -73,109 +73,12 @@ let check_bench path =
     List.iteri (check_result path) results;
     Printf.printf "validate: %s ok (%d result(s))\n" path (List.length results)
 
-(* --- BENCH_par.json (speedup-vs-domains curve) ----------------------- *)
-
-(* Structural gate for the parallel-evaluation section: every row is a
-   valid schema-2 result that additionally carries [domains] and
-   [speedup]; each (query, mode) group has a domains=1 baseline, its
-   stored speedups recompute from the stored means, and — the determinism
-   contract — the answer count and termination of every row match the
-   group's baseline exactly. *)
-let check_par path =
-  let j = parse_file path in
-  let version = want_int path "document" j "schema_version" in
-  if version <> 2 then failf "%s: unsupported schema_version %d (expected 2)" path version;
-  let section = want_str path "document" j "section" in
-  if section <> "par" then failf "%s: --par expects section \"par\", got %S" path section;
-  if want_int path "document" j "runs" < 1 then failf "%s: runs < 1" path;
-  let host_cores =
-    match Json.member "host_cores" j with
-    | Some v -> (
-      match Json.to_int v with
-      | Some c when c >= 1 -> c
-      | Some c -> failf "%s: host_cores %d is not >= 1" path c
-      | None -> failf "%s: \"host_cores\" is not an integer" path)
-    | None -> failf "%s: missing \"host_cores\" (needed to interpret the curve)" path
-  in
-  match Json.to_list (get path "document" j "results") with
-  | None -> failf "%s: \"results\" is not an array" path
-  | Some results ->
-    if results = [] then failf "%s: empty results" path;
-    let rows =
-      List.mapi
-        (fun i r ->
-          let what = Printf.sprintf "results[%d]" i in
-          check_result path i r;
-          let domains = want_int path what r "domains" in
-          if domains < 1 then failf "%s: %s has domains %d < 1" path what domains;
-          let speedup =
-            match Json.to_float (get path what r "speedup") with
-            | Some s when s > 0. -> s
-            | Some s -> failf "%s: %s has non-positive speedup %g" path what s
-            | None -> failf "%s: %s field \"speedup\" is not a number" path what
-          in
-          ( (want_str path what r "query", want_str path what r "mode"),
-            (what, domains, want_int path what r "mean_ns", want_int path what r "answers",
-             want_str path what r "termination", speedup) ))
-        results
-    in
-    let keys = List.sort_uniq compare (List.map fst rows) in
-    List.iter
-      (fun key ->
-        let group = List.filter_map (fun (k, v) -> if k = key then Some v else None) rows in
-        let q, m = key in
-        let base =
-          match List.find_opt (fun (_, d, _, _, _, _) -> d = 1) group with
-          | Some b -> b
-          | None -> failf "%s: %s/%s has no domains=1 baseline row" path q m
-        in
-        let _, _, base_mean, base_answers, base_term, _ = base in
-        List.iter
-          (fun (what, _, mean_ns, answers, term, speedup) ->
-            if answers <> base_answers then
-              failf "%s: %s: answers %d differ from the domains=1 baseline's %d — the \
-                     deterministic-merge contract is broken" path what answers base_answers;
-            if term <> base_term then
-              failf "%s: %s: termination %S differs from the baseline's %S" path what term
-                base_term;
-            if mean_ns > 0 && base_mean > 0 then begin
-              let expect = float_of_int base_mean /. float_of_int mean_ns in
-              if abs_float (speedup -. expect) > 0.02 *. expect then
-                failf "%s: %s: stored speedup %.3f does not recompute from the means (%.3f)"
-                  path what speedup expect
-            end)
-          group)
-      keys;
-    (* The speedup curve itself is only meaningful when the measuring host
-       could actually run shards in parallel.  On a 1-core host the curve
-       encodes pure pool/merge overhead — report it, don't gate on it. *)
-    let multi = List.filter (fun (_, (_, d, _, _, _, _)) -> d > 1) rows in
-    (if host_cores < 2 then
-       Printf.eprintf
-         "validate: warning: %s: measured on a %d-core host — the multi-domain rows encode \
-          pool/merge overhead, not speedup; curve not gated\n"
-         path host_cores
-     else
-       match multi with
-       | [] -> ()
-       | _ ->
-         let best =
-           List.fold_left (fun acc (_, (_, _, _, _, _, s)) -> max acc s) 0. multi
-         in
-         if best < 0.8 then
-           failf
-             "%s: best multi-domain speedup %.3f < 0.8 on a %d-core host — parallel evaluation \
-              made everything slower"
-             path best host_cores);
-    Printf.printf "validate: %s ok (%d result(s), %d query group(s))\n" path (List.length rows)
-      (List.length keys)
-
 (* --- metric-name manifest ------------------------------------------- *)
 
 (* The live metric surface: the registry of a real stream that reaches
    every layer that registers a metric — two joined conjuncts (the ranked
    join), APPROX and RELAX (the per-operation histograms), two domains (the
-   parallel merge) and provenance on. *)
+   canonical order) and provenance on. *)
 let live_metric_names () =
   let module Graph = Graphstore.Graph in
   let g = Graph.create () in
@@ -389,9 +292,6 @@ let () =
     | "--trace" :: path :: rest ->
       check_trace path;
       go rest
-    | "--par" :: path :: rest ->
-      check_par path;
-      go rest
     | "--audit" :: path :: rest ->
       check_audit path;
       go rest
@@ -401,7 +301,7 @@ let () =
     | "--compare" :: parent_path :: change_path :: rest ->
       check_compare parent_path change_path;
       go rest
-    | [ "--manifest" ] | [ "--trace" ] | [ "--par" ] | [ "--audit" ] | [ "--flight" ] ->
+    | [ "--manifest" ] | [ "--trace" ] | [ "--audit" ] | [ "--flight" ] ->
       failf "missing file operand"
     | [ "--compare" ] | [ "--compare"; _ ] -> failf "--compare needs PARENT.jsonl and CHANGE.jsonl"
     | path :: rest ->
@@ -410,6 +310,6 @@ let () =
   in
   if args = [] then
     failf
-      "usage: validate [BENCH_*.json ...] [--manifest FILE] [--trace FILE] [--par FILE] \
-       [--audit FILE] [--flight FILE] [--compare PARENT.jsonl CHANGE.jsonl]";
+      "usage: validate [BENCH_*.json ...] [--manifest FILE] [--trace FILE] [--audit FILE] \
+       [--flight FILE] [--compare PARENT.jsonl CHANGE.jsonl]";
   go args

@@ -53,13 +53,11 @@ let options =
       & opt int (Core.Options.domains_from_env ())
       & info [ "domains" ] ~docv:"N"
           ~doc:
-            "Evaluate parallelisable conjuncts on N OCaml domains (default 1, or \
-             \\$OMEGA_DOMAINS).  Plain $(b,(?X, R, ?Y)) conjuncts partition their seed \
-             vertices across the pool; constant-seeded, distance-aware and decomposed conjuncts \
-             run sequentially.  A query's conjuncts share at most 64 domains, in body order.  \
-             With N=1 the sequential code path runs unchanged; with N>1 the answer stream is the \
-             same answer set in non-decreasing distance with a deterministic tie-break, identical \
-             at any domain count.")
+            "The emission order of plain $(b,(?X, R, ?Y)) conjuncts (default 1, or \
+             \\$OMEGA_DOMAINS).  With N=1 they stream in the paper's order: non-decreasing \
+             distance, ties in queue order.  With N>=2 they stream the same answers in \
+             ascending (distance, x, y) order, identical at any N>=2, computed on one domain.  \
+             Constant-seeded, distance-aware and decomposed conjuncts ignore it.")
   in
   let max_tuples =
     Arg.(

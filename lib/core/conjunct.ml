@@ -96,8 +96,8 @@ let pruned t = t.was_pruned
 let relax_ancestor_seeds ~graph ~ontology ~beta oid =
   Failpoints.check Failpoints.Ontology_lookup;
   let interner = Graph.interner graph in
-  (* [find], not [intern]: a label never interned is no class, and open
-     may run on a worker domain, which must not grow the shared interner *)
+  (* [find], not [intern]: a label never interned is no class, and opening
+     a conjunct must not grow the graph's interner *)
   match Interner.find interner (Graph.node_label graph oid) with
   | Some label_id when Ontology.is_class ontology label_id ->
     List.filter_map
@@ -118,7 +118,7 @@ let runs_of (trs : Nfa.transition array) =
   done;
   Array.of_list !starts
 
-let open_ ~graph ~ontology ~options ?governor ?metrics ?ceiling ?suppress ?seed_filter ?frontier
+let open_ ~graph ~ontology ~options ?governor ?metrics ?ceiling ?suppress ?frontier
     (plan : Plan.t) (part : Plan.part) =
   let governor =
     match governor with Some g -> g | None -> Options.governor options
@@ -133,7 +133,7 @@ let open_ ~graph ~ontology ~options ?governor ?metrics ?ceiling ?suppress ?seed_
       Seeder.of_list
         (relax_ancestor_seeds ~graph ~ontology ~beta:options.Options.costs.beta oid)
     | Plan.Variable { batch_size } ->
-      Seeder.of_initial_state ~governor ?filter:seed_filter ~graph ~nfa ~batch_size ()
+      Seeder.of_initial_state ~governor ~ascending:(frontier <> None) ~graph ~nfa ~batch_size ()
   in
   let outs = Array.init (Nfa.n_states nfa) (fun s -> Array.of_list (Nfa.out nfa s)) in
   let runs = Array.map runs_of outs in

@@ -59,7 +59,6 @@ val open_ :
   ?metrics:Obs.Metrics.t ->
   ?ceiling:int ->
   ?suppress:(int * int, int) Hashtbl.t ->
-  ?seed_filter:(int -> bool) ->
   ?frontier:(int -> unit) ->
   Plan.t ->
   Plan.part ->
@@ -67,8 +66,8 @@ val open_ :
 (** Initialise the data structures that evaluate [part] (one of the plan's
     parts) under the plan's orientation, seeding regime and target.  The
     part's automaton is the plan's, shared read-only: opening compiles
-    nothing, so ψ restarts and parallel shards reopen parts for the cost of
-    their seeds alone.  A RELAX constant's ancestor seeds are resolved here
+    nothing, so ψ restarts reopen parts for the cost of their seeds
+    alone.  A RELAX constant's ancestor seeds are resolved here
     ({!relax_ancestor_seeds}).
 
     [governor] is the query's budget (default: a fresh one implementing the
@@ -88,19 +87,15 @@ val open_ :
     across distance-aware restarts: matching pairs are neither re-emitted nor
     re-counted. It is updated in place as answers are emitted.
 
-    [seed_filter] restricts a [Variable] plan's seeds to oids it accepts
-    (fixed seeds ignore it) — the seed partition of parallel evaluation
-    ({!Par}): because the per-seed explorations of a conjunct are
-    independent (the [visited] and answer keys both carry the seed), a
-    filtered conjunct emits exactly the answers of the full conjunct whose
-    [x] it accepts, in the same non-decreasing distance order.
-
-    [frontier] is told {!Seeder.frontier} whenever [D_R] holds no
-    distance-0 entry — before each seed batch is drawn, and when a refill
-    ends: at that point every distance-0 answer whose seed lies below the
-    frontier has been returned.  With a [seed_filter] the seeder walks
-    oids in ascending order, so {!Par} turns these calls into a watermark
-    below which a shard's exact answers are final. *)
+    [frontier] switches a [Variable] plan's seeder to the ascending oid
+    walk ([Seeder.of_initial_state ~ascending:true]: the same seeds, and
+    the same answers, since the per-seed explorations are independent —
+    the [visited] and answer keys both carry the seed) and is told
+    {!Seeder.frontier} whenever [D_R] holds no distance-0 entry — before
+    each seed batch is drawn, and when a refill ends.  At that point every
+    distance-0 answer whose seed lies below the frontier has been
+    returned: [Evaluator] turns these calls into a watermark below which
+    the exact answers are final. *)
 
 val relax_ancestor_seeds :
   graph:Graphstore.Graph.t -> ontology:Ontology.t -> beta:int -> int -> (int * int) list

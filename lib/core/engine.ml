@@ -93,7 +93,7 @@ let open_query ~graph ~ontology ?(options = Options.default) ?governor ?tenant (
   (match Query.validate q with
   | Ok () -> ()
   | Error msg -> invalid_arg ("Engine.open_query: " ^ msg));
-  (* build the index here, so no worker domain of a parallel run does *)
+  (* build the index here, before any conjunct opens *)
   Graph.freeze graph;
   let governor = match governor with Some g -> g | None -> Options.governor options in
   let registry = Obs.Metrics.create () in
@@ -324,32 +324,6 @@ let audit_record ?flight st =
     | Exhausted { reason; _ } -> ("exhausted", Some (Governor.reason_string reason))
     | Rejected r -> ("rejected", Some (Admission.kind_string r.Admission.kind))
   in
-  let shards =
-    let idx = ref 0 in
-    List.concat_map
-      (fun ev ->
-        List.map
-          (fun (_, busy, answers) ->
-            let s = { Obs.Audit.s_index = !idx; s_busy_ns = busy; s_answers = answers } in
-            incr idx;
-            s)
-          (Evaluator.shard_report ev))
-      st.evaluators
-  in
-  (* probe, don't get-or-create: a sequential stream must not grow parallel
-     histograms just because it was audited *)
-  let merge_wait_ns =
-    if List.mem "par_merge_wait_ns" (Obs.Metrics.names st.registry) then
-      Obs.Metrics.h_sum (Obs.Metrics.histogram st.registry "par_merge_wait_ns")
-    else 0
-  in
-  let imbalance_pct =
-    (* 100 * max/mean over shard busy times: 100 = perfectly balanced *)
-    if stats.Exec_stats.par_shards > 0 && stats.Exec_stats.par_busy_total_ns > 0 then
-      stats.Exec_stats.par_busy_max_ns * 100 * stats.Exec_stats.par_shards
-      / stats.Exec_stats.par_busy_total_ns
-    else 0
-  in
   {
     Obs.Audit.ts_ns = !Obs.Clock.now_ns ();
     query_hash = Obs.Audit.hash qtext;
@@ -365,9 +339,11 @@ let audit_record ?flight st =
     est_product = (match st.admission with Some e -> e.Admission.total_product_est | None -> 0);
     actual_tuples = Governor.tuples st.governor;
     domains = st.options.Options.domains;
-    shards;
-    merge_wait_ns;
-    imbalance_pct;
+    (* every query runs on one domain: the schema's shard fields stay, so
+       older logs still load *)
+    shards = [];
+    merge_wait_ns = 0;
+    imbalance_pct = 0;
     flight;
     tenant = st.tenant;
     stats = Exec_stats.to_assoc stats;
@@ -380,10 +356,10 @@ let audit_record ?flight st =
       ];
   }
 
-(* Release whatever outlives the stream — today, parallel evaluators' domain
-   pools.  Idempotent; called on every terminal path of [next], and
-   available to consumers abandoning a stream mid-way (a pool left
-   unjoined would leak OCaml domains, which are a bounded resource).
+(* Release whatever outlives the stream — today, the ledger charges of a
+   canonical evaluator's staged answers.  Idempotent; called on every
+   terminal path of [next], and available to consumers abandoning a
+   stream mid-way.
 
    Also the audit log's emission point: one record per stream, once, when
    the global sink is enabled — a single flag check per query otherwise. *)
@@ -464,7 +440,7 @@ let drain ?limit st =
   in
   let answers = collect [] (Option.value limit ~default:max_int) in
   (* a limit can stop collection before [next] reaches a terminal path:
-     close here so abandoned pools are joined and the audit record is
+     close here so held answers are released and the audit record is
      emitted exactly once per drained stream *)
   close st;
   { answers; termination = status st; stats = Exec_stats.copy (stream_stats st); metrics = metrics st }

@@ -98,12 +98,12 @@ val next : stream -> answer option
     faults are converted to a [Fault] termination, not re-raised. *)
 
 val close : stream -> unit
-(** Release resources that outlive the stream — parallel evaluators' domain
-    pools ([options.domains > 1]), which are joined without tripping the
-    governor (the stream still reports [Completed]).  Called automatically
-    on every terminal path of {!next} and by {!drain}; consumers abandoning
-    a stream mid-way must call it themselves, or the pool's OCaml domains
-    leak.  Idempotent.
+(** Release what the stream still holds — the memory-ledger charges of
+    answers a canonical evaluator ([options.domains >= 2]) has staged —
+    without tripping the governor (the stream still reports [Completed]).
+    Called automatically on every terminal path of {!next} and by
+    {!drain}; consumers abandoning a stream mid-way call it themselves.
+    Idempotent.
 
     Also the audit seam: when the process-global {!Obs.Audit} sink is
     enabled, the first close emits the stream's {!audit_record} — one
@@ -126,8 +126,9 @@ val audit_record : ?flight:Obs.Audit.flight_info -> stream -> Obs.Audit.record
     query text and hash, {!query_class}, a per-conjunct plan summary
     (rendered from the plans built at open — nothing is recompiled), termination
     taxonomy, admission estimate vs actual tuples, the full
-    {!stream_stats} counters with GC deltas, wall/CPU time, and the
-    per-shard breakdown of parallel conjuncts.  Also the [--stats-json]
+    {!stream_stats} counters with GC deltas and wall/CPU time.  Every
+    query runs on one domain, so the record's [shards] is [[]] and its
+    [merge_wait_ns] and [imbalance_pct] are 0.  Also the [--stats-json]
     payload. *)
 
 val status : stream -> termination

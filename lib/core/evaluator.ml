@@ -30,14 +30,28 @@ type levelled = {
   agg : Exec_stats.t; (* reused aggregate returned by [stats] *)
 }
 
-(* A parallel conjunct: a [Par] domain pool whose shards each run a plain
-   [Conjunct] over a partition of the seed vertices. *)
-type parallel = {
-  par : Par.t;
-  p_agg : Exec_stats.t; (* reused aggregate returned by [stats] *)
+(* The canonical order of [options.domains >= 2] (DESIGN.md "The canonical
+   order"): one plain conjunct on the ascending seed walk, its stream
+   reordered to ascending (distance, x, y).  The conjunct's stream never
+   decreases in distance, so the bucket at [d] is whole — and released
+   sorted by (x, y) — once the conjunct yields a larger distance or ends
+   complete.  Exact answers come out sooner: every distance-0 answer of a
+   seed below the frontier has been pulled, so each time the frontier
+   rises the staged exact answers below it are released.  On a trip the
+   open bucket is never released, so the emitted prefix stays exact.
+   Staged and released answers are charged to the memory ledger until
+   they are emitted. *)
+type canonical = {
+  conj : Conjunct.t;
+  c_governor : Governor.t;
+  frontier : int ref; (* every exact answer with x below it has been pulled *)
+  mutable released : int; (* the frontier at the last exact release *)
+  mutable staged : Conjunct.answer list; (* the open bucket, newest first *)
+  mutable ready : Conjunct.answer list; (* released, in emission order *)
+  mutable held : int; (* answers staged or ready: charged to the ledger *)
 }
 
-type t = Plain of Conjunct.t | Levelled of levelled | Parallel of parallel
+type t = Plain of Conjunct.t | Levelled of levelled | Canonical of canonical
 
 let finish_part lev eval part =
   Exec_stats.merge_into lev.stats (Conjunct.stats eval);
@@ -111,10 +125,47 @@ let rec next_levelled lev =
           next_levelled lev
         end)
 
+let release c below =
+  let out, kept = List.partition below c.staged in
+  c.staged <- kept;
+  c.ready <-
+    List.sort
+      (fun (a : Conjunct.answer) (b : Conjunct.answer) ->
+        if a.x <> b.x then compare a.x b.x else compare a.y b.y)
+      out
+
+let rec next_canonical c =
+  match c.ready with
+  | a :: rest ->
+    c.ready <- rest;
+    c.held <- c.held - 1;
+    Governor.release_mem c.c_governor Mem.answer_entry_bytes;
+    Some a
+  | [] -> (
+    match Conjunct.get_next c.conj with
+    | None ->
+      if Governor.tripped c.c_governor = None && c.staged <> [] then begin
+        release c (fun _ -> true);
+        next_canonical c
+      end
+      else None
+    | Some a ->
+      (match c.staged with
+      | b :: _ when b.dist < a.dist -> release c (fun _ -> true)
+      | _ -> ());
+      c.staged <- a :: c.staged;
+      c.held <- c.held + 1;
+      Governor.charge_mem c.c_governor Mem.answer_entry_bytes;
+      if a.dist = 0 && !(c.frontier) > c.released then begin
+        c.released <- !(c.frontier);
+        release c (fun (b : Conjunct.answer) -> b.x < c.released)
+      end;
+      next_canonical c)
+
 let next = function
   | Plain c -> Conjunct.get_next c
   | Levelled lev -> next_levelled lev
-  | Parallel p -> Par.next p.par
+  | Canonical c -> next_canonical c
 
 (* The levelled aggregate is computed into a record owned and reused by the
    evaluator — polling stats mid-stream therefore allocates nothing and
@@ -128,47 +179,35 @@ let stats = function
     | Some (eval, _) -> Exec_stats.merge_into lev.agg (Conjunct.stats eval)
     | None -> ());
     lev.agg
-  | Parallel p ->
-    (* still-running shards are excluded (their records live on other
-       domains); once the stream has ended every shard is in *)
-    Exec_stats.reset p.p_agg;
-    Par.merge_stats p.par ~into:p.p_agg;
-    p.p_agg.Exec_stats.par_shards <- Par.shards p.par;
-    p.p_agg
+  | Canonical c -> Conjunct.stats c.conj
 
+(* An abandoned canonical stream releases the ledger charges of the
+   answers it still holds. *)
 let close = function
   | Plain _ | Levelled _ -> ()
-  | Parallel p -> Par.close p.par
+  | Canonical c ->
+    Governor.release_mem c.c_governor (c.held * Mem.answer_entry_bytes);
+    c.held <- 0;
+    c.staged <- [];
+    c.ready <- []
 
-let shard_report = function
-  | Plain _ | Levelled _ -> []
-  | Parallel p -> Par.shard_report p.par
-
-(* A plan with [domains > 1] is a plain [(?X, R, ?Y)] conjunct: seeds split
-   [oid mod domains] across shards.  Per-seed explorations are independent
-   (the visited and answer keys both carry the seed vertex), so a shard
-   emits exactly the full conjunct's answers whose [x] it owns, and its
-   seeder frontier is its distance-0 watermark.  Shards open the plan's
-   part on their own domains but share its automaton, which is read-only:
-   a worker compiles and interns nothing.  Every other plan runs here, on
-   the calling domain. *)
 let of_plan ~graph ~ontology ~options ?governor ?metrics (plan : Plan.t) =
   let governor = match governor with Some g -> g | None -> Options.governor options in
   let metrics = match metrics with Some m -> m | None -> Obs.Metrics.create () in
-  let domains = plan.Plan.domains in
-  if domains > 1 then
-    let build ~shard ~governor ~metrics ~mark =
-      let c =
-        Conjunct.open_ ~graph ~ontology ~options ~governor ~metrics
-          ~seed_filter:(fun oid -> oid mod domains = shard)
-          ~frontier:mark plan (List.hd plan.Plan.parts)
-      in
-      ((fun () -> Conjunct.get_next c), fun () -> Conjunct.stats c)
-    in
-    Parallel
+  if plan.Plan.canonical then
+    let frontier = ref 0 in
+    Canonical
       {
-        par = Par.create ~domains ~governor ~metrics ~label:"seed-shard" ~build ();
-        p_agg = Exec_stats.create ();
+        conj =
+          Conjunct.open_ ~graph ~ontology ~options ~governor ~metrics
+            ~frontier:(fun w -> frontier := w)
+            plan (List.hd plan.Plan.parts);
+        c_governor = governor;
+        frontier;
+        released = 0;
+        staged = [];
+        ready = [];
+        held = 0;
       }
   else
     match plan.Plan.strategy with

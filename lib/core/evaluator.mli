@@ -23,18 +23,17 @@
 
     The evaluator decides none of this: it runs the conjunct's {!Plan},
     which fixed the strategy, the parts and their compiled automata, and
-    the domain count.  Restarts and shards reopen the plan's parts and
-    never recompile.
+    the emission order.  Restarts reopen the plan's parts and never
+    recompile.
 
-    {b Parallel} ([options.domains > 1]) — a plain [(?X, R, ?Y)] conjunct
-    runs sharded on a {!Par} domain pool: its seed vertices split
-    [oid mod domains].  The merged stream is the sequential answer set in
-    non-decreasing distance with the canonical ascending [(x, y)] order
-    within each distance — deterministic at any domain count [>= 2].
-    Every other conjunct — constant-seeded, distance-aware or decomposed —
-    runs the sequential evaluator regardless of [options.domains].  The
-    shards share the plan's automaton read-only, so a shard's domain
-    compiles nothing and never touches the graph's interner. *)
+    {b Canonical order} ([options.domains >= 2], [Plan.canonical]) — a
+    plain [(?X, R, ?Y)] conjunct walks its seeds in ascending oid order and
+    its stream is reordered on the calling domain: the same answers in
+    ascending [(distance, x, y)] order.  Each distance bucket is held until
+    it is whole and released sorted; exact answers are released as soon as
+    they lie below the seed frontier.  Every other conjunct —
+    constant-seeded, distance-aware or decomposed — keeps its sequential
+    order regardless of [options.domains]. *)
 
 type t
 
@@ -74,19 +73,10 @@ val next : t -> Conjunct.answer option
 val stats : t -> Exec_stats.t
 (** Counters aggregated over all runs/sub-automata so far.  The returned
     record is {e owned and reused} by the evaluator (polling mid-stream
-    allocates nothing); take an [Exec_stats.copy] for a stable snapshot.
-    On a parallel evaluator the aggregate covers {e completed} shards
-    (running shards' records live on other domains); after {!next} returns
-    [None] or {!close}, every shard is included and [par_shards] is set. *)
+    allocates nothing); take an [Exec_stats.copy] for a stable snapshot. *)
 
 val close : t -> unit
-(** Release resources that outlive an abandoned stream: joins a parallel
-    evaluator's domain pool (without tripping the governor — the stream
-    still reports [Completed]).  A no-op on sequential evaluators, and
-    after the evaluator has already returned [None].  Idempotent; called by
-    [Engine.close]. *)
-
-val shard_report : t -> (int * int * int) list
-(** Per-shard [(index, busy_ns, answers)] of a parallel evaluator's
-    completed shards ({!Par.shard_report}); [[]] on sequential
-    evaluators. *)
+(** Release what an abandoned stream still holds: the memory-ledger
+    charges of a canonical evaluator's staged answers (without tripping
+    the governor — the stream still reports [Completed]).  A no-op on the
+    other evaluators.  Idempotent; called by [Engine.close]. *)

@@ -59,7 +59,7 @@ let copy t = { t with pushes = t.pushes }
 
 (* The one counter table: name, merge rule and accessors of every field, in
    declaration order.  High-water marks (queue depth, memory, the admission
-   estimate, the slowest shard) merge by max; everything else sums.  The
+   estimate, [par_busy_max_ns]) merge by max; everything else sums.  The
    hot paths keep incrementing the record fields directly. *)
 type merge = Sum | Max
 type field = { name : string; merge : merge; get : t -> int; set : t -> int -> unit }
@@ -128,9 +128,6 @@ let pp ppf t =
   if t.admission_est_states > 0 then Format.fprintf ppf " adm-states=%d" t.admission_est_states;
   if t.degrade_drop_provenance > 0 || t.degrade_shrink_psi > 0 then
     Format.fprintf ppf " degrade=prov:%d,psi:%d" t.degrade_drop_provenance t.degrade_shrink_psi;
-  if t.par_shards > 0 then Format.fprintf ppf " par-shards=%d" t.par_shards;
-  if t.par_busy_total_ns > 0 then
-    Format.fprintf ppf " par-busy=%d/max:%d" t.par_busy_total_ns t.par_busy_max_ns;
   if t.gc_minor_words > 0 || t.gc_major_words > 0 then
     Format.fprintf ppf " gc=minor:%d,major:%d,collections:%d/%d" t.gc_minor_words t.gc_major_words
       t.gc_minor_collections t.gc_major_collections

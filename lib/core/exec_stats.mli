@@ -66,17 +66,11 @@ type t = {
       (** stage-2 degradations: psi escalations declined under memory
           pressure (each also trips [Governor.Memory_budget]) *)
   mutable par_shards : int;
-      (** shard evaluations run by parallel ({!Par}) conjuncts — 0 on every
-          sequential record; summed over a query's conjuncts by
-          {!merge_into}, so a two-conjunct query with one 4-domain conjunct
-          reports 4 *)
-  mutable par_busy_total_ns : int;
-      (** wall time shard workers spent running, summed across shards
-          (0 without a clock); with [par_busy_max_ns] this yields the shard
-          load-imbalance metric max/mean of the query observatory *)
-  mutable par_busy_max_ns : int;
-      (** the busiest single shard's wall time — the critical path of a
-          parallel conjunct; merges by max *)
+      (** always 0: every query runs on one domain.  The three [par_*]
+          counters stay in the record and the metric manifest so readers of
+          recorded stats keep their fields. *)
+  mutable par_busy_total_ns : int;  (** always 0 (see [par_shards]) *)
+  mutable par_busy_max_ns : int;  (** always 0 (see [par_shards]); merges by max *)
   mutable gc_minor_words : int;
       (** [Gc.quick_stat] delta over the query: words allocated in the minor
           heap — set on the engine's stream aggregate (0 on per-conjunct

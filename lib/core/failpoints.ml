@@ -42,15 +42,15 @@ let index = function
 let n_points = 7
 
 (* Arming is process-global, but the PRNG state is {e per-domain}: a shared
-   mutable stream would race under parallel evaluation (and make two
-   concurrent engine runs in one process corrupt each other's fault
-   schedules).  The configuration lives in an [Atomic] paired with an epoch
-   counter; every domain keeps its own {state; probabilities} cell in
-   domain-local storage and re-syncs it when the epoch moves.  The initial
-   domain derives its state from the seed exactly as the pre-parallel code
-   did, so single-domain runs are byte-for-byte reproducible across
-   versions; worker domains fold their domain id into the seed, giving each
-   shard an independent deterministic stream. *)
+   mutable stream would make two concurrent engine runs in one process
+   corrupt each other's fault schedules.  The configuration lives in an
+   [Atomic] paired with an epoch counter; every domain keeps its own
+   {state; probabilities} cell in domain-local storage and re-syncs it
+   when the epoch moves.  The initial domain derives its state from the
+   seed exactly as the pre-parallel code did, so single-domain runs are
+   byte-for-byte reproducible across versions; other domains fold their
+   domain id into the seed, giving each an independent deterministic
+   stream. *)
 type armed = { seed : int; prob : float array }
 
 let armed_cfg : armed option Atomic.t = Atomic.make None

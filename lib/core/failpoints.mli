@@ -26,8 +26,8 @@
 
     Arming is process-global, but the PRNG state is {e per-domain}
     (domain-local storage, re-synced on every re-arm): concurrent engine
-    runs — parallel shard workers, or two independent streams in one
-    process — draw from independent deterministic streams instead of racing
+    runs — two independent streams in one process, each on its own
+    domain — draw from independent deterministic streams instead of racing
     on one.  The initial domain's stream is derived from the seed exactly
     as before parallel evaluation existed (single-domain runs reproduce
     byte-for-byte); a worker domain folds its domain id into the seed.

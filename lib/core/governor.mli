@@ -34,34 +34,6 @@ type termination =
 
 type t
 
-(** The cross-domain control block of parallel evaluation (one per query,
-    created by {!share}): the first-trip-wins stop slot, the query-wide
-    tuple and live-bytes atomics, the shared degradation-ladder flags and
-    the {!Shared.close} shutdown token.  Everything multiple domains touch
-    lives here as an [Atomic]; per-domain tallies stay on the individual
-    governors and are rolled up with {!absorb}. *)
-module Shared : sig
-  type t
-
-  val close : t -> unit
-  (** Stop shard workers cooperatively {e without} tripping the query: only
-      {!shard_of} governors obey the token (the query's own governor keeps
-      governing any remaining conjuncts), and no reason is recorded, so a
-      stream abandoned by its consumer still reports [Completed].  Also runs
-      the registered wake-up hooks so no worker stays parked on a full
-      queue. *)
-
-  val stopped : t -> bool
-  (** True once a trip was raised anywhere or {!close} was called — the
-      park-loop predicate of [Par]'s shard workers. *)
-
-  val set_on_trip : t -> (unit -> unit) -> unit
-  (** Register a wake-up hook run after any trip or {!close} ([Par] points
-      it at a broadcast over its shard-queue conditions).  Additive: hooks
-      accumulate, so several parallel conjuncts sharing the block each get
-      woken. *)
-end
-
 val create :
   ?timeout_ns:int -> ?max_tuples:int -> ?max_answers:int -> ?max_memory_bytes:int -> unit -> t
 (** A fresh governor; omitted limits are unlimited.  [timeout_ns] is
@@ -126,32 +98,6 @@ val note_shrink_psi : t -> unit
 
 val degrade_counts : t -> int * int
 (** [(arena drops, declined psi escalations)] so far. *)
-
-(** {2 Parallel attachment}
-
-    A sequential governor carries no shared block and pays nothing for this
-    machinery (one [None] branch on the accounting paths).  [Par] attaches a
-    block to the query's governor, derives one shard governor per domain,
-    and rolls the per-domain tallies back in as shards join. *)
-
-val share : t -> Shared.t
-(** Get-or-create the governor's shared control block, folding whatever it
-    accounted so far into the shared totals (the cumulative budgets keep
-    their meaning).  Idempotent. *)
-
-val shard_of : t -> t
-(** A worker-domain governor: same limits and the {e same absolute
-    deadline} as [t], zeroed per-domain counters, attached to [share t].
-    Its tuple ticks and memory charges flow into the query-wide atomics;
-    its answer cap is unlimited (answers are only counted on the merge
-    side). *)
-
-val absorb : t -> from:t -> unit
-(** Roll a joined shard governor's per-domain degradation tallies into the
-    query's governor (tuple and memory totals were shared all along). *)
-
-val closing : t -> bool
-(** True when the attached shared block (if any) was {!Shared.close}d. *)
 
 val cancel : ?reason:string -> t -> unit
 (** The cancellation token: trips [Fault reason] (default ["cancelled"]).

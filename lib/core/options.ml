@@ -35,7 +35,6 @@ let default =
     domains = 1;
   }
 
-let max_domains = 64
 let domains_env_var = "OMEGA_DOMAINS"
 
 (* Out-of-range values fall back to 1 rather than erroring: the variable is
@@ -44,7 +43,7 @@ let domains_env_var = "OMEGA_DOMAINS"
 let domains_from_env () =
   match Sys.getenv_opt domains_env_var with
   | None | Some "" -> 1
-  | Some s -> ( match int_of_string_opt s with Some n when n >= 1 && n <= max_domains -> n | _ -> 1)
+  | Some s -> ( match int_of_string_opt s with Some n when n >= 1 && n <= 64 -> n | _ -> 1)
 
 let governor ?limit t =
   let max_answers =

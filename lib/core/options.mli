@@ -75,18 +75,15 @@ type t = {
           pays exactly one branch per Succ expansion and allocates
           nothing. *)
   domains : int;
-      (** evaluate parallelisable conjuncts on this many OCaml domains
-          (default 1 — the sequential code path, literally unchanged).
-          Plain [(?X, R, ?Y)] conjuncts partition their seed vertices
-          across the pool; constant-seeded, distance-aware and decomposed
-          conjuncts run sequentially.  Shard streams are recombined by the
-          deterministic ranked merge of {!Par}, so with [domains > 1] the
-          answer stream is the sequential answer set in non-decreasing
-          distance with the documented [(x, y)] tie-break, identical at any
-          domain count.  A query's parallel conjuncts share at most
-          {!max_domains} worker domains between them ({!Plan.of_query}
-          hands them out in body order); any value below 2 runs every
-          conjunct sequentially.  See DESIGN.md "Parallel evaluation". *)
+      (** the emission order of plain [(?X, R, ?Y)] conjuncts (default 1).
+          At 1 such a conjunct streams in the paper's order: non-decreasing
+          distance, ties in queue order.  At [N >= 2] it streams the same
+          answers in ascending [(distance, x, y)] order, the same stream at
+          every [N >= 2], computed on the calling domain: each distance
+          bucket is held and released sorted, and exact answers are
+          released as soon as they lie below the seed frontier.
+          Constant-seeded, distance-aware and decomposed conjuncts ignore
+          it.  See DESIGN.md "The canonical order". *)
 }
 
 val governor : ?limit:int -> t -> Governor.t
@@ -98,18 +95,14 @@ val default_costs : costs
 (** All five costs are 1, as in the performance study (§4.1). *)
 
 val default : t
-(** [default_costs], batch size 100, no optimisations, no budget, 1 domain. *)
-
-val max_domains : int
-(** 64: the most worker domains one query's plans may ask for, summed over
-    its parallel conjuncts — half of OCaml's default domain limit. *)
+(** [default_costs], batch size 100, no optimisations, no budget, [domains = 1]. *)
 
 val domains_env_var : string
 (** ["OMEGA_DOMAINS"]. *)
 
 val domains_from_env : unit -> int
 (** The domain count requested through [OMEGA_DOMAINS]: an integer in
-    [1 .. max_domains]; absent, empty or out-of-range values read as 1 (the knob must
+    [1 .. 64]; absent, empty or out-of-range values read as 1 (the knob must
     never turn a query into a usage failure).  Callers building options from
     the environment use this as the [domains] default. *)
 

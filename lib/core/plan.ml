@@ -20,11 +20,10 @@ type t = {
   phi : int;
   strategy : strategy;
   parts : part list;
-  domains : int;
+  canonical : bool;
 }
 
-(* [spare]: the worker domains the query has left for this conjunct. *)
-let build ~spare ~graph ~ontology ~options (conjunct : Query.conjunct) =
+let make ~graph ~ontology ~options (conjunct : Query.conjunct) =
   (* Case 2 of [Open]: (?X, R, C) is evaluated as (C, R-, ?X). *)
   let reversed =
     match (conjunct.subj, conjunct.obj) with Query.Var _, Query.Const _ -> true | _ -> false
@@ -59,14 +58,11 @@ let build ~spare ~graph ~ontology ~options (conjunct : Query.conjunct) =
     if decomposed then List.map (fun source -> { source; nfa = compile source }) alternatives
     else [ { source = conjunct.regex; nfa = automaton } ]
   in
-  (* The one parallel seam: a plain (?X, R, ?Y) conjunct splits its seeds
-     across domains.  A single-source Dijkstra offers no partition with the
-     merge's guarantees, and the ψ-levelled strategies are sequential
-     optimisations (§4.3) that run on one domain. *)
-  let domains =
-    match subj with
-    | Query.Var _ when strategy = Plain -> max 1 (min options.Options.domains spare)
-    | _ -> 1
+  (* The (distance, x, y) order of [domains >= 2] applies to a plain
+     (?X, R, ?Y) conjunct only: the ψ-levelled strategies (§4.3) and the
+     constant-seeded searches keep their own emission order. *)
+  let canonical =
+    match subj with Query.Var _ -> strategy = Plain && options.Options.domains > 1 | _ -> false
   in
   {
     conjunct;
@@ -78,18 +74,8 @@ let build ~spare ~graph ~ontology ~options (conjunct : Query.conjunct) =
     phi = Options.phi options conjunct.cmode;
     strategy;
     parts;
-    domains;
+    canonical;
   }
 
-let make = build ~spare:Options.max_domains
-
-(* Every parallel plan spawns its domains when the query opens, so the
-   query's conjuncts draw on one budget of [Options.max_domains], in body
-   order; a conjunct left fewer than 2 runs sequentially. *)
 let of_query ~graph ~ontology ~options (q : Query.t) =
-  snd
-    (List.fold_left_map
-       (fun spare c ->
-         let p = build ~spare ~graph ~ontology ~options c in
-         ((if p.domains > 1 then spare - p.domains else spare), p))
-       Options.max_domains q.Query.conjuncts)
+  List.map (make ~graph ~ontology ~options) q.Query.conjuncts

@@ -4,13 +4,12 @@
     [Engine.open_query] (and [Engine.explain]) build one plan per conjunct
     on the calling domain.  A plan fixes everything [Open] decides: the
     case-2 reversal, the seeding regime, the object target, the compiled
-    automaton of every part, the §4.3 strategy and the domain count.  The
+    automaton of every part, the §4.3 strategy and the emission order.  The
     consumers — {!Admission}, {!Evaluator}, {!Conjunct}, EXPLAIN and the
     audit record — read the plan and never work the decision out again.
 
     A plan is immutable.  Its automata are compiled here, once: ψ restarts
-    and the shards of a parallel conjunct all evaluate the same read-only
-    [Nfa.t], so no worker domain compiles or interns a label. *)
+    all evaluate the same read-only [Nfa.t]. *)
 
 type seeding =
   | Empty of { name : string; on_object : bool }
@@ -43,23 +42,18 @@ type t = {
   strategy : strategy;
   parts : part list;
       (** one per alternative under [Decomposed], else the whole conjunct *)
-  domains : int;
-      (** effective domain count; above 1 only for a [(?X, R, ?Y)] conjunct
-          with the [Plain] strategy, whose seeds split [oid mod domains] *)
+  canonical : bool;
+      (** the stream comes in ascending [(distance, x, y)] order: set for a
+          [(?X, R, ?Y)] conjunct with the [Plain] strategy when
+          [options.domains >= 2] *)
 }
 
 val make :
   graph:Graphstore.Graph.t -> ontology:Ontology.t -> options:Options.t -> Query.conjunct -> t
 (** Decide and compile.  Interns the regex's labels into [graph]'s interner
     — call it on one domain at a time.  Scans no edge and consults no
-    failpoint.  A parallel plan gets at most {!Options.max_domains}
-    domains. *)
+    failpoint. *)
 
 val of_query :
   graph:Graphstore.Graph.t -> ontology:Ontology.t -> options:Options.t -> Query.t -> t list
-(** One plan per conjunct, in body order.  The parallel plans share one
-    budget of {!Options.max_domains} worker domains, handed out in body
-    order: a conjunct gets [min options.domains spare] of what the earlier
-    ones left, and runs on one domain when that is below 2.  So the domains
-    a query spawns at open never exceed the bound, however many conjuncts
-    it has.  Spawns nothing itself. *)
+(** One plan per conjunct, in body order. *)

@@ -65,12 +65,21 @@ let carries graph n (lbl : Nfa.tlabel) =
 (* The first oid from [at] on that [keep] accepts, or [n]. *)
 let rec next_kept keep n at = if at >= n || keep at then at else next_kept keep n (at + 1)
 
-let of_initial_state ?governor ?filter ~graph ~nfa ~batch_size () =
+let of_initial_state ?governor ?(ascending = false) ~graph ~nfa ~batch_size () =
   let s0 = Nfa.initial nfa in
   let starts = List.map (fun (tr : Nfa.transition) -> tr.lbl) (Nfa.out nfa s0) in
   let batch_size = max 1 batch_size in
-  match filter with
-  | None ->
+  if ascending then begin
+    (* The same set as the runs below, in the order that lets {!frontier}
+       say which seeds are behind it. *)
+    let keep =
+      if Nfa.final_weight nfa s0 <> None then fun _ -> true
+      else fun n -> List.exists (carries graph n) starts
+    in
+    let n = Graph.n_nodes graph in
+    make ?governor ~batch_size (Walk { keep; n; at = next_kept keep n 0 })
+  end
+  else
     (* The paper's order: the carriers of each start label in turn, then,
        when [s0] is final with a positive weight, every node. *)
     let by_start_labels = Seq.concat_map (nodes_with_edge graph) (List.to_seq starts) in
@@ -80,16 +89,6 @@ let of_initial_state ?governor ?filter ~graph ~nfa ~batch_size () =
          | Some 0 -> all_nodes graph
          | Some _ -> Seq.append by_start_labels (all_nodes graph)
          | None -> by_start_labels))
-  | Some f ->
-    (* A shard's seeds, ascending: the same set as the sequential runs
-       restricted to [f], in the order that lets {!frontier} say which
-       seeds are behind it. *)
-    let keep =
-      if Nfa.final_weight nfa s0 <> None then f
-      else fun n -> f n && List.exists (carries graph n) starts
-    in
-    let n = Graph.n_nodes graph in
-    make ?governor ~batch_size (Walk { keep; n; at = next_kept keep n 0 })
 
 let exhausted t = t.finished
 

@@ -28,7 +28,7 @@ val of_list : (int * int) list -> t
 
 val of_initial_state :
   ?governor:Governor.t ->
-  ?filter:(int -> bool) ->
+  ?ascending:bool ->
   graph:Graphstore.Graph.t ->
   nfa:Automaton.Nfa.t ->
   batch_size:int ->
@@ -39,15 +39,13 @@ val of_initial_state :
     cancellation cuts an up-front ([batch_size = max_int]) sweep of a large
     graph short instead of pinning the process.
 
-    Without [filter] the seeds come in the paper's order: the carriers of
-    each initial transition's label, label by label, then (initial state
-    final with a positive weight) every node.  [filter] restricts delivery
-    to candidates whose oid it accepts — the seed partition of parallel
-    evaluation — and delivers them in ascending oid order instead, lazily:
-    a node is kept when the filter accepts it and either the initial state
-    is final or the node carries a label of an initial transition.  The
-    set is the unfiltered one restricted to the filter; the ascending
-    order is what makes {!frontier} meaningful. *)
+    By default the seeds come in the paper's order: the carriers of each
+    initial transition's label, label by label, then (initial state final
+    with a positive weight) every node.  [~ascending:true] delivers the
+    same set in ascending oid order instead, lazily: a node is kept when
+    the initial state is final or the node carries a label of an initial
+    transition.  The ascending order is what makes {!frontier}
+    meaningful. *)
 
 val next_batch : t -> (int * int) list
 (** The next batch of fresh seeds; [[]] once exhausted.  Batches respect
@@ -56,7 +54,7 @@ val next_batch : t -> (int * int) list
     @raise Failpoints.Injected when the [Seed_batch] failpoint fires. *)
 
 val frontier : t -> int
-(** The next candidate a filtered seeder has not drawn yet, or [max_int]
+(** The next candidate an ascending seeder has not drawn yet, or [max_int]
     once exhausted: every seed below it has been delivered.  [0] for the
     other seeders until they are exhausted (they promise no order). *)
 

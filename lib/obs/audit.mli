@@ -6,8 +6,9 @@
     current query, the audit log accumulates per-query records across
     processes and runs — canonicalised query hash, query class, plan
     summary, termination taxonomy, admission estimate vs actual work, the
-    full execution counters, GC deltas, latency, and the per-shard
-    breakdown of parallel runs — the substrate [bin/omega_report]
+    full execution counters, GC deltas, latency, and (in records written
+    before queries ran on one domain) the per-shard breakdown of parallel
+    runs — the substrate [bin/omega_report]
     aggregates into per-class latency percentiles and regression views.
 
     {b Crash safety.}  Every record is written as one complete line
@@ -59,11 +60,13 @@ type record = {
   est_product : int;  (** admission estimate: product frontier bound; 0 unvetted *)
   actual_tuples : int;  (** tuples actually queued ([pushes]) — the estimate's foil *)
   domains : int;  (** configured domain count *)
-  shards : shard list;  (** per-shard breakdown; [] for sequential runs *)
-  merge_wait_ns : int;  (** consumer time parked waiting for shard progress *)
+  shards : shard list;
+      (** per-shard breakdown of an older parallel run; the engine writes
+          [[]], since every query runs on one domain *)
+  merge_wait_ns : int;  (** consumer time parked waiting for shard progress; 0 now *)
   imbalance_pct : int;
       (** 100 × max shard busy / mean shard busy; 100 = perfectly balanced,
-          0 when unmeasured (sequential, or no clock) *)
+          0 when unmeasured (every record the engine writes now) *)
   flight : flight_info option;
       (** cross-link to the flight-recorder dump covering this query, when
           both sinks were active; [None] otherwise (and for v1 records) *)

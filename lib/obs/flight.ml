@@ -365,8 +365,9 @@ let of_json j =
 
    One state machine, stepped event by event, used both by the online
    monitor (as events are recorded) and by Replay (over a loaded dump).
-   The invariants are the sealed-merge correctness argument of
-   lib/core/par.ml made executable:
+   The invariants are the sealed-merge correctness argument of the
+   parallel merge that recorded these events (no longer part of the
+   engine; the checker reads recorded dumps) made executable:
 
    - shard-regression: a shard's deliveries are non-decreasing up to slack
      (dist >= last - slack);
@@ -711,10 +712,6 @@ let instant ?(cat = "") ?(args = []) name = if !on then span Instant cat args na
 
 let complete ?(cat = "") ?(args = []) ~start_ns name =
   if !on then span ~ts_ns:start_ns (Complete (!Clock.now_ns () - start_ns)) cat args name
-
-(* a real timestamp keeps the export's t0 rebase honest (viewers ignore ts
-   on metadata events anyway) *)
-let set_thread_name nm = if !on then span Meta "__metadata" [ ("name", Str nm) ] "thread_name"
 
 (* [clear] discards every ring and resets the sequence and flow counters;
    only call it while no flow is in flight (rings of joined domains are

@@ -6,8 +6,10 @@
 
     Two families of events share the rings:
     - {e flow events}: the scheduling log of the sealed-bucket parallel
-      merge ([Core.Par]), checked by an online invariant monitor and by
-      the offline replay ({!Replay});
+      merge that earlier versions ran on several domains, checked by an
+      online invariant monitor and by the offline replay ({!Replay}).  The
+      engine no longer records them; the kinds, the monitor and the replay
+      stay so that recorded dumps still load, check and replay;
     - {e spans}: the timeline of one query (automaton build phases, seed
       batches, ψ windows, join pulls), plus governor trips — exported as a
       Chrome [trace_event] document by {!Trace}.
@@ -37,7 +39,8 @@ type phase =
   | End  (** span close — ["E"] *)
   | Instant  (** point event — ["i"] *)
   | Complete of int  (** retro-recorded span with its duration in ns — ["X"] *)
-  | Meta  (** viewer metadata ([thread_name]) — ["M"] *)
+  | Meta  (** viewer metadata ([thread_name]) — ["M"]; the engine records
+              none, recorded dumps may carry them *)
 
 type kind =
   | Flow_open of { shards : int; slack : int; label : string }
@@ -128,13 +131,9 @@ val complete : ?cat:string -> ?args:args -> start_ns:int -> string -> unit
     window is not lexically scoped (a ψ-restart part streaming across many
     [next] calls). *)
 
-val set_thread_name : string -> unit
-(** Label the calling domain's timeline row ([Core.Par] workers call it
-    once at startup, so shard lanes read ["shard 0"]). *)
-
 val stall_threshold_ns : int ref
-(** A shard silent for longer than this (with a clock installed) gets a
-    [Stall] event from the consumer-side watchdog. Default 250ms. *)
+(** The silence after which a merge's watchdog recorded a [Stall] event
+    (recorded dumps only). Default 250ms. *)
 
 (** {1 Reading} *)
 

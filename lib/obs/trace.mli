@@ -4,8 +4,8 @@
     The events themselves are {!Flight} spans, instants and governor trips,
     recorded into the per-domain rings whenever the recorder is on; this
     module only encodes them.  Every event carries pid 1 and
-    [tid = domain + 1] (the initial domain is tid 1, shard workers of
-    [Core.Par] appear as their own timeline rows).  Timestamps come from
+    [tid = domain + 1] (the initial domain is tid 1; a query run on
+    another domain appears as its own timeline row).  Timestamps come from
     {!Clock.now_ns} and are rebased to the earliest exported event. *)
 
 val to_json : ?extra:(string * Json.t) list -> unit -> Json.t

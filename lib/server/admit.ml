@@ -75,9 +75,8 @@ let begin_drain t = locked t (fun () -> t.drain <- true)
 
 let draining t = locked t (fun () -> t.drain)
 
-(* Collect the targets under the lock, cancel outside it: Governor.cancel
-   runs trip hooks (parallel merge wake-ups) that must not nest inside the
-   admission mutex. *)
+(* Collect the targets under the lock, cancel outside it: the admission
+   mutex is held for the scan only. *)
 let cancel_where t ~reason pred =
   let targets =
     locked t (fun () ->

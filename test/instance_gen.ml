@@ -97,8 +97,8 @@ let build inst =
   (g, k)
 
 (* Domain counts the property suites sweep.  The determinism contract
-   (DESIGN.md §Parallel evaluation) is that the answer *multiset* — and for
-   any two parallel counts the exact stream — is independent of [domains],
+   (DESIGN.md "The canonical order") is that the answer *multiset* — and
+   for any two counts >= 2 the exact stream — is independent of [domains],
    so the oracle/chaos/provenance generators re-run their properties at
    each count instead of maintaining copy-pasted parallel suites.  The
    sweep can be pinned from the environment (the CI multi-core job exports

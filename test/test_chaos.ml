@@ -287,6 +287,54 @@ let memory_distance_aware =
   memory_prop ~name:"memory: prefix under distance-aware ψ shrinking (stage 2)"
     ~distance_aware:true ~provenance:false
 
+(* The bucket the canonical order holds is charged to the ledger.  On a
+   circulant [p] graph with a single [q] edge, APPROX [(?X, q, ?Y)] has one
+   answer at distance 0 and hundreds at each distance above.  Under a
+   budget equal to the sequential run's peak the sequential run completes,
+   but at domains 2 the staged buckets carry the ledger past it: the run
+   trips [Memory_budget] with a bucket open, emits nothing from it, and
+   what it did emit is an exact ranked prefix. *)
+let staged_bucket_test () =
+  let n = 40 and degree = 6 in
+  let g = Graph.create () in
+  for i = 0 to n - 1 do
+    ignore (Graph.add_node g (Printf.sprintf "n%d" i))
+  done;
+  for i = 0 to n - 1 do
+    for j = 1 to degree do
+      Graph.add_edge_s g i "p" ((i + j) mod n)
+    done
+  done;
+  Graph.add_edge_s g 0 "q" 1;
+  Graph.freeze g;
+  let k = Ontology.create (Graph.interner g) in
+  let c = List.hd (Core.Query_parser.parse "(?X, ?Y) <- APPROX (?X, q, ?Y)").Q.conjuncts in
+  let run domains governor =
+    let options = { Options.default with Options.domains } in
+    let ev = Core.Evaluator.create ~graph:g ~ontology:k ~options ~governor c in
+    let rec drain acc =
+      match Core.Evaluator.next ev with
+      | Some (a : Core.Conjunct.answer) -> drain ((a.dist, a.x, a.y) :: acc)
+      | None -> List.rev acc
+    in
+    drain []
+  in
+  let sequential = Governor.unlimited () in
+  let clean = List.sort compare (run 1 sequential) in
+  let at d l = List.length (List.filter (fun (d', _, _) -> d' = d) l) in
+  Alcotest.(check bool) "distance 1 outnumbers distance 0" true (at 1 clean > 100 * at 0 clean);
+  let budget = Governor.mem_peak sequential in
+  let fits = Governor.create ~max_memory_bytes:budget () in
+  ignore (run 1 fits);
+  Alcotest.(check bool) "the sequential run fits its own peak" true (Governor.tripped fits = None);
+  let governor = Governor.create ~max_memory_bytes:budget () in
+  let got = run 2 governor in
+  Alcotest.(check bool) "memory-budget trip at domains 2" true
+    (Governor.tripped governor = Some Governor.Memory_budget);
+  Alcotest.(check bool) "an exact ranked prefix" true (is_list_prefix ~of_:clean got);
+  Alcotest.(check bool) "nothing from the open bucket" true
+    (List.for_all (fun (d, _, _) -> d = 0 || at d got = at d clean) got)
+
 (* One expansion of a hub must not carry the ledger far past the budget.
    The hub's APPROX expansion reaches its 50k neighbours through the exact
    [p] transition and the [*] edits; the budget trips inside that
@@ -430,27 +478,22 @@ let join_prop =
 
 (* --- parallel executions under chaos ----------------------------------- *)
 
-(* The same robustness contract on the parallel evaluator
-   ([options.domains > 1]): the clean parallel run agrees with the oracle,
-   and a faulted / deadlined / budgeted parallel run is an exact
-   element-wise prefix of the clean parallel run's emission sequence (the
-   canonical sealed-merge order — see test_par).  Shard workers convert an
-   injected fault into a shard-governor fault, so terminations stay
-   structured at any domain count, and the taxonomy property pins the
-   stronger claim behind the CLI's exit codes 3/4/5/6: for deterministic
-   disturbances (tuple budgets, answer caps, certain faults) the
-   termination *kind* is identical regardless of [domains], because the
-   total work and the answer set are domain-count independent. *)
+(* The same robustness contract on the canonical order
+   ([options.domains > 1]): the clean run agrees with the oracle, and a
+   faulted / deadlined / budgeted run is an exact element-wise prefix of
+   the clean run's emission sequence (the canonical (dist, x, y) order —
+   see test_par).  The taxonomy property pins the stronger claim behind
+   the CLI's exit codes 3/4/5/6: for deterministic disturbances (tuple
+   budgets, answer caps, certain faults) the termination *kind* is
+   identical regardless of [domains], because the total work and the
+   answer set are domain-count independent. *)
 
 let gen_domains = QCheck2.Gen.(map (List.nth [ 2; 4 ]) (int_bound 1))
 
 (* Every parallel property runs under the flight recorder with the online
-   seal-bound monitor armed: an invariant violation (a bucket sealed past a
-   live or tripped shard's frontier, an answer emitted from an unsealed
-   bucket, ...) fails the instance with its auto-dumped postmortem path,
-   and a plain property failure also leaves a dump behind for
-   `omega_report --flight`.  This is the harness that localised ROADMAP
-   open item 5 to the sealed-bucket window after a trip. *)
+   monitor armed: an invariant violation fails the instance with its
+   auto-dumped postmortem path, and a plain property failure also leaves a
+   dump behind for `omega_report --flight`. *)
 let monitored prop arg =
   Obs.Flight.enable ~detail:true ();
   Obs.Flight.Monitor.enable ();
@@ -483,8 +526,9 @@ let monitored prop arg =
           (dump_now "property failed");
       ok)
 
-(* only variable/variable conjuncts seed-shard — anything else would
-   silently fall back to the (already covered) sequential path *)
+(* only variable/variable conjuncts take the canonical order — anything
+   else would silently fall back to the (already covered) sequential
+   path *)
 let par_inst inst = { inst with subj = `Var; obj = `Fresh }
 
 let par_fault_prop =
@@ -511,9 +555,8 @@ let par_fault_prop =
       in
       clean_ok && reason_ok && outcome_consistent ~clean chaos))
 
-(* The deterministic fake clock must be domain-safe here: shard workers and
-   the merge all read it concurrently, so it is an [Atomic] counter, not a
-   [ref] — every read still advances it by exactly 97 fake nanoseconds. *)
+(* The deterministic fake clock is an [Atomic] counter: every read
+   advances it by exactly 97 fake nanoseconds. *)
 let par_deadline_prop =
   QCheck2.Test.make ~name:"parallel deadlines: prefix + Deadline termination (atomic clock)"
     ~count:20
@@ -568,12 +611,12 @@ let reason_kind (o : Engine.outcome) =
   | Engine.Rejected _ -> "rejected"
 
 (* Deterministic disturbances only: total tuple work and the answer set are
-   the same at every domain count (seed-sharding re-partitions the same
-   per-seed explorations), so whether a budget trips — and therefore the
-   exit code the CLI derives — cannot depend on [domains].  A
-   probability-1 seed fault likewise fires on the very first seed batch of
-   every shard.  (Probabilistic faults and real-clock deadlines are
-   excluded by construction: their firing is genuinely timing-dependent.) *)
+   the same at every domain count (the ascending seed walk reorders the
+   same per-seed explorations), so whether a budget trips — and therefore
+   the exit code the CLI derives — cannot depend on [domains].  A
+   probability-1 seed fault likewise fires on the very first seed batch.
+   (Probabilistic faults and real-clock deadlines are excluded by
+   construction: their firing is genuinely timing-dependent.) *)
 let par_taxonomy_prop =
   QCheck2.Test.make ~name:"parallel taxonomy: termination kind is domain-count independent"
     ~count:20
@@ -603,90 +646,35 @@ let par_taxonomy_prop =
       | k1 :: rest -> List.for_all (( = ) k1) rest
       | [] -> false))
 
-(* --- the sealed-bucket trip window (ROADMAP open item 5) ---------------- *)
+(* --- the open bucket ---------------------------------------------------- *)
 
-(* Drives [Par.create] directly through the exact interleaving that made
-   the parallel chaos properties flake on loaded 1-core hosts: shard 0
-   delivers answers up to distance 2 and then trips (holding, in the real
-   engine, undelivered answers at or above [last]); shard 1 keeps
-   delivering *higher* distances around the trip broadcast, tempting the
-   consumer — woken inside its merge wait — to recompute the seal bound
-   without shard 0 and release buckets the tripped shard still owed.
-
-   The fixed sealing rule freezes an incomplete shard's term at its
-   frontier, so nothing at or above distance 2 may ever be emitted; the
-   online monitor cross-checks every seal and emit against the recorded
-   event stream.  Under the pre-fix rule (any [done_] shard left the min)
-   this test trips the monitor's seal-overrun rule within a few dozen
-   iterations. *)
-let answer dist x = { Core.Conjunct.x; y = 0; dist; witness = None }
-
-let trip_window_iteration () =
-  let governor = Options.governor Options.default in
-  let metrics = Obs.Metrics.create () in
-  let build ~shard ~governor ~metrics:_ ~mark:_ =
-    if shard = 0 then begin
-      (* deliver up to distance 2, then trip *while the consumer is parked
-         in the merge wait*: done but *incomplete*, frontier frozen at 2 *)
-      let step = ref 0 in
-      let pull () =
-        incr step;
-        match !step with
-        | 1 -> Some (answer 0 2)
-        | 2 -> Some (answer 2 2)
-        | _ ->
-          Unix.sleepf 0.004;
-          Governor.fault governor "trip-window";
-          None
+(* At [domains >= 2] the evaluator holds each distance bucket until the
+   conjunct has moved past it.  A trip may cut a bucket short, so it must
+   end the stream without releasing the open one: under any tuple budget
+   the emitted answers are a prefix of the clean run, and every distance
+   above 0 in them is whole (distance 0 is released below the seed
+   frontier, where it is final). *)
+let open_bucket_prop =
+  QCheck2.Test.make ~name:"a trip never releases the open bucket" ~count:60
+    QCheck2.Gen.(triple (gen_instance ~mode:Q.Approx) gen_domains (int_range 1 600))
+    (fun (inst, domains, cap) ->
+      let inst, q = query_of (par_inst inst) in
+      let g, k = build inst in
+      let options = { Options.default with Options.domains } in
+      let clean, clean_ok = clean_run g k options q in
+      let chaos =
+        Engine.run ~graph:g ~ontology:k ~options:{ options with Options.max_tuples = Some cap } q
       in
-      (pull, Core.Exec_stats.create)
-    end
-    else begin
-      (* advance past the tripped shard's frontier around the trip
-         broadcast, tempting a stale-bound seal of the dist-2 bucket *)
-      let step = ref 0 in
-      let pull () =
-        incr step;
-        match !step with
-        | 1 -> Some (answer 1 9)
-        | 2 ->
-          Unix.sleepf 0.001;
-          Some (answer 3 9)
-        | 3 ->
-          Unix.sleepf 0.004;
-          Some (answer 4 9)
-        | _ -> None
+      let at d (o : Engine.outcome) =
+        List.length
+          (List.filter (fun (a : Engine.answer) -> a.Engine.distance = d) o.Engine.answers)
       in
-      (pull, Core.Exec_stats.create)
-    end
-  in
-  let p = Core.Par.create ~domains:2 ~governor ~metrics ~label:"trip-window" ~build () in
-  let rec drain acc =
-    match Core.Par.next p with Some a -> drain (a :: acc) | None -> List.rev acc
-  in
-  let emitted = Fun.protect ~finally:(fun () -> Core.Par.close p) (fun () -> drain []) in
-  List.iter
-    (fun (a : Core.Conjunct.answer) ->
-      if a.Core.Conjunct.dist >= 2 then
-        Alcotest.failf
-          "emitted dist=%d from a bucket the tripped shard still owed (frozen bound is 2)"
-          a.Core.Conjunct.dist)
-    emitted
-
-let trip_window_test () =
-  Obs.Flight.enable ~detail:true ();
-  Obs.Flight.Monitor.enable ();
-  Fun.protect
-    ~finally:(fun () ->
-      Obs.Flight.Monitor.disable ();
-      Obs.Flight.disable ();
-      Obs.Flight.clear ())
-    (fun () ->
-      for _ = 1 to 500 do
-        trip_window_iteration ()
-      done;
-      (* the monitor re-checked every seal/emit of all 50 interleavings *)
-      Obs.Flight.Monitor.assert_ok ())
+      clean_ok && outcome_consistent ~clean chaos
+      && List.for_all
+           (fun (a : Engine.answer) ->
+             let d = a.Engine.distance in
+             d = 0 || at d chaos = at d clean)
+           chaos.Engine.answers)
 
 (* --- born-tripped streams ---------------------------------------------- *)
 
@@ -758,6 +746,7 @@ let () =
             hub_budget_test;
           Alcotest.test_case "a cursor's charge does not grow with its range" `Quick
             cursor_ledger_test;
+          Alcotest.test_case "the staged bucket is charged at domains 2" `Quick staged_bucket_test;
         ] );
       ("admission", [ QCheck_alcotest.to_alcotest admission_prop ]);
       ("joins", [ QCheck_alcotest.to_alcotest join_prop ]);
@@ -767,10 +756,7 @@ let () =
           QCheck_alcotest.to_alcotest par_deadline_prop;
           QCheck_alcotest.to_alcotest par_budget_prop;
           QCheck_alcotest.to_alcotest par_taxonomy_prop;
-        ] );
-      ( "flight",
-        [
-          Alcotest.test_case "sealed-bucket trip window stays frozen" `Quick trip_window_test;
+          QCheck_alcotest.to_alcotest open_bucket_prop;
         ] );
       ( "edges",
         [

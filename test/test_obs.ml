@@ -312,7 +312,6 @@ let trace_disabled_test () =
     (Flight.with_span "off" (fun () -> 7));
   Flight.instant "off";
   Flight.complete ~start_ns:0 "off";
-  Flight.set_thread_name "off";
   Alcotest.(check int) "no events recorded while disabled" 0 (List.length (Flight.events ()))
 
 let trace_exception_test () =
